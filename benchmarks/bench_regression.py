@@ -35,7 +35,7 @@ from repro.obs import ledger as runledger
 from repro.cache import TedCacheStore
 from repro.corpus import index_app
 from repro.corpus.registry import app_models, build_fs, get_spec
-from repro.distance.cascade import set_cascade_enabled
+from repro.distance.bounds import BruteForceOracle, set_oracle
 from repro.distance.engine import DistanceEngine
 from repro.distance.ted import clear_ted_cache
 from repro.workflow.comparer import MetricSpec, divergence_matrix
@@ -125,11 +125,12 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="svc-bench-") as tmp:
         cache_dir = Path(tmp) / "ted-cache"
         results.append(run_case("cold-serial", codebases, DistanceEngine(jobs=1)))
-        prev = set_cascade_enabled(False)
+        # the null oracle prunes nothing: the cascade's off switch
+        prev = set_oracle(BruteForceOracle())
         try:
             results.append(run_case("cold-nocascade", codebases, DistanceEngine(jobs=1)))
         finally:
-            set_cascade_enabled(prev)
+            set_oracle(prev)
         results.append(run_case("cold-jobs2", codebases, DistanceEngine(jobs=2)))
         # populate, then measure warm (fresh store handle, no pending buffers)
         clear_ted_cache()

@@ -4,9 +4,10 @@ Asserts, on a small fixed TeaLeaf workload, that
 
 1. the parallel (``jobs=2``) divergence matrix is ``np.array_equal`` to the
    serial one — scheduling must not change a single bit;
-2. a matrix built with the TED pruning cascade disabled is bit-identical to
-   the default cascade-enabled one — pruning may only skip DP work whose
-   outcome is already pinned, never change a value;
+2. a matrix built with the TED pruning cascade disabled (the null bound
+   oracle installed) is bit-identical to the default cascade-enabled one —
+   pruning may only skip DP work whose outcome is already pinned, never
+   change a value;
 3. a matrix rebuilt entirely from the persistent cache (fresh process-level
    memo, every pair a disk hit) is bit-identical to the directly computed
    one — the cache round-trip loses nothing;
@@ -35,7 +36,7 @@ from repro import obs
 from repro.cache import TedCacheStore
 from repro.ckpt import CheckpointStore
 from repro.corpus import index_app
-from repro.distance.cascade import set_cascade_enabled
+from repro.distance.bounds import BruteForceOracle, set_oracle
 from repro.distance.engine import DistanceEngine
 from repro.distance.ted import clear_ted_cache
 from repro.corpus.registry import app_models, build_fs, get_spec
@@ -235,11 +236,11 @@ def main() -> int:
     else:
         failures.append("parallel (jobs=2) matrix differs from serial")
 
-    prev = set_cascade_enabled(False)
+    prev = set_oracle(BruteForceOracle())
     try:
         no_cascade = build(codebases, DistanceEngine(jobs=1))
     finally:
-        set_cascade_enabled(prev)
+        set_oracle(prev)
     if np.array_equal(serial, no_cascade):
         print("ok: cascade-off matrix bit-identical to cascade-on")
     else:

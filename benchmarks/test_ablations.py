@@ -6,8 +6,9 @@ from conftest import run_once
 
 from repro.analysis import render_table
 from repro.distance import ted
-from repro.distance.ted import clear_ted_cache, ted_lower_bound
+from repro.distance.ted import clear_ted_cache
 from repro.metrics.treemetrics import tree_distance, unit_trees
+from repro.trees.stats import cached_label_histogram, histogram_lower_bound
 from repro.workflow.comparer import MetricSpec, divergence
 
 
@@ -96,7 +97,7 @@ def test_ablation_coverage_masking(benchmark, babelstream_all, outdir):
         assert cov < 1.5
 
 
-def test_ablation_ted_lower_bound_prefilter(benchmark, tealeaf_all):
+def test_ablation_histogram_bound_prefilter(benchmark, tealeaf_all):
     """The label-histogram bound skips exact TED when trees are far apart
     relative to a search cutoff; measure its tightness on real pairs."""
     units = [cb.units["main"] for cb in tealeaf_all.values()]
@@ -106,7 +107,9 @@ def test_ablation_ted_lower_bound_prefilter(benchmark, tealeaf_all):
         for i in range(len(units)):
             for j in range(i + 1, len(units)):
                 ta, tb = unit_trees(units[i], "sem"), unit_trees(units[j], "sem")
-                bound = ted_lower_bound(ta, tb)
+                bound = histogram_lower_bound(
+                    cached_label_histogram(ta), cached_label_histogram(tb)
+                )
                 exact = ted(ta, tb).distance
                 if exact:
                     ratios.append(bound / exact)
@@ -120,12 +123,12 @@ def test_ablation_ted_lower_bound_prefilter(benchmark, tealeaf_all):
 
 
 def test_ablation_batched_vs_classic_kernel(benchmark):
-    """The batched row-sweep kernel must agree with the classic hybrid and
-    be faster on AST-sized trees."""
+    """The NumPy row-sweep kernel must agree with the classic per-keyroot
+    formulation (the pure-Python generic-cost kernel with unit costs) and
+    be faster than it."""
     import random
 
-    from repro.distance.zhang_shasha import zhang_shasha_distance, _BATCH_THRESHOLD
-    from repro.distance.zs_batched import zhang_shasha_batched
+    from repro.distance.zhang_shasha import zhang_shasha_distance, zhang_shasha_generic
     from repro.trees.node import Node
 
     random.seed(99)
@@ -138,18 +141,27 @@ def test_ablation_batched_vs_classic_kernel(benchmark):
             nodes.append(node)
         return nodes[0]
 
-    a, b = rand_tree(400), rand_tree(400)
+    # small enough for the pure-Python reference to finish in seconds
+    a, b = rand_tree(250), rand_tree(250)
 
     def measure():
         t0 = time.perf_counter()
-        d_batched = zhang_shasha_batched(a, b)
+        d_batched = zhang_shasha_distance(a, b)
         t_batched = time.perf_counter() - t0
-        return d_batched, t_batched
+        t0 = time.perf_counter()
+        d_classic = zhang_shasha_generic(
+            a, b, lambda n: 1.0, lambda n: 1.0, lambda x, y: float(x.label != y.label)
+        )
+        t_classic = time.perf_counter() - t0
+        return d_batched, t_batched, d_classic, t_classic
 
-    d_batched, t_batched = run_once(benchmark, measure)
-    print(f"\n400×400 random trees: batched d={d_batched} in {t_batched:.2f}s")
-    assert a.size() * b.size() >= _BATCH_THRESHOLD  # dispatch would pick it
-    assert d_batched == zhang_shasha_distance(a, b)
+    d_batched, t_batched, d_classic, t_classic = run_once(benchmark, measure)
+    print(
+        f"\n250×250 random trees: row sweep d={d_batched} in {t_batched:.3f}s, "
+        f"classic d={d_classic:g} in {t_classic:.3f}s"
+    )
+    assert d_batched == d_classic
+    assert t_batched < t_classic
 
 
 def test_ablation_weighted_ted(benchmark, minibude_all):

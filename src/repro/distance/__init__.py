@@ -1,14 +1,14 @@
 """Distance kernels (paper §III-B, §IV-E).
 
 Tree Edit Distance is the basis of TBMD; string/sequence distances back the
-``Source`` metric. The production path is a NumPy-vectorised Zhang–Shasha
-TED with keyroot decomposition (exact, unit costs — matching the paper's
-choice of "unit weight of one for all nodes and operations"); a pure-Python
-general-cost implementation and an exponential brute-force reference exist
-for custom weights and property testing.
+``Source`` metric. The production path is a NumPy row-sweep Zhang–Shasha
+TED (exact, unit costs — matching the paper's choice of "unit weight of one
+for all nodes and operations"), per pair or packed across pairs; a
+pure-Python general-cost implementation and an exponential brute-force
+reference exist for custom weights and property testing.
 """
 
-from repro.distance.cascade import cascade_distance, cascade_enabled, set_cascade_enabled
+from repro.distance.cascade import cascade_distance
 from repro.distance.ted import ted, ted_many, ted_normalized, TedResult, UnitCost, Cost
 from repro.distance.zhang_shasha import zhang_shasha_distance, zhang_shasha_generic
 from repro.distance.zs_cross import zhang_shasha_cross
@@ -28,8 +28,6 @@ __all__ = [
     "UnitCost",
     "Cost",
     "cascade_distance",
-    "cascade_enabled",
-    "set_cascade_enabled",
     "zhang_shasha_distance",
     "zhang_shasha_generic",
     "zhang_shasha_cross",

@@ -19,54 +19,29 @@ engine's consumer* of that oracle: it asks for the greedy upper bound,
 walks the staged lower bounds against it, and prunes **iff a lower bound
 meets the upper bound** — at that point ``lb <= TED <= ub`` pins the exact
 distance, so cascade-pruned matrices are bit-identical to brute-force ones
-(``check_determinism.py`` gates this). The bound functions are re-exported
-here unchanged for existing callers and tests.
+(``check_determinism.py`` gates this). Installing the null oracle
+(:class:`repro.distance.bounds.BruteForceOracle`, ``prunes = False``) is
+the only way to switch the cascade off.
 
 Counters (taxonomy documented in DESIGN.md): ``ted.cascade.calls``,
 ``ted.pruned.stats`` / ``ted.pruned.histogram`` / ``ted.pruned.sequence``
 for prunes attributed to the deciding stage, and ``ted.cascade.exact`` when
 the pair falls through to the DP. The hash-equality stage lives upstream in
-:func:`repro.distance.ted.ted` and reports as ``ted.pruned.hash``.
+:func:`repro.distance.ted.ted_many` and reports as ``ted.pruned.hash``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro import obs
-from repro.distance.bounds import (  # noqa: F401  (re-exported surface)
-    UB_MAX_CELLS as _UB_MAX_CELLS,
-    BoundOracle,
-    BruteForceOracle,
-    get_oracle,
-    preorder_labels,
-    sequence_lower_bound,
-    set_oracle,
-    stats_lower_bound,
-    upper_bound,
-)
+from repro.distance.bounds import BoundOracle, get_oracle
 from repro.trees.node import Node
 
 #: Pairs below this many DP cells skip the cascade entirely: the exact
 #: kernel clears them in well under a millisecond, so bound computation
-#: would only add overhead. Mirrors the batched-kernel dispatch threshold.
+#: would only add overhead.
 _MIN_CELLS = 30_000
-
-_ENABLED = os.environ.get("REPRO_TED_CASCADE", "1") not in ("0", "false", "off")
-
-
-def cascade_enabled() -> bool:
-    """Whether the cascade runs ahead of the exact DP (default: on)."""
-    return _ENABLED
-
-
-def set_cascade_enabled(flag: bool) -> bool:
-    """Toggle the cascade (benchmarks A/B it); returns the previous value."""
-    global _ENABLED
-    prev = _ENABLED
-    _ENABLED = bool(flag)
-    return prev
 
 
 def cascade_distance(
@@ -82,9 +57,12 @@ def cascade_distance(
     the greedy upper bound (the distance is then exact), or ``None`` when
     the pair must go to the DP. ``n1``/``n2`` are the tree sizes if the
     caller already has them (avoids a re-count); ``oracle`` overrides the
-    process-wide :func:`repro.distance.bounds.get_oracle`.
+    process-wide :func:`repro.distance.bounds.get_oracle`. An oracle that
+    does not prune (the null oracle) returns ``None`` before any bound
+    work or counting.
     """
-    if not _ENABLED:
+    orc = oracle if oracle is not None else get_oracle()
+    if not orc.prunes:
         return None
     if n1 is None:
         n1 = t1.size()
@@ -92,7 +70,6 @@ def cascade_distance(
         n2 = t2.size()
     if n1 * n2 < _MIN_CELLS:
         return None
-    orc = oracle if oracle is not None else get_oracle()
     collecting = obs.enabled()
     if collecting:
         obs.add("ted.cascade.calls")

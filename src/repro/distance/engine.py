@@ -49,20 +49,7 @@ from repro import diag, obs
 # attribute-style module reference resolves to the function instead.
 from repro.ckpt.store import run_key_for
 from repro.distance.ted import get_disk_cache, set_disk_cache
-from repro.parallel.pool import (  # noqa: F401 — historical import surface:
-    # the chaos hook, worker entry points and watchdog tunables moved to
-    # repro.parallel.pool; tests and harnesses still reach them here
-    _BACKOFF_CAP_S,
-    _POLL_S,
-    ChaosError,
-    ChunkedPool,
-    _chaos_fire,
-    _live_pids,
-    _parse_chaos,
-    _run_chunk,
-    _worker_init,
-    sigterm_as_interrupt as _sigterm_as_interrupt,
-)
+from repro.parallel.pool import ChunkedPool, sigterm_as_interrupt
 from repro.util.errors import ReproError
 
 
@@ -369,7 +356,7 @@ class DistanceEngine:
                 ckpt.note_done(pending[off], value)
 
         res = None
-        with self._cache_installed(), _sigterm_as_interrupt():
+        with self._cache_installed(), sigterm_as_interrupt():
             try:
                 res = self._pool.run(
                     fn,

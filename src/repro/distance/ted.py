@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import obs
+
+# zs_cross is reached through its module so that a wrapper installed on
+# zs_cross.zhang_shasha_cross (bench_e2e/layers.py) is seen at call time
+from repro.distance import zs_cross
 from repro.distance.cascade import cascade_distance
 from repro.distance.zhang_shasha import zhang_shasha_distance, zhang_shasha_generic
-from repro.trees.hashing import cached_structural_hash, structural_hash
+from repro.trees.hashing import cached_structural_hash
 from repro.trees.node import Node
-from repro.trees.stats import cached_label_histogram, histogram_lower_bound
-from repro.util.timing import timed
 
 
 @dataclass(frozen=True)
@@ -113,22 +115,16 @@ def get_disk_cache():
     """The currently installed persistent cache, if any."""
     return _DISK_CACHE
 
-#: Always-on cache statistics (plain int increments — cheap enough to keep
-#: unconditionally). ``hit`` = memo hit, ``miss`` = DP ran, ``shortcut`` =
-#: identical-hash zero, ``evicted`` = entries dropped to respect the limit.
-_STATS = {"hit": 0, "miss": 0, "shortcut": 0, "evicted": 0}
-
 
 def clear_ted_cache() -> None:
-    """Drop all memoised TED results and reset the cache statistics."""
+    """Drop all memoised TED results."""
     _CACHE.clear()
-    for k in _STATS:
-        _STATS[k] = 0
 
 
 def cache_stats() -> dict[str, int]:
-    """Snapshot of the memo-cache counters (plus current size/limit)."""
-    return {**_STATS, "size": len(_CACHE), "limit": _CACHE_LIMIT}
+    """Current memo size and limit. Hit, miss, shortcut and eviction counts
+    are the ``ted.cache.*`` / ``ted.shortcut`` obs counters."""
+    return {"size": len(_CACHE), "limit": _CACHE_LIMIT}
 
 
 def _cache_insert(key: tuple[str, str], d: float) -> None:
@@ -148,16 +144,10 @@ def _cache_insert(key: tuple[str, str], d: float) -> None:
         _CACHE.pop(next(iter(_CACHE)))
         evicted += 1
     if evicted:
-        _STATS["evicted"] += evicted
         obs.add("ted.cache.evicted", evicted)
     _CACHE[key] = d
     if rev != key:
         _CACHE[rev] = d
-
-
-def _cached_hash(t: Node) -> str:
-    """Structural hash memoised on the root's attrs (shared helper)."""
-    return cached_structural_hash(t)
 
 
 def _record(key: tuple[str, str], d: float) -> None:
@@ -172,17 +162,37 @@ def _record(key: tuple[str, str], d: float) -> None:
         obs.gauge("ted.cache.size", len(_CACHE))
 
 
-@timed("ted")
+@obs.traced("ted")
 def ted(t1: Node, t2: Node, cost: Optional[Cost] = None) -> TedResult:
-    """Exact TED between two trees.
+    """Exact TED between two trees: a one-pair :func:`ted_many`."""
+    return ted_many([(t1, t2)], cost)[0]
 
-    Unit costs route through the pruning cascade (hash → stats → histogram
-    → sequence bounds; see :mod:`repro.distance.cascade`) into the hybrid
-    vectorised kernel, memoised by structural hash (divergence matrices
-    revisit the same tree pairs across clustering, heatmaps and navigation
-    charts). Structurally identical trees short-circuit to zero (shared
-    boilerplate between models "simply evaluate[s] to a divergence of
-    zero", §V).
+
+#: ``ted_many`` packs two or more survivors below this cell count (|T1|·|T2|)
+#: into one cross-pair sweep; at or above it a single pair already fills the
+#: vector width of the per-pair row sweep.
+_CROSS_MAX_CELLS = 30_000
+
+
+def ted_many(pairs: list[tuple[Node, Node]], cost: Optional[Cost] = None) -> list[TedResult]:
+    """Exact TED for every ``(t1, t2)`` pair, in input order.
+
+    Unit costs run each pair through the identical-hash shortcut, the memo,
+    the persistent disk cache and the pruning cascade (stats → histogram →
+    sequence bounds; see :mod:`repro.distance.cascade`), memoised by
+    structural hash: divergence matrices revisit the same tree pairs across
+    clustering, heatmaps and navigation charts. Structurally identical
+    trees short-circuit to zero (shared boilerplate between models "simply
+    evaluate[s] to a divergence of zero", §V). Duplicate pairs (by
+    structural-hash identity, either order) are computed once.
+
+    Survivors go to an exact kernel: two or more below ``_CROSS_MAX_CELLS``
+    are packed into one cross-pair row sweep (:mod:`repro.distance.zs_cross`),
+    every other pair runs the per-pair row sweep
+    (:func:`zhang_shasha_distance`). Results land in the memo, so a later
+    call on any of these pairs is a cache hit; chunk-level callers (the
+    pool ``prepare`` hook, the serve warm path) use that to expose a whole
+    chunk's pairs at once.
 
     Custom costs use the pure-Python generic kernel, uncached — and skip
     the shortcut, the memo and the cascade entirely: under a non-unit model
@@ -190,78 +200,32 @@ def ted(t1: Node, t2: Node, cost: Optional[Cost] = None) -> TedResult:
     does not imply distance zero, and the cached unit distances are simply
     for a different metric.
     """
-    n1 = t1.size()
-    n2 = t2.size()
     if cost is not None and not cost.is_unit():
-        d = zhang_shasha_generic(t1, t2, cost.delete, cost.insert, cost.relabel)
-        return TedResult(d, n1, n2)
-    h1 = _cached_hash(t1)
-    h2 = _cached_hash(t2)
-    if h1 == h2:
-        _STATS["shortcut"] += 1
-        if obs.enabled():
-            obs.add("ted.shortcut")
-            obs.add("ted.pruned.hash")
-        return TedResult(0.0, n1, n2, shortcut=True)
-    key = (h1, h2)
-    if key in _CACHE:
-        _STATS["hit"] += 1
-        if obs.enabled():
-            obs.add("ted.cache.hit")
-        return TedResult(_CACHE[key], n1, n2, cached=True)
-    if _DISK_CACHE is not None:
-        stored = _DISK_CACHE.lookup(h1, h2)
-        if stored is not None:
-            _STATS["hit"] += 1
-            _cache_insert(key, stored)
-            if obs.enabled():
-                obs.add("cache.disk.hit")
-            return TedResult(stored, n1, n2, cached=True)
-    _STATS["miss"] += 1
-    hit = cascade_distance(t1, t2, n1, n2)
-    if hit is not None:
-        d, stage = hit
-        _record(key, d)
-        return TedResult(d, n1, n2, pruned=stage)
-    d = float(zhang_shasha_distance(t1, t2))
-    _record(key, d)
-    return TedResult(d, n1, n2)
-
-
-def ted_many(pairs: list[tuple[Node, Node]], cost: Optional[Cost] = None) -> list[TedResult]:
-    """Batch TED: the same distances as ``[ted(a, b) for a, b in pairs]``.
-
-    The batch form exists so chunk-level callers (the pool ``prepare`` hook,
-    the serve warm path) can expose *all* of a chunk's tree pairs to the
-    distance layer at once: after the per-pair shortcut / memo / disk /
-    cascade passes, the surviving small pairs are packed into one cross-pair
-    row sweep (:mod:`repro.distance.zs_cross`) instead of being fed one at a
-    time to the classic kernel. Results land in the memo exactly as the
-    per-pair path would have put them, so a later ``ted()`` on any of these
-    pairs is a cache hit.
-
-    Duplicate pairs (by structural-hash identity) are computed once.
-    """
-    if cost is not None and not cost.is_unit():
-        return [ted(a, b, cost) for a, b in pairs]
+        return [
+            TedResult(
+                zhang_shasha_generic(t1, t2, cost.delete, cost.insert, cost.relabel),
+                t1.size(),
+                t2.size(),
+            )
+            for t1, t2 in pairs
+        ]
+    collecting = obs.enabled()
+    sizes = [(t1.size(), t2.size()) for t1, t2 in pairs]
     results: list[Optional[TedResult]] = [None] * len(pairs)
     fresh: dict[tuple[str, str], list[int]] = {}
     for idx, (t1, t2) in enumerate(pairs):
-        n1 = t1.size()
-        n2 = t2.size()
-        h1 = _cached_hash(t1)
-        h2 = _cached_hash(t2)
+        n1, n2 = sizes[idx]
+        h1 = cached_structural_hash(t1)
+        h2 = cached_structural_hash(t2)
         if h1 == h2:
-            _STATS["shortcut"] += 1
-            if obs.enabled():
+            if collecting:
                 obs.add("ted.shortcut")
                 obs.add("ted.pruned.hash")
             results[idx] = TedResult(0.0, n1, n2, shortcut=True)
             continue
         key = (h1, h2)
         if key in _CACHE:
-            _STATS["hit"] += 1
-            if obs.enabled():
+            if collecting:
                 obs.add("ted.cache.hit")
             results[idx] = TedResult(_CACHE[key], n1, n2, cached=True)
             continue
@@ -273,9 +237,8 @@ def ted_many(pairs: list[tuple[Node, Node]], cost: Optional[Cost] = None) -> lis
         if _DISK_CACHE is not None:
             stored = _DISK_CACHE.lookup(h1, h2)
             if stored is not None:
-                _STATS["hit"] += 1
                 _cache_insert(key, stored)
-                if obs.enabled():
+                if collecting:
                     obs.add("cache.disk.hit")
                 results[idx] = TedResult(stored, n1, n2, cached=True)
                 continue
@@ -285,67 +248,35 @@ def ted_many(pairs: list[tuple[Node, Node]], cost: Optional[Cost] = None) -> lis
     for key, idxs in fresh.items():
         idx = idxs[0]
         t1, t2 = pairs[idx]
-        n1 = t1.size()
-        n2 = t2.size()
-        _STATS["miss"] += 1
+        n1, n2 = sizes[idx]
         hit = cascade_distance(t1, t2, n1, n2)
         if hit is not None:
             d, stage = hit
             _record(key, d)
             results[idx] = TedResult(d, n1, n2, pruned=stage)
-            continue
-        if n1 * n2 >= _CROSS_MAX_CELLS:
-            # Large survivors: the per-pair batched kernel already sweeps
-            # all T2 segments at full width; packing buys nothing.
+        elif n1 * n2 < _CROSS_MAX_CELLS:
+            small.append((key, idx))
+        else:
             d = float(zhang_shasha_distance(t1, t2))
             _record(key, d)
             results[idx] = TedResult(d, n1, n2)
-        else:
-            small.append((key, idx))
 
-    if small:
-        if len(small) == 1:
-            key, idx = small[0]
-            t1, t2 = pairs[idx]
-            dists = [zhang_shasha_distance(t1, t2)]
-        else:
-            from repro.distance.zs_cross import zhang_shasha_cross
-
-            dists = zhang_shasha_cross([pairs[idx] for _, idx in small])
-        for (key, idx), dist in zip(small, dists):
-            t1, t2 = pairs[idx]
-            d = float(dist)
-            _record(key, d)
-            results[idx] = TedResult(d, t1.size(), t2.size(), pruned="")
+    if len(small) > 1:
+        dists = zs_cross.zhang_shasha_cross([pairs[idx] for _, idx in small])
+    else:
+        # one pair packed alone is slower in the cross kernel
+        dists = [zhang_shasha_distance(*pairs[idx]) for _, idx in small]
+    for (key, idx), dist in zip(small, dists):
+        d = float(dist)
+        _record(key, d)
+        results[idx] = TedResult(d, *sizes[idx])
 
     # fan duplicate-pair results back out (sizes are per-occurrence)
-    for key, idxs in fresh.items():
+    for idxs in fresh.values():
         first = results[idxs[0]]
         for idx in idxs[1:]:
-            t1, t2 = pairs[idx]
-            results[idx] = TedResult(
-                first.distance, t1.size(), t2.size(), cached=True
-            )
+            results[idx] = TedResult(first.distance, *sizes[idx], cached=True)
     return results  # type: ignore[return-value]
-
-
-#: ``ted_many`` routes survivors below this cell count into the cross-pair
-#: packed kernel; at or above it, the per-pair batched kernel is faster
-#: (matches the hybrid kernel's own dispatch threshold).
-_CROSS_MAX_CELLS = 30_000
-
-
-def ted_lower_bound(t1: Node, t2: Node) -> int:
-    """Cheap lower bound on unit-cost TED (label-histogram bound).
-
-    This is the cascade's *histogram* stage (see
-    :mod:`repro.distance.cascade`); pruning effectiveness is tracked by the
-    ``ted.pruned.<stage>`` counter family. The histograms are memoised on
-    the tree roots, matrices revisit the same trees constantly.
-    """
-    return histogram_lower_bound(
-        cached_label_histogram(t1), cached_label_histogram(t2)
-    )
 
 
 def ted_normalized(t1: Node, t2: Node) -> float:

@@ -1,23 +1,35 @@
-"""Zhang–Shasha tree edit distance with a hybrid NumPy/Python kernel.
+"""Zhang–Shasha tree edit distance: the unit-cost row-sweep kernel and the
+generic-cost reference.
 
 The paper uses APTED (Pawlik & Augsten) for robustness at scale; at mini-app
 scale the classic Zhang–Shasha algorithm [Zhang & Shasha 1989] is exact,
-simpler, and fast enough once the per-keyroot forest DP is tuned. TED
-semantics (minimal insert/delete/relabel cost) are algorithm-independent, so
-the metric itself is unchanged.
+simpler, and fast enough once the forest DP is vectorised. TED semantics
+(minimal insert/delete/relabel cost) are algorithm-independent, so the
+metric itself is unchanged.
 
-Performance notes (profile-first, per the HPC guides)
------------------------------------------------------
-Profiling shows two regimes:
+The classic formulation loops over keyroot *pairs*; real ASTs have hundreds
+of keyroots per side, so per-pair Python overhead dominates. The unit-cost
+kernel restructures the computation: for each keyroot of T1 and each DP
+row, it sweeps the forest-distance columns of *every* keyroot of T2 at once
+in a handful of NumPy operations.
 
-* Most keyroot pairs describe *tiny* forests (a handful of cells); NumPy
-  call overhead dominates, so those run a plain-Python cell loop over
-  preallocated lists.
-* Large pairs (the root keyroots) are O(n·m) cells; those use NumPy row
-  sweeps. The forest recurrence has an intra-row dependency only through
-  the *insert* option ``fd[i][j-1] + 1``; for a candidate row ``c`` the
-  final row is ``row[j] = min_{k<=j}(c[k] + (j-k))`` — a running minimum
-  computed with ``np.minimum.accumulate`` on ``c - arange``.
+Key devices
+-----------
+* **Wide layout** — all keyroot-2 forest-DP matrices are laid side by side
+  in one ``(isz × W)`` array per keyroot-1 (``W`` = total columns incl.
+  each segment's empty-prefix column).
+* **Segmented running-min scan** — the insert option ``row[j] =
+  min(cand[j], row[j-1]+1)`` equals ``jr + running_min(cand - jr)``; adding
+  a per-segment offset ``(S - rank)·BIG`` before ``np.minimum.accumulate``
+  stops values leaking across segment boundaries.
+* **Wave ordering** — in rows where the T1 subforest is a whole subtree,
+  partial columns read ``treedist`` entries that whole columns of *nested*
+  keyroot-2 segments write in the same row. Segments are therefore grouped
+  into waves by keyroot nesting depth and processed innermost-first; rows
+  without that dependency sweep all segments in a single pass.
+
+Exact — validated against the brute-force oracle and the generic-cost
+kernel (with unit costs) by the property suite.
 """
 
 from __future__ import annotations
@@ -29,26 +41,86 @@ import numpy as np
 from repro import obs
 from repro.trees.node import Node
 
-#: Forest widths below this run the pure-Python cell loop (NumPy overhead
-#: exceeds the work). Chosen empirically on this host.
-_SMALL_WIDTH = 24
-
-# ---------------------------------------------------------------------------
-# Tree flattening
-# ---------------------------------------------------------------------------
+_BIG = np.int64(1) << 24
 
 
-def _flatten(root: Node) -> tuple[list[str], np.ndarray, list[int]]:
-    """Postorder labels, leftmost-leaf indices ``lmld``, and keyroots.
+class _Tree2Layout:
+    """Precomputed wide-column layout for the second tree."""
+
+    def __init__(self, l2: np.ndarray, lab2: np.ndarray, keyroots: list[int]):
+        self.lab2 = lab2
+        self.keyroots = keyroots
+        col_seg: list[int] = []
+        col_dj: list[int] = []
+        col_j1: list[int] = []
+        col_whole: list[bool] = []
+        col_left: list[int] = []  # fd column of the forest left of subtree(j1)
+        offset = 0
+        for rank, j in enumerate(keyroots):
+            lj = int(l2[j])
+            jsz = j - lj + 2
+            for dj in range(jsz):
+                col_seg.append(rank)
+                col_dj.append(dj)
+                if dj == 0:
+                    col_j1.append(-1)
+                    col_whole.append(False)
+                    col_left.append(offset)
+                else:
+                    j1 = lj + dj - 1
+                    col_j1.append(j1)
+                    col_whole.append(int(l2[j1]) == lj)
+                    col_left.append(offset + (int(l2[j1]) - lj))
+            offset += jsz
+        self.W = offset
+        self.col_seg = np.asarray(col_seg, dtype=np.int64)
+        self.col_dj = np.asarray(col_dj, dtype=np.int64)
+        self.col_j1 = np.asarray(col_j1, dtype=np.int64)
+        self.col_whole = np.asarray(col_whole, dtype=bool)
+        self.col_left = np.asarray(col_left, dtype=np.int64)
+        # scan offsets: earlier (left) segments get larger offsets so their
+        # values lose the running min beyond their boundary
+        nseg = len(keyroots)
+        self.scan_off = (np.int64(nseg) - self.col_seg) * _BIG
+
+        # wave = keyroot nesting depth (innermost = 0)
+        kr = np.asarray(keyroots, dtype=np.int64)
+        lkr = l2[kr]
+        waves = np.zeros(nseg, dtype=np.int64)
+        for r in range(nseg):
+            nested = (kr < kr[r]) & (lkr >= lkr[r])
+            if nested.any():
+                waves[r] = waves[nested].max() + 1
+        self.n_waves = int(waves.max()) + 1 if nseg else 0
+        col_wave = waves[self.col_seg]
+        # per-wave column index arrays (all columns incl. dj=0 seeds)
+        self.wave_cols = [
+            np.nonzero(col_wave == w)[0] for w in range(self.n_waves)
+        ]
+        # global split masks
+        self.dj0_cols = np.nonzero(self.col_dj == 0)[0]
+        self.djn_cols = np.nonzero(self.col_dj > 0)[0]
+
+
+def _flatten_arrays(
+    root, vocab: dict | None = None
+) -> tuple[np.ndarray, np.ndarray, list[int], dict]:
+    """Postorder label ids, leftmost-leaf indices and keyroots for one tree.
 
     Keyroots are the nodes that start a new forest DP: a node is a keyroot
-    iff no proper ancestor shares its leftmost leaf.
+    iff no proper ancestor shares its leftmost leaf. ``vocab`` interns
+    labels to ids; pass the dict returned for the first tree when
+    flattening the second so label ids stay comparable across the pair.
+    The cross-pair packer (:mod:`repro.distance.zs_cross`) reuses this
+    helper with one vocab per pair.
     """
-    labels: list[str] = []
+    if vocab is None:
+        vocab = {}
     lmld: list[int] = []
-    stack: list[tuple[Node, int]] = [(root, 0)]
-    result_leftmost: dict[int, int] = {}
-    order: list[Node] = []
+    stack = [(root, 0)]
+    leftmost: dict[int, int] = {}
+    order_len = 0
+    lab_ids: list[int] = []
     while stack:
         node, state = stack.pop()
         if state == 0:
@@ -56,247 +128,157 @@ def _flatten(root: Node) -> tuple[list[str], np.ndarray, list[int]]:
             for c in reversed(node.children):
                 stack.append((c, 0))
         else:
-            idx = len(order)
-            order.append(node)
-            if node.children:
-                lm = result_leftmost[id(node.children[0])]
-            else:
-                lm = idx
-            result_leftmost[id(node)] = lm
-            labels.append(node.label)
+            idx = order_len
+            order_len += 1
+            lm = leftmost[id(node.children[0])] if node.children else idx
+            leftmost[id(node)] = lm
+            lab_ids.append(vocab.setdefault(node.label, len(vocab)))
             lmld.append(lm)
-    lmld_arr = np.asarray(lmld, dtype=np.int64)
-    n = len(labels)
+    l_arr = np.asarray(lmld, dtype=np.int64)
     seen: dict[int, int] = {}
-    for i in range(n):
+    for i in range(order_len):
         seen[lmld[i]] = i
     keyroots = sorted(seen.values())
-    return labels, lmld_arr, keyroots
+    return np.asarray(lab_ids, dtype=np.int64), l_arr, keyroots, vocab
 
 
-# ---------------------------------------------------------------------------
-# Unit-cost hybrid implementation
-# ---------------------------------------------------------------------------
-
-
-#: Above this work estimate (|T1|·|T2|), the batched row-sweep kernel wins.
-_BATCH_THRESHOLD = 30_000
+def _keyroot_cells(lmld: np.ndarray, keyroots: list[int]) -> int:
+    """``L(T)``: the summed subtree sizes of a tree's keyroots, i.e. the DP
+    rows (or columns) one side contributes to a row sweep."""
+    kr = np.asarray(keyroots, dtype=np.int64)
+    return int((kr - lmld[kr] + 1).sum())
 
 
 def zhang_shasha_distance(t1: Node, t2: Node) -> int:
     """Exact unit-cost TED between ordered trees ``t1`` and ``t2``.
 
-    Dispatches between the classic per-keyroot-pair hybrid (small pairs)
-    and the batched row-sweep kernel (:mod:`repro.distance.zs_batched`)
-    for large pairs, where per-pair Python overhead dominates.
+    Reports ``ted.zs.calls``, ``zs.keyroot_pairs`` (``|kr1|·|kr2|``) and
+    ``zs.dp_cells`` (``L(T1)·L(T2)``, the cells the sweep computes) when a
+    collector is installed.
     """
-    est = t1.size() * t2.size()
-    if est >= _BATCH_THRESHOLD:
-        from repro.distance.zs_batched import zhang_shasha_batched
+    lab1, l1, kr1, vocab = _flatten_arrays(t1)
+    # second tree shares the vocabulary for label-id comparability
+    lab2, l2, kr2, _ = _flatten_arrays(t2, vocab)
+    if not obs.enabled():
+        return _row_sweep(lab1, l1, kr1, lab2, l2, kr2)
+    cells = _keyroot_cells(l1, kr1) * _keyroot_cells(l2, kr2)
+    obs.add("ted.zs.calls")
+    obs.add("zs.keyroot_pairs", len(kr1) * len(kr2))
+    obs.add("zs.dp_cells", cells)
+    with obs.span("zs", cells=cells):
+        return _row_sweep(lab1, l1, kr1, lab2, l2, kr2)
 
-        if obs.enabled():
-            obs.add("zs.calls")
-            obs.add("ted.zs.calls")
-            obs.add("zs.batched_calls")
-            with obs.span("zs.batched", cells=est):
-                return zhang_shasha_batched(t1, t2)
-        return zhang_shasha_batched(t1, t2)
-    labels1, l1a, kr1 = _flatten(t1)
-    labels2, l2a, kr2 = _flatten(t2)
-    n, m = len(labels1), len(labels2)
+
+def _row_sweep(lab1, l1, kr1, lab2, l2, kr2) -> int:
+    """The row-sweep DP over one flattened pair."""
+    n = len(lab1)
+    m = len(lab2)
     if n == 0:
         return m
     if m == 0:
         return n
 
-    vocab: dict[str, int] = {}
-    lab1 = [vocab.setdefault(s, len(vocab)) for s in labels1]
-    lab2 = [vocab.setdefault(s, len(vocab)) for s in labels2]
-    lab1a = np.asarray(lab1, dtype=np.int64)
-    lab2a = np.asarray(lab2, dtype=np.int64)
-    l1 = l1a.tolist()
-    l2 = l2a.tolist()
-
+    layout = _Tree2Layout(l2, lab2, kr2)
+    W = layout.W
     treedist = np.zeros((n, m), dtype=np.int64)
-    td_list: list[list[int]] = treedist.tolist()  # python mirror for small path
-    jidx_all = np.arange(m + 1, dtype=np.int64)
+    jr = layout.col_dj  # insert-scan ramp = dj
+    lab2_cols = np.where(layout.col_j1 >= 0, lab2[layout.col_j1], -1)
+    j1_cols = layout.col_j1
+    left_cols = layout.col_left
+    whole_mask = layout.col_whole
+    dj0 = layout.dj0_cols
+    djn = layout.djn_cols
+    scan_off = layout.scan_off
 
-    # Precompute per-keyroot2 column metadata for the numpy path.
-    meta2: dict[int, tuple] = {}
-    for j in kr2:
-        lj = int(l2[j])
-        j1s = np.arange(lj, j + 1, dtype=np.int64)
-        colwhole = l2a[j1s] == lj
-        col_l = l2a[j1s] - lj
-        meta2[j] = (lj, j1s, colwhole, col_l, np.nonzero(colwhole)[0], np.nonzero(~colwhole)[0])
-
-    # Fast path: leaf×leaf keyroot pairs dominate real ASTs (leaves are the
-    # bulk of keyroots) and their 2×2 DP collapses to a label comparison.
-    # One vectorised scatter handles all of them; correctness: leaf pairs
-    # depend on nothing, and everything that reads treedist comes later.
-    leaf1 = np.asarray([i for i in kr1 if l1[i] == i], dtype=np.int64)
-    leaf2 = np.asarray([j for j in kr2 if l2[j] == j], dtype=np.int64)
-    if leaf1.size and leaf2.size:
-        block = (lab1a[leaf1][:, None] != lab2a[leaf2][None, :]).astype(np.int64)
-        treedist[np.ix_(leaf1, leaf2)] = block
-        for bi, i in enumerate(leaf1.tolist()):
-            row = td_list[i]
-            brow = block[bi]
-            for bj, j in enumerate(leaf2.tolist()):
-                row[j] = brow[bj]
-    leafset1 = set(leaf1.tolist())
-    leafset2 = set(leaf2.tolist())
-
-    # Per-call DP work accounting: accumulate locally (integer adds per
-    # keyroot pair, negligible next to the forest DP) and flush once.
-    track = obs.enabled()
-    kr_pairs = 0
-    dp_cells = 0
-    leaf_pairs = int(leaf1.size * leaf2.size)
+    # per-wave precomputed subsets (incl. gather arrays hoisted out of the
+    # row loop: these run once per wave per row)
+    wave_data = []
+    for cols in layout.wave_cols:
+        w_dj0 = cols[layout.col_dj[cols] == 0]
+        w_djn = cols[layout.col_dj[cols] > 0]
+        sel_whole = whole_mask[w_djn]
+        w_whole = w_djn[sel_whole]
+        w_part = w_djn[~sel_whole]
+        wave_data.append(
+            (
+                cols,
+                w_dj0,
+                w_djn,
+                w_whole,
+                w_part,
+                sel_whole,
+                ~sel_whole,
+                w_whole - 1,
+                lab2_cols[w_whole],
+                left_cols[w_part],
+                j1_cols[w_part],
+                j1_cols[w_whole],
+                jr[cols],
+                scan_off[cols],
+            )
+        )
 
     for i in kr1:
         li = int(l1[i])
         isz = i - li + 2
-        i_is_leaf = i in leafset1
-        for j in kr2:
-            if i_is_leaf and j in leafset2:
-                continue  # handled by the vectorised fast path
-            lj, j1s, colwhole, col_l, whole_idx, part_idx = meta2[j]
-            jsz = j - lj + 2
-            if track:
-                kr_pairs += 1
-                dp_cells += isz * jsz
-            if jsz <= _SMALL_WIDTH or isz <= 3:
-                _small_pair(li, i, lj, j, l1, l2, lab1, lab2, td_list, treedist)
+        fd = np.empty((isz, W), dtype=np.int64)
+        fd[0, :] = jr
+        scratch = np.empty(W, dtype=np.int64)
+        for di in range(1, isz):
+            i1 = li + di - 1
+            rowwhole = int(l1[i1]) == li
+            prev = fd[di - 1]
+            cur = fd[di]
+            trow = treedist[i1]
+            if not rowwhole:
+                base = fd[int(l1[i1]) - li]
+                # candidates for dj>=1 columns
+                cand = prev[djn] + 1
+                sub = base[left_cols[djn]] + trow[j1_cols[djn]]
+                np.minimum(cand, sub, out=cand)
+                scratch[dj0] = di
+                scratch[djn] = cand
+                c = scratch - jr + scan_off
+                np.minimum.accumulate(c, out=c)
+                np.subtract(c, scan_off, out=c)
+                np.add(c, jr, out=cur)
             else:
-                _numpy_pair(
-                    li,
-                    i,
-                    lj,
-                    j,
-                    l1a,
-                    lab1a,
-                    lab2a,
-                    j1s,
-                    colwhole,
-                    col_l,
-                    whole_idx,
-                    part_idx,
-                    treedist,
-                    td_list,
-                    jidx_all,
-                )
-    if track:
-        obs.add("zs.calls")
-        obs.add("ted.zs.calls")
-        obs.add("zs.keyroot_pairs", kr_pairs)
-        obs.add("zs.leaf_pairs", leaf_pairs)
-        obs.add("zs.dp_cells", dp_cells)
-    return int(td_list[n - 1][m - 1])
-
-
-def _small_pair(li, i, lj, j, l1, l2, lab1, lab2, td, treedist):
-    """Pure-Python forest DP for one keyroot pair (small forests).
-
-    Writes whole-subtree distances into both the Python mirror ``td`` (read
-    by this path) and the NumPy ``treedist`` (read by the vectorised path).
-    """
-    isz = i - li + 2
-    jsz = j - lj + 2
-    # fd as flat list-of-lists
-    fd = [[0] * jsz for _ in range(isz)]
-    row0 = fd[0]
-    for dj in range(1, jsz):
-        row0[dj] = dj
-    for di in range(1, isz):
-        fd[di][0] = di
-    for di in range(1, isz):
-        i1 = li + di - 1
-        li1 = l1[i1]
-        rowwhole = li1 == li
-        prev = fd[di - 1]
-        cur = fd[di]
-        lab_i1 = lab1[i1]
-        td_i1 = td[i1]
-        fd_rowl = fd[li1 - li]
-        for dj in range(1, jsz):
-            j1 = lj + dj - 1
-            lj1 = l2[j1]
-            best = prev[dj] + 1
-            v = cur[dj - 1] + 1
-            if v < best:
-                best = v
-            if rowwhole and lj1 == lj:
-                v = prev[dj - 1] + (0 if lab_i1 == lab2[j1] else 1)
-                if v < best:
-                    best = v
-                cur[dj] = best
-                td_i1[j1] = best
-                treedist[i1, j1] = best
-            else:
-                v = fd_rowl[lj1 - lj] + td_i1[j1]
-                if v < best:
-                    best = v
-                cur[dj] = best
-
-
-def _numpy_pair(
-    li,
-    i,
-    lj,
-    j,
-    l1a,
-    lab1a,
-    lab2a,
-    j1s,
-    colwhole,
-    col_l,
-    whole_idx,
-    part_idx,
-    treedist,
-    td_list,
-    jidx_all,
-):
-    """NumPy row-sweep forest DP for one keyroot pair (large forests)."""
-    isz = i - li + 2
-    jsz = j - lj + 2
-    fd = np.empty((isz, jsz), dtype=np.int64)
-    fd[0, :] = np.arange(jsz)
-    fd[:, 0] = np.arange(isz)
-    jr = jidx_all[1:jsz]
-    lab2_cols = lab2a[j1s]
-
-    for di in range(1, isz):
-        i1 = li + di - 1
-        rowwhole = l1a[i1] == li
-        prev = fd[di - 1]
-        cand = prev[1:] + 1  # delete i1
-        if rowwhole:
-            rel = prev[:-1] + (lab1a[i1] != lab2_cols)
-            if whole_idx.size:
-                cand[whole_idx] = np.minimum(cand[whole_idx], rel[whole_idx])
-            if part_idx.size:
-                # forest left of subtree(i1) is empty here: fd row 0.
-                sub = fd[0, col_l[part_idx]] + treedist[i1, j1s[part_idx]]
-                cand[part_idx] = np.minimum(cand[part_idx], sub)
-        else:
-            row_l = int(l1a[i1]) - li
-            sub = fd[row_l, col_l] + treedist[i1, j1s]
-            np.minimum(cand, sub, out=cand)
-        # insert scan: row[j] = min over k<=j of cand[k] + (j-k), seeded by
-        # fd[di, 0] + j.
-        shifted = cand - jr
-        np.minimum.accumulate(shifted, out=shifted)
-        row = shifted + jr
-        np.minimum(row, fd[di, 0] + jr, out=row)
-        fd[di, 1:] = row
-        if rowwhole and whole_idx.size:
-            cols = j1s[whole_idx]
-            vals = row[whole_idx]
-            treedist[i1, cols] = vals
-            trow = td_list[i1]
-            for c, v in zip(cols.tolist(), vals.tolist()):
-                trow[c] = v
+                fd0 = fd[0]
+                for (
+                    cols,
+                    w_dj0,
+                    w_djn,
+                    w_whole,
+                    w_part,
+                    sel_whole,
+                    sel_part,
+                    w_whole_m1,
+                    w_lab2,
+                    w_left,
+                    w_j1p,
+                    w_j1w,
+                    w_jr,
+                    w_off,
+                ) in wave_data:
+                    if len(cols) == 0:
+                        continue
+                    cand = prev[w_djn] + 1
+                    if w_whole.size:
+                        rel = prev[w_whole_m1] + (lab1[i1] != w_lab2)
+                        cand[sel_whole] = np.minimum(cand[sel_whole], rel)
+                    if w_part.size:
+                        sub = fd0[w_left] + trow[w_j1p]
+                        cand[sel_part] = np.minimum(cand[sel_part], sub)
+                    scratch[w_dj0] = di
+                    scratch[w_djn] = cand
+                    c = scratch[cols] - w_jr + w_off
+                    np.minimum.accumulate(c, out=c)
+                    c -= w_off
+                    c += w_jr
+                    cur[cols] = c
+                    if w_whole.size:
+                        trow[w_j1w] = cur[w_whole]
+    return int(treedist[n - 1, m - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +297,13 @@ def zhang_shasha_generic(
 
     The paper notes a future study "may associate different weights depending
     on operations and node types"; this entry point supports that today. It
-    is also the oracle the hybrid kernel is property-tested against (with
-    unit costs).
+    is also the independent reference the unit-cost kernels are tested
+    against (with unit costs): it shares only the flattening with them.
     """
     nodes1 = list(t1.postorder())
     nodes2 = list(t2.postorder())
-    _, l1a, kr1 = _flatten(t1)
-    _, l2a, kr2 = _flatten(t2)
+    _, l1a, kr1, _ = _flatten_arrays(t1)
+    _, l2a, kr2, _ = _flatten_arrays(t2)
     l1 = l1a.tolist()
     l2 = l2a.tolist()
     n, m = len(nodes1), len(nodes2)

@@ -1,11 +1,12 @@
 """Cross-pair batched Zhang–Shasha: one row sweep across many tree pairs.
 
-:mod:`repro.distance.zs_batched` already sweeps all keyroot-2 segments of
-*one* pair per NumPy call; matrix builds, however, hand the engine whole
-chunks of pairs, and medium trees leave vector lanes idle. This kernel
-packs the wide column layouts of **several pairs side by side** (total
-width ``Wtot``) and executes their row schedules in tick lockstep, so each
-``np.minimum.accumulate`` / gather touches every active pair at once.
+:func:`repro.distance.zhang_shasha.zhang_shasha_distance` already sweeps
+all keyroot-2 segments of *one* pair per NumPy call; matrix builds,
+however, hand the engine whole chunks of pairs, and medium trees leave
+vector lanes idle. This kernel packs the wide column layouts of **several
+pairs side by side** (total width ``Wtot``) and executes their row
+schedules in tick lockstep, so each ``np.minimum.accumulate`` / gather
+touches every active pair at once.
 
 Mechanics (everything else is inherited from the per-pair kernel):
 
@@ -31,8 +32,9 @@ Mechanics (everything else is inherited from the per-pair kernel):
   under ``_MAX_FD_CELLS``; a lone oversized pair degenerates to exactly
   the per-pair kernel's footprint.
 
-Exact — cross-validated against the classic kernel and the brute-force
-oracle by the property suite, and bit-identity is enforced end-to-end by
+Exact — cross-validated against the generic-cost reference kernel
+(:func:`repro.distance.zhang_shasha.zhang_shasha_generic`, unit costs) by
+the property suite, and bit-identity is enforced end-to-end by
 ``check_determinism.py``.
 """
 
@@ -41,7 +43,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.distance.zs_batched import _BIG, _flatten_arrays, _Tree2Layout
+from repro.distance.zhang_shasha import (
+    _BIG,
+    _flatten_arrays,
+    _keyroot_cells,
+    _Tree2Layout,
+)
 
 #: FD-buffer budget per packed group (int64 cells; 1<<23 = 64 MiB).
 _MAX_FD_CELLS = 1 << 23
@@ -63,6 +70,8 @@ class _PairPlan:
             return
         self.lab1 = lab1
         self.layout = _Tree2Layout(l2, lab2, kr2)
+        self.keyroot_pairs = len(kr1) * len(kr2)
+        self.dp_cells = _keyroot_cells(l1, kr1) * _keyroot_cells(l2, kr2)
         # Row schedule: keyroots ascending (the ZS invariant that treedist
         # entries are published before outer keyroots read them), rows
         # di = 1..isz-1 within each.
@@ -301,6 +310,8 @@ def zhang_shasha_cross(pairs: list[tuple]) -> list[int]:
         # same exact-DP work as zhang_shasha_distance, just packed — the
         # warm-cache/resume gates count ted.zs.calls per pair evaluated
         obs.add("ted.zs.calls", len(plans))
+        obs.add("zs.keyroot_pairs", sum(p.keyroot_pairs for p in plans))
+        obs.add("zs.dp_cells", sum(p.dp_cells for p in plans))
     group: list[_PairPlan] = []
     gw = 0
     gisz = 0

@@ -51,7 +51,7 @@ from repro.workflow.comparer import (
     MetricSpec,
     codebase_fingerprint,
     parse_metric,
-    tree_metric_kind,
+    _tree_kind,
 )
 
 _INF = float("inf")
@@ -65,7 +65,7 @@ def model_distance(
     index-evaluated score can never drift from a brute-force one."""
     from repro.metrics.treemetrics import tree_distance
 
-    which = tree_metric_kind(spec)
+    which = _tree_kind(spec)
     if which is None:
         raise ValueError(f"{spec.label} is not a tree metric")
     mask_a = a.mask() if spec.coverage else None
@@ -89,7 +89,7 @@ def unit_entries(cb: IndexedCodebase, spec: MetricSpec) -> dict[str, dict]:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    which = tree_metric_kind(spec)
+    which = _tree_kind(spec)
     if which is None:
         raise ValueError(f"{spec.label} is not a tree metric")
     mask = cb.mask() if spec.coverage else None
@@ -167,7 +167,7 @@ class PairPinner:
         self, a: IndexedCodebase, b: IndexedCodebase
     ) -> Optional[tuple[float, float]]:
         """``(d_ab, d_ba)`` when the pair pins exactly, else ``None``."""
-        if tree_metric_kind(self.spec) is None:
+        if _tree_kind(self.spec) is None:
             return None
         ua = unit_entries(a, self.spec)
         ub = unit_entries(b, self.spec)
@@ -454,7 +454,7 @@ class MetricIndex(PairPinner):
         absent (stale entry: skip refinement, fall through to exact)."""
         from repro.metrics.treemetrics import unit_trees
 
-        which = tree_metric_kind(self.spec)
+        which = _tree_kind(self.spec)
         mask_t = target.mask() if self.spec.coverage else None
         mask_c = cand.mask() if self.spec.coverage else None
         tgt_units = unit_entries(target, self.spec)

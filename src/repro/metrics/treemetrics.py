@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import obs
 from repro.distance.ted import ted
 from repro.lang.source import is_system_path
 from repro.trees.coverage_mask import LineMask
 from repro.trees.node import Node
-from repro.util.timing import timed
 from repro.workflow.codebase import IndexedCodebase, IndexedUnit, match_units
 
 #: variant spellings accepted by :func:`tree_distance`.
@@ -82,7 +82,7 @@ def _matched_trees(
         yield ta, tb
 
 
-@timed("metric.tree")
+@obs.traced("metric.tree")
 def tree_distance(
     a: IndexedCodebase,
     b: IndexedCodebase,

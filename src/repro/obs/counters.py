@@ -8,7 +8,7 @@ the reset semantics tests and CLI runs rely on.
 
 All entry points are near-no-ops while no collector is installed; hot loops
 that would otherwise pay a function call per iteration should accumulate
-into a local and flush once (see ``distance/zhang_shasha.py``).
+into a local and flush once (see ``distance/zs_cross.py``).
 """
 
 from __future__ import annotations

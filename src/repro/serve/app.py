@@ -47,7 +47,7 @@ from repro.workflow.comparer import (
     pair_task_key,
     parse_metric,
     symmetrized_divergence,
-    tree_metric_kind,
+    _tree_kind,
 )
 
 #: Demand kinds — the two engine task shapes a wave can carry.
@@ -316,7 +316,7 @@ class ServeApp:
         if k < 1:
             raise HttpError(400, f"k must be >= 1, got {k}")
         brute = req.flag("brute")
-        if not brute and tree_metric_kind(spec) is not None:
+        if not brute and _tree_kind(spec) is not None:
             from repro.metricindex import nearest_via_index
 
             def run():

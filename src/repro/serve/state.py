@@ -273,8 +273,6 @@ class ServeState:
         return dropped
 
     def stats(self) -> dict[str, Any]:
-        from repro.distance.cascade import cascade_enabled
-
         with self._lock:
             return {
                 "codebases": len(self._codebases),
@@ -288,5 +286,4 @@ class ServeState:
                 "strict": self.strict,
                 "incremental": self.artifacts is not None,
                 "ted_cache": getattr(self.engine, "cache", None) is not None,
-                "ted_cascade": cascade_enabled(),
             }

@@ -1,13 +1,10 @@
-"""Shared utilities: errors, timing, deterministic hashing."""
+"""Shared utilities: error types."""
 
 from repro.util.errors import ReproError, ParseError, LoweringError, SemanticError
-from repro.util.timing import Timer, timed
 
 __all__ = [
     "ReproError",
     "ParseError",
     "SemanticError",
     "LoweringError",
-    "Timer",
-    "timed",
 ]

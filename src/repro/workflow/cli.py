@@ -91,7 +91,7 @@ from repro.workflow.comparer import (
     divergence_row,
     nearest_brute_force,
     parse_metric,
-    tree_metric_kind,
+    _tree_kind,
 )
 from repro.workflow.unitstore import UnitArtifactStore
 
@@ -203,7 +203,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     cbs = index_app(args.app, coverage=spec.coverage, **_index_kwargs(args))
     names = list(cbs)
     pinner = None
-    if getattr(args, "use_index", True) and tree_metric_kind(spec) is not None:
+    if getattr(args, "use_index", True) and _tree_kind(spec) is not None:
         # index-backed candidate pruning: matrix cells whose value pins
         # exactly from stored unit geometry skip the engine (bit-identical
         # by construction; index.matrix.pinned counts the skipped cells)
@@ -239,7 +239,7 @@ def cmd_nearest(args: argparse.Namespace) -> int:
     engine = _engine_from_args(args)
     mode = "index"
     stats = None
-    if tree_metric_kind(spec) is None:
+    if _tree_kind(spec) is None:
         diag.note(
             "index/fallback",
             f"{spec.label} is not a tree metric; nearest uses the linear scan",
@@ -363,12 +363,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     This is the quickest way to see the TED cache behave: memo hits
     (``ted.cache.hit``) are reported separately from identical-hash
-    shortcuts (``ted.shortcut``), alongside span timings and the legacy
-    timer registry.
+    shortcuts (``ted.shortcut``), alongside span timings.
     """
     import json
-
-    from repro.util.timing import all_timers
 
     collector = obs.current_collector()
     assert collector is not None  # installed by main() for this subcommand
@@ -408,13 +405,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print()
         print("latency percentiles:")
         print(ascii_hist_table({k: h.summary() for k, h in collector.hists.items()}))
-    timers = all_timers()
-    if timers:
-        print()
-        print("timers (legacy registry):")
-        for name in sorted(timers):
-            t = timers[name]
-            print(f"{name:<16}{t.elapsed * 1e3:10.2f} ms  ×{t.calls}")
     return 0
 
 

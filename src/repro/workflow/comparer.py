@@ -88,9 +88,10 @@ def divergence(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> floa
 
 def _tree_kind(spec: MetricSpec) -> Optional[str]:
     """The tree variant a tree-metric spec compares, or ``None`` for
-    non-tree metrics. One resolver shared by :func:`_divergence` and
-    :func:`divergence_prepare` so the warm-up can never batch a different
-    tree than the evaluation reads."""
+    non-tree metrics. One resolver shared by :func:`_divergence`,
+    :func:`divergence_prepare`, the metric index and the serve/CLI nearest
+    paths, so the warm-up can never batch a different tree than the
+    evaluation reads."""
     if spec.name not in ("Tsrc", "Tsem", "Tir"):
         return None
     which = {"Tsrc": "src", "Tsem": "sem", "Tir": "ir"}[spec.name]
@@ -99,13 +100,6 @@ def _tree_kind(spec: MetricSpec) -> Optional[str]:
     if spec.inlining and spec.name == "Tsem":
         which = "sem+i"
     return which
-
-
-#: Public name for the tree-variant resolver: the metric index and the
-#: serve/CLI nearest paths all ask "is this a tree metric, and which tree?"
-#: through this single function.
-def tree_metric_kind(spec: MetricSpec) -> Optional[str]:
-    return _tree_kind(spec)
 
 
 def _divergence(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> float:
@@ -182,11 +176,6 @@ def divergence_pair_task(
     return divergence(a, b, spec), divergence(b, a, spec)
 
 
-#: Historical internal name (pre-serve); the engine task registry and tests
-#: still reach it here.
-_pair_task = divergence_pair_task
-
-
 def symmetrized_divergence(d_ab: float, d_ba: float) -> float:
     """The symmetrized matrix-cell value: the average of both directions.
 
@@ -237,11 +226,6 @@ def nearest_brute_force(
 # ---------------------------------------------------------------------------
 
 
-def _tree_hash(t) -> str:
-    """Structural hash with the same root-attr memo the TED layer uses."""
-    return cached_structural_hash(t)
-
-
 def codebase_fingerprint(cb: IndexedCodebase, spec: MetricSpec) -> str:
     """Stable content identity of one codebase *as this spec compares it*.
 
@@ -272,7 +256,7 @@ def codebase_fingerprint(cb: IndexedCodebase, spec: MetricSpec) -> str:
         h.update(b"1" if u.degraded else b"0")
         for t in (u.t_src_pre, u.t_src_post, u.t_sem, u.t_sem_inlined, u.t_ir):
             h.update(b"\x01")
-            h.update(_tree_hash(t).encode() if t is not None else b"-")
+            h.update(cached_structural_hash(t).encode() if t is not None else b"-")
         for lines in (u.sig_lines_pre, u.sig_lines_post):
             for f in sorted(lines):
                 h.update(f.encode())

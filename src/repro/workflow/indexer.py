@@ -52,7 +52,6 @@ from repro.parallel import ChunkedPool
 from repro.trees.inline import collect_definitions, inline_calls
 from repro.trees.normalize import normalize_names, strip_non_semantic
 from repro.util.errors import ReproError
-from repro.util.timing import timed
 from repro.workflow.codebase import IndexedCodebase, IndexedUnit, ModelSpec
 from repro.workflow.linesummary import LineSummary
 from repro.workflow.unitstore import UnitArtifactStore, load_unit, save_unit, unit_key
@@ -93,7 +92,7 @@ def _cpp_lloc(tokens: list[Token]) -> int:
     return max(semis - 2 * fors + ctrl, 0)
 
 
-@timed("index.cpp")
+@obs.traced("index.cpp")
 def index_cpp_unit(
     fs: VirtualFS,
     role: str,
@@ -160,7 +159,7 @@ def index_cpp_unit(
 # ---------------------------------------------------------------------------
 
 
-@timed("index.fortran")
+@obs.traced("index.fortran")
 def index_fortran_unit(fs: VirtualFS, role: str, path: str, recover: bool = False) -> IndexedUnit:
     """Index one MiniFortran file (Fortran has no preprocessing phase here:
     the pre/post representations coincide)."""

@@ -11,18 +11,20 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.distance import cascade
-from repro.distance.cascade import (
-    cascade_distance,
+from repro.distance.bounds import (
+    BruteForceOracle,
     preorder_labels,
     sequence_lower_bound,
-    set_cascade_enabled,
+    set_oracle,
     stats_lower_bound,
     upper_bound,
 )
+from repro.distance.cascade import cascade_distance
 from repro.distance.levenshtein import levenshtein, levenshtein_bounded
-from repro.distance.ted import Cost, TedResult, clear_ted_cache, ted, ted_lower_bound
+from repro.distance.ted import Cost, TedResult, clear_ted_cache, ted
 from repro.distance.zhang_shasha import zhang_shasha_distance, zhang_shasha_generic
 from repro.trees import Node, from_sexpr
+from repro.trees.stats import cached_label_histogram, histogram_lower_bound
 
 _LABELS = ("a", "b", "c")
 
@@ -54,7 +56,8 @@ def test_stats_bound_below_exact(t1, t2):
 @settings(max_examples=80, deadline=None)
 @given(mid_trees(), mid_trees())
 def test_histogram_bound_below_exact(t1, t2):
-    assert ted_lower_bound(t1, t2) <= zhang_shasha_distance(t1, t2)
+    lb = histogram_lower_bound(cached_label_histogram(t1), cached_label_histogram(t2))
+    assert lb <= zhang_shasha_distance(t1, t2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -128,12 +131,17 @@ def test_cascade_respects_size_gate():
 
 
 def test_cascade_disabled_returns_none(monkeypatch):
+    from repro import obs
+
+    # the null oracle is the cascade's off switch: no bounds, no counters
     monkeypatch.setattr(cascade, "_MIN_CELLS", 1)
-    prev = set_cascade_enabled(False)
+    prev = set_oracle(BruteForceOracle())
     try:
-        assert cascade_distance(from_sexpr("(a b)"), from_sexpr("(x (y z))")) is None
+        with obs.collect() as c:
+            assert cascade_distance(from_sexpr("(a b)"), from_sexpr("(x (y z))")) is None
     finally:
-        set_cascade_enabled(prev)
+        set_oracle(prev)
+    assert not any(k.startswith("ted.cascade.") for k in c.counters)
 
 
 def test_stage_counters_emitted(monkeypatch):
@@ -246,13 +254,12 @@ def test_cascade_matrix_bit_identical_on_corpus(monkeypatch):
     cbs = list(index_app("babelstream-fortran").values())
     spec = MetricSpec("Tsem")
 
-    prev = set_cascade_enabled(False)
+    prev = set_oracle(BruteForceOracle())
     try:
         clear_ted_cache()
         m_off = divergence_matrix(cbs, spec, engine=DistanceEngine())
-        set_cascade_enabled(True)
-        clear_ted_cache()
-        m_on = divergence_matrix(cbs, spec, engine=DistanceEngine())
     finally:
-        set_cascade_enabled(prev)
+        set_oracle(prev)
+    clear_ted_cache()
+    m_on = divergence_matrix(cbs, spec, engine=DistanceEngine())
     assert np.array_equal(m_on, m_off)

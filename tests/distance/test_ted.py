@@ -1,8 +1,10 @@
 """Tree edit distance unit tests (incl. the paper's Fig. 1 example)."""
 
+from repro import obs
 from repro.distance import Cost, UnitCost, ted, ted_normalized
-from repro.distance.ted import clear_ted_cache, ted_lower_bound
+from repro.distance.ted import cache_stats, clear_ted_cache
 from repro.trees import from_sexpr
+from repro.trees.stats import cached_label_histogram, histogram_lower_bound
 
 
 class TestKnownDistances:
@@ -83,19 +85,6 @@ class TestCache:
         r = ted(t, t.copy())
         assert r.shortcut and not r.cached
 
-    def test_stats_distinguish_hit_miss_shortcut(self):
-        from repro.distance.ted import cache_stats
-
-        clear_ted_cache()
-        a = from_sexpr("(a (b c) (d e))")
-        b = from_sexpr("(a (b x) (d e f))")
-        ted(a, b)
-        ted(a, b)
-        ted(a, a.copy())
-        s = cache_stats()
-        assert s["miss"] == 1 and s["hit"] == 1 and s["shortcut"] == 1
-        assert s["size"] == 2  # both key orders
-
     def test_cache_never_exceeds_limit(self, monkeypatch):
         import sys
 
@@ -107,10 +96,12 @@ class TestCache:
         monkeypatch.setattr(ted_mod, "_CACHE_LIMIT", 6)
         trees = [from_sexpr(f"(r{i} (x{i} y{i}) z{i})") for i in range(8)]
         base = from_sexpr("(q (w e) r)")
-        for t in trees:
-            ted(base, t)
-            assert len(ted_mod._CACHE) <= 6
-        assert ted_mod.cache_stats()["evicted"] > 0
+        with obs.collect() as c:
+            for t in trees:
+                ted(base, t)
+                assert len(ted_mod._CACHE) <= 6
+        assert c.counters["ted.cache.evicted"] > 0
+        assert cache_stats() == {"size": 6, "limit": 6}
         # recent pairs survive eviction and still hit
         assert ted(base, trees[-1]).cached
 
@@ -136,4 +127,5 @@ class TestLowerBound:
     def test_bound_below_distance(self):
         a = from_sexpr("(a (b c) (d e))")
         b = from_sexpr("(x (y z))")
-        assert ted_lower_bound(a, b) <= ted(a, b).distance
+        lb = histogram_lower_bound(cached_label_histogram(a), cached_label_histogram(b))
+        assert lb <= ted(a, b).distance

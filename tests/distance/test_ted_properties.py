@@ -8,6 +8,12 @@ from repro.distance.zhang_shasha import zhang_shasha_distance, zhang_shasha_gene
 from repro.trees import Node
 
 _LABELS = ("a", "b", "c")
+#: unit costs for the generic reference kernel
+_UNIT = (
+    lambda n: 1.0,
+    lambda n: 1.0,
+    lambda a, b: 0.0 if a.label == b.label else 1.0,
+)
 
 
 @st.composite
@@ -44,12 +50,18 @@ def test_hybrid_matches_brute_force(t1, t2):
 @settings(max_examples=40, deadline=None)
 @given(mid_trees(), mid_trees())
 def test_hybrid_matches_generic_kernel(t1, t2):
-    unit = (
-        lambda n: 1.0,
-        lambda n: 1.0,
-        lambda a, b: 0.0 if a.label == b.label else 1.0,
-    )
-    assert zhang_shasha_distance(t1, t2) == zhang_shasha_generic(t1, t2, *unit)
+    assert zhang_shasha_distance(t1, t2) == zhang_shasha_generic(t1, t2, *_UNIT)
+
+
+def test_row_sweep_matches_generic_on_corpus_pair():
+    """The row sweep at the scale every benchmark pair runs, far above the
+    random trees above: BabelStream serial vs omp ``main`` T_src."""
+    from repro.corpus.registry import index_model
+
+    t1 = index_model("babelstream", "serial").units["main"].tree("src")
+    t2 = index_model("babelstream", "omp").units["main"].tree("src")
+    assert t1.size() * t2.size() > 30_000  # 287 x 322 nodes
+    assert zhang_shasha_distance(t1, t2) == zhang_shasha_generic(t1, t2, *_UNIT)
 
 
 @settings(max_examples=60, deadline=None)

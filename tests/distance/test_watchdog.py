@@ -10,7 +10,8 @@ import math
 import pytest
 
 from repro import diag, obs
-from repro.distance.engine import DistanceEngine, _parse_chaos
+from repro.distance.engine import DistanceEngine
+from repro.parallel.pool import _parse_chaos
 from repro.util.errors import ReproError
 
 TASKS = list(range(8))

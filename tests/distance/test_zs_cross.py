@@ -1,10 +1,12 @@
-"""Cross-pair batched Zhang–Shasha: exactness against the per-pair kernel.
+"""Cross-pair batched Zhang–Shasha: exactness against an independent kernel.
 
 ``zhang_shasha_cross`` packs keyroot row-sweeps from *different* tree pairs
-into one wide NumPy scan. Its only contract is bit-exact agreement with
-``zhang_shasha_distance`` on every pair, in input order — these tests drive
-that on random batches, degenerate shapes, and under forced memory-group
-splits, then cover the ``ted_many`` routing layer built on top of it.
+into one wide NumPy scan. Its only contract is the exact unit-cost TED on
+every pair, in input order. The reference is the pure-Python generic-cost
+kernel with unit costs: ``zhang_shasha_distance`` shares the cross kernel's
+column layout, so it cannot check it. These tests drive that on random
+batches, degenerate shapes, and under forced memory-group splits, then
+cover the ``ted_many`` routing layer built on top of it.
 """
 
 import importlib
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 
 from repro.distance import zs_cross
 from repro.distance.ted import Cost, clear_ted_cache, ted, ted_many
-from repro.distance.zhang_shasha import zhang_shasha_distance
+from repro.distance.zhang_shasha import zhang_shasha_distance, zhang_shasha_generic
 from repro.distance.zs_cross import zhang_shasha_cross
 from repro.trees import Node, from_sexpr
 
@@ -52,8 +54,15 @@ def _star(n, label="a"):
     return root
 
 
+def _unit_relabel(a, b):
+    return 0.0 if a.label == b.label else 1.0
+
+
 def _oracle(pairs):
-    return [zhang_shasha_distance(a, b) for a, b in pairs]
+    return [
+        int(zhang_shasha_generic(a, b, lambda n: 1.0, lambda n: 1.0, _unit_relabel))
+        for a, b in pairs
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Counter/gauge accumulation and the instrumented hot paths."""
 
 from repro import obs
-from repro.distance.ted import cache_stats, clear_ted_cache, ted, ted_lower_bound
+from repro.distance.bounds import BoundOracle
+from repro.distance.ted import clear_ted_cache, ted
 from repro.trees import from_sexpr
 
 
@@ -71,10 +72,13 @@ class TestTedCounters:
     def test_lower_bound_emits_no_filter_counters(self):
         # the old ted.filter.* taxonomy is retired: pruning effectiveness is
         # now tracked per cascade stage as ted.pruned.<stage>
+        def lb(t1, t2):  # the oracle's histogram stage
+            return dict(BoundOracle().lower_stages(t1, t2)).get("histogram", 0)
+
         with obs.collect() as c:
             same = from_sexpr("(a b)")
-            assert ted_lower_bound(same, same.copy()) == 0
-            assert ted_lower_bound(from_sexpr("(a b)"), from_sexpr("(x y z)")) > 0
+            assert lb(same, same.copy()) == 0
+            assert lb(from_sexpr("(a b)"), from_sexpr("(x y z)")) > 0
         assert not any(k.startswith("ted.filter.") for k in c.counters)
 
     def test_hash_prune_counter(self):
@@ -89,18 +93,11 @@ class TestTedCounters:
         clear_ted_cache()
         with obs.collect() as c:
             ted(from_sexpr("(a (b c) (d e))"), from_sexpr("(a (b x) (d e f))"))
-        assert c.counters["zs.calls"] == 1
-        assert c.counters["zs.keyroot_pairs"] > 0
-        assert c.counters["zs.dp_cells"] > 0
-
-    def test_module_stats_always_on(self):
-        clear_ted_cache()
-        a = from_sexpr("(m n)")
-        b = from_sexpr("(m o p)")
-        ted(a, b)  # no collector installed
-        ted(a, b)
-        s = cache_stats()
-        assert s["miss"] == 1 and s["hit"] == 1
+        assert c.counters["ted.zs.calls"] == 1
+        assert "zs.calls" not in c.counters
+        # keyroots {d, a} x {f, d, a}; L(T) sums their subtree sizes
+        assert c.counters["zs.keyroot_pairs"] == 2 * 3
+        assert c.counters["zs.dp_cells"] == (2 + 5) * (1 + 3 + 6)
 
 
 class TestLexCounters:

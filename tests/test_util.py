@@ -1,78 +1,8 @@
-"""Utility-layer tests: timers and error types."""
+"""Utility-layer tests: error types."""
 
 import pytest
 
-from repro.util import LoweringError, ParseError, ReproError, SemanticError, Timer, timed
-from repro.util.timing import all_timers, get_timer, reset_timers
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer("x")
-        with t:
-            pass
-        with t:
-            pass
-        assert t.calls == 2
-        assert t.elapsed >= 0.0
-        assert t.mean >= 0.0
-
-    def test_mean_zero_when_unused(self):
-        assert Timer("x").mean == 0.0
-
-    def test_registry(self):
-        reset_timers()
-        a = get_timer("alpha")
-        assert get_timer("alpha") is a
-        assert "alpha" in all_timers()
-        reset_timers()
-        assert "alpha" not in all_timers()
-
-    def test_timed_decorator(self):
-        reset_timers()
-
-        @timed("deco")
-        def fn(x):
-            return x * 2
-
-        assert fn(21) == 42
-        assert get_timer("deco").calls == 1
-
-    def test_reentrant_nesting_keeps_elapsed_sane(self):
-        import time
-
-        t = Timer("nested")
-        with t:
-            time.sleep(0.01)
-            with t:
-                time.sleep(0.01)
-        assert t.calls == 2
-        # inner ≈ 0.01, outer ≈ 0.02; the old single-slot _start made the
-        # outer exit measure from the *inner* start, undercounting.
-        assert t.elapsed >= 0.029
-        assert t.depth == 0
-
-    def test_recursive_timed_function(self):
-        reset_timers()
-
-        @timed("fact")
-        def fact(n):
-            return 1 if n <= 1 else n * fact(n - 1)
-
-        assert fact(5) == 120
-        assert get_timer("fact").calls == 5
-
-    def test_timer_opens_span_when_collecting(self):
-        from repro import obs
-
-        reset_timers()
-        with obs.collect() as c:
-            with get_timer("outer"):
-                with get_timer("inner"):
-                    pass
-        names = {r.name: r for r in c.spans}
-        assert set(names) == {"outer", "inner"}
-        assert names["inner"].parent == names["outer"].index
+from repro.util import LoweringError, ParseError, ReproError, SemanticError
 
 
 class TestErrors:
