@@ -19,7 +19,10 @@ Asserts, on a small fixed TeaLeaf workload, that
    re-fronts exactly that one unit;
 6. nearest-neighbor answers agree bit-for-bit across all three surfaces:
    the VP-tree index query, the brute-force linear scan, and the serve
-   daemon's ``/v1/nearest`` endpoint (both its index mode and ``brute=1``).
+   daemon's ``/v1/nearest`` endpoint (both its index mode and ``brute=1``);
+7. each model's ``divergence_row`` over the other models equals its
+   ``divergence_matrix`` row bit for bit — both evaluate the same
+   symmetric ``pair:`` demands.
 
 Usage: PYTHONPATH=src python benchmarks/check_determinism.py
 """
@@ -41,7 +44,7 @@ from repro.distance.engine import DistanceEngine
 from repro.distance.ted import clear_ted_cache
 from repro.corpus.registry import app_models, build_fs, get_spec
 from repro.workflow.codebasedb import save_codebase_db
-from repro.workflow.comparer import MetricSpec, divergence_matrix
+from repro.workflow.comparer import MetricSpec, divergence_matrix, divergence_row
 from repro.workflow.indexer import index_codebase
 from repro.workflow.unitstore import UnitArtifactStore
 
@@ -123,6 +126,20 @@ def check_resume(codebases, serial: np.ndarray, failures: list[str]) -> None:
                 "ok: kill-at-50% + resume bit-identical, "
                 f"recomputed {resumed_calls:g}/{full_calls:g} ZS calls"
             )
+
+
+def check_rows(codebases, serial: np.ndarray, failures: list[str]) -> None:
+    clear_ted_cache()
+    before = len(failures)
+    for i, cb in enumerate(codebases):
+        others = [c for c in codebases if c is not cb]
+        row = divergence_row(cb, others, SPEC, engine=DistanceEngine(jobs=1))
+        got = np.array([row[c.model] for c in others])
+        want = np.array([serial[i, j] for j in range(len(codebases)) if j != i])
+        if got.tobytes() != want.tobytes():
+            failures.append(f"divergence_row({cb.model}) differs from its matrix row")
+    if len(failures) == before:
+        print("ok: every divergence_row bit-identical to its matrix row")
 
 
 def check_incremental(failures: list[str]) -> None:
@@ -261,6 +278,7 @@ def main() -> int:
             failures.append("cache round-trip matrix differs from direct computation")
 
     check_resume(codebases, serial, failures)
+    check_rows(codebases, serial, failures)
     check_incremental(failures)
     check_nearest(failures)
 

@@ -1,9 +1,10 @@
 """Heatmap data model (Figs. 4, 7, 8).
 
 A heatmap is rows (metric variants) × columns (models) of divergence-from-
-baseline values in [0, 1]; the clustering heatmap variant is models ×
-models. Rendering lives in :mod:`repro.viz`; this module only assembles
-the numbers.
+baseline values in [0, 2] (Eq. 7's ``dmax`` is the larger size, not an
+upper bound on the distance; see DESIGN.md "Eq. 7 normalisation"); the
+clustering heatmap variant is models × models. Rendering lives in
+:mod:`repro.viz`; this module only assembles the numbers.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from repro.distance.engine import DistanceEngine
 from repro.workflow.codebase import IndexedCodebase
 from repro.workflow.comparer import (
     MetricSpec,
-    directed_task_key,
     divergence_prepare,
     divergence_task,
+    pair_task_key,
 )
 
 
@@ -69,15 +70,16 @@ def heatmap_demands(
     models: Sequence[IndexedCodebase],
     specs: Sequence[MetricSpec] = HEATMAP_SPECS,
 ) -> tuple[list[tuple], list[str]]:
-    """Flat (row-major) directed demand list of one heatmap grid.
+    """Flat (row-major) demand list of one heatmap grid.
 
     Returns ``(tasks, keys)`` for :func:`divergence_task` /
-    :func:`directed_task_key`. Shared by the batch path below and the serve
+    :func:`pair_task_key` — a cell is the same pair demand a matrix or a
+    nearest scan schedules. Shared by the batch path below and the serve
     layer's request batcher — same work, same memo keys, bit-identical
     grids on both surfaces.
     """
     tasks = [(baseline, cb, spec) for spec in specs for cb in models]
-    keys = [directed_task_key(baseline, cb, spec) for spec in specs for cb in models]
+    keys = [pair_task_key(baseline, cb, spec) for spec in specs for cb in models]
     return tasks, keys
 
 

@@ -21,7 +21,7 @@ simply never found. The payload is a standard ``SVALEDB`` container::
     {"schema": "repro.ckpt/v1", "keyspec": KEY_SPEC,
      "run": <run-key>, "entries": {task_key: value}}
 
-``entries`` holds only *completed* task values (floats or float lists);
+``entries`` holds only *completed* task values (one float per task key);
 failed or degraded tasks are never checkpointed, so a resumed run retries
 them. Loads are lenient: a corrupt, foreign or schema/keyspec-mismatched
 file counts as ``ckpt.invalid`` and behaves as empty. Saves are atomic
@@ -41,7 +41,9 @@ SCHEMA = "repro.ckpt/v1"
 
 #: What the task keys cannot encode: the divergence semantics the stored
 #: values were computed under. Bump to invalidate every existing checkpoint.
-KEY_SPEC = "div:structhash:v1"
+#: v2: one symmetric float per ``pair:`` key (v1 stored a ``pair:`` key's
+#: two directions as a 2-list, next to directed ``dir:`` keys).
+KEY_SPEC = "div:structhash:v2"
 
 
 def run_key_for(keys: Sequence[str], keyspec: str = KEY_SPEC) -> str:

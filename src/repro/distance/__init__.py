@@ -16,7 +16,6 @@ from repro.distance.reference import brute_force_ted
 from repro.distance.wu_manber import onp_edit_distance, lcs_length
 from repro.distance.myers import myers_edit_distance
 from repro.distance.levenshtein import levenshtein, levenshtein_bounded
-from repro.distance.matrix import pairwise_matrix, condensed_to_square
 from repro.distance.engine import DistanceEngine
 
 __all__ = [
@@ -37,6 +36,4 @@ __all__ = [
     "myers_edit_distance",
     "levenshtein",
     "levenshtein_bounded",
-    "pairwise_matrix",
-    "condensed_to_square",
 ]

@@ -113,20 +113,6 @@ def _worker_teardown() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _encode_value(value: Any) -> Any:
-    """Checkpoint-payload form of one task result (msgpack-safe)."""
-    if isinstance(value, tuple):
-        return [float(v) for v in value]
-    return value
-
-
-def _decode_value(value: Any) -> Any:
-    """Inverse of :func:`_encode_value` (sequences come back as tuples)."""
-    if isinstance(value, list):
-        return tuple(value)
-    return value
-
-
 class _CkptSession:
     """Progress tracker for one run: buffers completed entries and flushes
     them to the store periodically and on interrupt."""
@@ -150,7 +136,7 @@ class _CkptSession:
         reused = 0
         for i, key in enumerate(self.keys):
             if key in stored:
-                results[i] = _decode_value(stored[key])
+                results[i] = stored[key]
                 done[i] = True
                 self.entries[key] = stored[key]
                 reused += 1
@@ -159,7 +145,7 @@ class _CkptSession:
         return reused
 
     def note_done(self, index: int, value: Any) -> None:
-        self.entries[self.keys[index]] = _encode_value(value)
+        self.entries[self.keys[index]] = value
         self._dirty = True
         self.maybe_save()
 

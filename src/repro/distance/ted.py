@@ -1,9 +1,9 @@
 """Public TED API (paper §III-B).
 
 ``ted(t1, t2)`` returns the exact tree edit distance under the paper's
-unit-cost model; ``ted_normalized`` divides by ``dmax`` (Eq. 7): the size of
-the *target* tree, i.e. the change budget needed to delete everything from
-one codebase and reintroduce the other.
+unit-cost model; ``ted_normalized`` divides by ``dmax`` (Eq. 7): the larger
+of the two tree sizes (:func:`pair_dmax`). Both the distance and ``dmax``
+are symmetric, so the normalised divergence is too.
 """
 
 from __future__ import annotations
@@ -53,6 +53,15 @@ class UnitCost(Cost):
         return True
 
 
+def pair_dmax(size_a: int, size_b: int) -> int:
+    """Eq. (7)'s budget for one matched unit pair: the larger of the two
+    sizes. An unmatched unit passes 0 for its absent side and so
+    contributes its own size. The one ``dmax`` definition every relative
+    metric, the metric index and the pair pinner accumulate (DESIGN.md
+    "Eq. 7 normalisation")."""
+    return max(size_a, size_b)
+
+
 @dataclass(frozen=True)
 class TedResult:
     """Outcome of one TED computation."""
@@ -72,24 +81,13 @@ class TedResult:
 
     @property
     def dmax(self) -> int:
-        """Maximum divergence per Eq. (7): |T(F_C2)| (target tree size)."""
-        return self.size2
+        """Maximum divergence per Eq. (7): the larger of the two tree sizes."""
+        return pair_dmax(self.size1, self.size2)
 
     @property
     def normalized(self) -> float:
-        """distance / dmax; 0 only when the distance itself is 0.
-
-        Eq. (7)'s budget is the target tree size, which degenerates to zero
-        for an empty target even though deleting the whole source is a real,
-        positive distance. Dividing by the non-degenerate budget
-        ``max(size1, size2)`` in that case reports full divergence instead
-        of silently returning 0.0.
-        """
-        if self.dmax:
-            return self.distance / self.dmax
-        if self.distance:
-            return self.distance / (max(self.size1, self.size2) or 1)
-        return 0.0
+        """distance / dmax; ``dmax`` is 0 only when both trees are empty."""
+        return self.distance / self.dmax if self.dmax else 0.0
 
 
 #: Memo of unit-cost distances keyed by structural-hash pairs. Trees are
@@ -280,5 +278,5 @@ def ted_many(pairs: list[tuple[Node, Node]], cost: Optional[Cost] = None) -> lis
 
 
 def ted_normalized(t1: Node, t2: Node) -> float:
-    """Normalised divergence d/dmax of ``t2`` relative to ``t1``."""
+    """Normalised divergence d/dmax of one tree pair (symmetric)."""
     return ted(t1, t2).normalized

@@ -2,8 +2,8 @@
 
 ``/v1/nearest`` and ``silvervale nearest`` ask "which models are closest
 to this one under a tree metric?" — the brute-force answer evaluates one
-exact symmetrized divergence per candidate, O(n) Zhang–Shasha sweeps per
-query. But the underlying distance is a *metric*: per role, unit-cost TED
+exact divergence per candidate, O(n) Zhang–Shasha sweeps per query. But
+the underlying distance is a *metric*: per role, unit-cost TED
 (extended with the empty tree for unmatched units — ``d(t, ∅) = size(t)``)
 satisfies the triangle inequality, and the codebase distance ``D`` is the
 role-wise sum of those metrics. So program space can be organised
@@ -12,12 +12,12 @@ triangle bounds in raw-``D`` space, and the shared bound oracle
 (:mod:`repro.distance.bounds`) gives cheap per-candidate lower bounds —
 together they discard most candidates without any exact TED.
 
-Scores vs. distances: the reported score is the *normalised symmetrized
-divergence*, which is not itself a metric (``dmax`` varies per pair).
-The search therefore prunes in exact integer ``D`` space and converts a
-``D`` lower bound into a score lower bound by dividing by an *upper*
-bound on the pair's ``dmax`` (exactly computable from stored unit sizes)
-— monotone float division keeps every score bound admissible.
+Scores vs. distances: the reported score is the *normalised divergence*
+``D / dmax``, which is symmetric but not itself a metric (``dmax`` varies
+per pair). The search therefore prunes in exact integer ``D`` space and
+converts a ``D`` lower bound into a score lower bound by dividing by an
+*upper* bound on the pair's ``dmax`` (exactly computable from stored unit
+sizes) — monotone float division keeps every score bound admissible.
 
 Bit-identity contract (gated by ``benchmarks/nearest_smoke.py`` and the
 determinism harness): pruning only ever discards a candidate whose score
@@ -39,6 +39,7 @@ from typing import Optional
 
 from repro import obs
 from repro.distance.bounds import BoundOracle, get_oracle, sequence_lower_bound
+from repro.distance.ted import pair_dmax
 from repro.metricindex import vptree
 from repro.trees.hashing import cached_structural_hash
 from repro.trees.stats import (
@@ -110,19 +111,13 @@ def unit_entries(cb: IndexedCodebase, spec: MetricSpec) -> dict[str, dict]:
 
 
 def _entry_dmax(ua: dict[str, dict], ub: dict[str, dict]) -> int:
-    """Exact ``dmax`` of a pair from stored unit sizes (matched roles
-    contribute ``max(size_a, size_b)``, unmatched their own size) —
-    integer-for-integer what :func:`tree_distance` accumulates."""
-    total = 0
-    for role in set(ua) | set(ub):
-        a, b = ua.get(role), ub.get(role)
-        if a is None:
-            total += b["size"]
-        elif b is None:
-            total += a["size"]
-        else:
-            total += max(a["size"], b["size"])
-    return total
+    """Exact ``dmax`` of a pair from stored unit sizes (:func:`pair_dmax`
+    per role, an absent side counting 0) — integer-for-integer what
+    :func:`tree_distance` accumulates."""
+    return sum(
+        pair_dmax(ua[r]["size"] if r in ua else 0, ub[r]["size"] if r in ub else 0)
+        for r in set(ua) | set(ub)
+    )
 
 
 def _entry_lower(ua: dict[str, dict], ub: dict[str, dict]) -> int:
@@ -155,39 +150,27 @@ class PairPinner:
     cheap interval has width zero from stored geometry alone: every
     matched unit pair is hash-identical (TED exactly 0) and unmatched
     units cost exactly their size. The pinned value is bit-identical to
-    what :func:`divergence_pair_task` would compute (integer sums and the
-    same float division), so index-pruned matrices stay exact by
-    construction. Counter: ``index.matrix.pinned``.
+    what :func:`repro.workflow.comparer.divergence_task` would compute
+    (integer sums and the same float division), so index-pruned matrices
+    stay exact by construction. Counter: ``index.matrix.pinned``.
     """
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
 
-    def pin_pair(
-        self, a: IndexedCodebase, b: IndexedCodebase
-    ) -> Optional[tuple[float, float]]:
-        """``(d_ab, d_ba)`` when the pair pins exactly, else ``None``."""
+    def pin_pair(self, a: IndexedCodebase, b: IndexedCodebase) -> Optional[float]:
+        """The pair's divergence when it pins exactly, else ``None``."""
         if _tree_kind(self.spec) is None:
             return None
         ua = unit_entries(a, self.spec)
         ub = unit_entries(b, self.spec)
-        d = 0
-        dmax = 0
-        for role in set(ua) | set(ub):
-            ea, eb = ua.get(role), ub.get(role)
-            if ea is None:
-                d += eb["size"]
-                dmax += eb["size"]
-            elif eb is None:
-                d += ea["size"]
-                dmax += ea["size"]
-            elif ea["hash"] == eb["hash"]:
-                dmax += max(ea["size"], eb["size"])
-            else:
-                return None  # a real TED: not pinnable from geometry
-        v = float(d) / float(dmax) if dmax else 0.0
+        if any(ua[r]["hash"] != ub[r]["hash"] for r in set(ua) & set(ub)):
+            return None  # a real TED: not pinnable from geometry
+        # with every matched pair hash-identical the stats bound is exact:
+        # the unmatched units' sizes
+        d, dmax = _entry_lower(ua, ub), _entry_dmax(ua, ub)
         obs.add("index.matrix.pinned")
-        return v, v
+        return float(d) / float(dmax) if dmax else 0.0
 
 
 @dataclass

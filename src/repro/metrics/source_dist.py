@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.distance.ted import pair_dmax
 from repro.distance.wu_manber import onp_edit_distance
 from repro.trees.coverage_mask import LineMask
 from repro.workflow.codebase import IndexedCodebase, IndexedUnit, match_units
@@ -34,8 +35,9 @@ def source_distance(
 ) -> tuple[float, float]:
     """Summed diff distance over matched unit pairs; returns (d, dmax).
 
-    ``dmax`` is the total number of target lines (the Eq. 7 analogue for
-    line sequences): the distance at which no textual similarity remains.
+    ``dmax`` is the Eq. 7 analogue for line sequences: per matched unit
+    pair, the larger of the two line counts (an unmatched unit adds its own
+    count). Like the distance it is symmetric in ``a`` and ``b``.
     """
     d = 0.0
     dmax = 0.0
@@ -43,5 +45,5 @@ def source_distance(
         la = _unit_lines(ua, variant, mask_a) if ua is not None else []
         lb = _unit_lines(ub, variant, mask_b) if ub is not None else []
         d += onp_edit_distance(la, lb)
-        dmax += max(len(lb), len(la)) if (la or lb) else 0
+        dmax += pair_dmax(len(la), len(lb))
     return d, dmax

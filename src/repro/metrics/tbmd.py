@@ -7,9 +7,13 @@ relative to ``a`` — the rows of the Fig. 7/8 heatmaps:
 ``Tsrc``, ``Tsrc+pp``, ``Tsem``, ``Tsem+i``, ``Tir`` and each metric's
 ``+cov`` variant when coverage profiles exist.
 
-Relative metrics report normalised divergence ``d / dmax`` in ``[0, ~1]``;
-absolute metrics (SLOC/LLOC) report the relative increase from ``a`` so
-everything shares one axis.
+Relative metrics report normalised divergence ``d / dmax`` in ``[0, 2]``:
+Eq. 7's ``dmax`` is the larger size, not an upper bound on the edit
+distance, so tree metrics stay below 2 and ``Source`` reaches 2 only for
+equal-length units that share no line. Absolute metrics (SLOC/LLOC)
+report :func:`count_divergence`, in ``[0, 1]``, so everything shares one
+axis. Every value equals what :func:`repro.workflow.comparer.divergence`
+reports for the same label and, like it, is symmetric in ``a`` and ``b``.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ class TbmdResult:
         return sorted(self.values)
 
 
-def _rel_increase(va: float, vb: float) -> float:
-    """Relative size change used to put absolute metrics on the heatmap."""
-    if va == 0:
-        return 0.0 if vb == 0 else 1.0
-    return abs(vb - va) / va
+def count_divergence(va: float, vb: float) -> float:
+    """Divergence of two absolute counts (SLOC/LLOC): the difference over
+    the larger count, ``|vb - va| / max(va, vb, 1)``. The one formula behind
+    the SLOC/LLOC rows of both this facade and the heatmap."""
+    return abs(vb - va) / max(va, vb, 1)
 
 
 def tbmd(
@@ -60,12 +64,12 @@ def tbmd(
     mask_b = b.mask() if with_coverage else None
     have_cov = mask_a is not None and mask_b is not None
 
-    # absolute metrics → relative increase
-    res.values["SLOC"] = _rel_increase(sloc(a, "pre"), sloc(b, "pre"))
-    res.values["LLOC"] = _rel_increase(lloc(a, "pre"), lloc(b, "pre"))
+    # absolute metrics → count divergence
+    res.values["SLOC"] = count_divergence(sloc(a, "pre"), sloc(b, "pre"))
+    res.values["LLOC"] = count_divergence(lloc(a, "pre"), lloc(b, "pre"))
     if with_pp:
-        res.values["SLOC+pp"] = _rel_increase(sloc(a, "pp"), sloc(b, "pp"))
-        res.values["LLOC+pp"] = _rel_increase(lloc(a, "pp"), lloc(b, "pp"))
+        res.values["SLOC+pp"] = count_divergence(sloc(a, "pp"), sloc(b, "pp"))
+        res.values["LLOC+pp"] = count_divergence(lloc(a, "pp"), lloc(b, "pp"))
 
     def norm(pair: tuple[float, float]) -> float:
         d, dmax = pair

@@ -1,9 +1,10 @@
 """TBMD tree metrics: ``T_src``, ``T_sem``, ``T_ir`` (paper Eq. 5/6/7).
 
 The distance between two codebases under a tree metric is the summed TED
-over matched unit-tree pairs (Eq. 6); ``dmax`` is the summed size of the
-target trees (Eq. 7) — "the amount of change necessary to remove all nodes
-from one codebase and then fully reintroducing nodes from another".
+over matched unit-tree pairs (Eq. 6); ``dmax`` (Eq. 7) sums, per matched
+pair, the larger of the two tree sizes, and an unmatched unit's own size
+(:func:`repro.distance.ted.pair_dmax`). Both sums are symmetric, so the
+divergence of ``a`` from ``b`` equals that of ``b`` from ``a``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import obs
-from repro.distance.ted import ted
+from repro.distance.ted import pair_dmax, ted
 from repro.lang.source import is_system_path
 from repro.trees.coverage_mask import LineMask
 from repro.trees.node import Node
@@ -91,23 +92,22 @@ def tree_distance(
     mask_b: Optional[LineMask] = None,
     include_system: bool = False,
 ) -> tuple[float, float]:
-    """Summed TED over matched unit pairs; returns (d, dmax)."""
+    """Summed TED over matched unit pairs; returns (d, dmax).
+
+    An unmatched unit costs its full size (deleted or inserted whole) and
+    adds that size to ``dmax``; a matched pair adds the larger of the two.
+    """
     d = 0.0
     dmax = 0.0
     for ta, tb in _matched_trees(a, b, which, mask_a, mask_b, include_system):
-        if ta is None:
-            size = tb.size()
+        if ta is None or tb is None:
+            size = (tb if ta is None else ta).size()
             d += size
-            dmax += size
-            continue
-        if tb is None:
-            size = ta.size()
-            d += size
-            dmax += size
+            dmax += pair_dmax(size, 0)
             continue
         r = ted(ta, tb)
         d += r.distance
-        dmax += max(r.size2, r.size1)
+        dmax += r.dmax
     return d, dmax
 
 

@@ -2,12 +2,14 @@
 
 Every analysis endpoint is the *same computation* as its batch-CLI
 counterpart — same index path, same :class:`MetricSpec` parsing, same
-demand lists (:func:`matrix_demands` / :func:`heatmap_demands`), same
-engine task functions, same assembly helpers — so a served value is
+demand lists (:func:`matrix_demands` / :func:`heatmap_demands`), the one
+engine task function (:func:`divergence_task`) under the one key builder
+(:func:`pair_task_key`), same assembly helpers — so a served value is
 bit-identical to what ``silvervale compare/cluster/heatmap`` prints over
-the same corpus. The only serve-specific machinery is *where* the work
-runs (the engine thread) and *how* it is scheduled (the wave batcher and
-the hot-tier memo in front of it).
+the same corpus, and a pair evaluated for one endpoint is a memo hit for
+every other endpoint that asks for it. The only serve-specific machinery
+is *where* the work runs (the engine thread) and *how* it is scheduled
+(the wave batcher and the hot-tier memo in front of it).
 
 Surface (one JSON object per response; all analysis routes are ``GET``):
 
@@ -18,7 +20,7 @@ Surface (one JSON object per response; all analysis routes are ``GET``):
 ``/v1/compare``             divergence of ``model`` from ``baseline``
 ``/v1/cluster``             dendrogram of all models under a metric
 ``/v1/heatmap``             divergence-from-baseline heatmap grid
-``/v1/nearest``             k nearest models by symmetrized divergence
+``/v1/nearest``             k nearest models by divergence
 ``/v1/stats``               hot-tier, batcher and full metrics snapshot
 ``/v1/invalidate``          ``POST``: drop the hot tier
 ``/v1/shutdown``            ``POST``: graceful drain + exit
@@ -41,18 +43,12 @@ from repro.util.errors import ReproError
 from repro.workflow.comparer import (
     MetricSpec,
     codebase_fingerprint,
-    directed_task_key,
     matrix_demands,
     matrix_from_pair_values,
     pair_task_key,
     parse_metric,
-    symmetrized_divergence,
     _tree_kind,
 )
-
-#: Demand kinds — the two engine task shapes a wave can carry.
-KIND_DIRECTED = "directed"
-KIND_PAIR = "pair"
 
 
 class ServeApp:
@@ -120,7 +116,7 @@ class ServeApp:
 
     # -- demand resolution (memo in front of the batcher) --------------------
 
-    async def _resolve(self, kind: str, keys: list[str], tasks: list) -> list[Any]:
+    async def _resolve(self, keys: list[str], tasks: list) -> list[Any]:
         """Values for a demand list: hot-tier memo first, batcher for the
         misses, results remembered for the next query."""
         values: list[Any] = [None] * len(keys)
@@ -136,7 +132,7 @@ class ServeApp:
                 miss_tasks.append(tasks[i])
                 miss_at.append(i)
         if miss_keys:
-            fresh = await self.batcher.demand_many(kind, miss_keys, miss_tasks)
+            fresh = await self.batcher.demand_many(miss_keys, miss_tasks)
             for i, key, value in zip(miss_at, miss_keys, fresh):
                 values[i] = value
                 self.state.remember(key, value)
@@ -209,7 +205,7 @@ class ServeApp:
         }
 
     async def compare(self, req: Request) -> dict:
-        """Same evaluation as ``silvervale compare``: one directed task."""
+        """Same evaluation as ``silvervale compare``: one pair task."""
         app = self._app_param(req)
         spec = self._metric_param(req)
         baseline = self._model_param(req, app, "baseline", "serial")
@@ -217,9 +213,8 @@ class ServeApp:
         base, other = await self.run_engine(
             lambda: self.state.codebases(app, [baseline, model], spec.coverage)
         )
-        key = directed_task_key(base, other, spec)
-        task = (base, other, spec)
-        value = (await self._resolve(KIND_DIRECTED, [key], [task]))[0]
+        key = pair_task_key(base, other, spec)
+        value = (await self._resolve([key], [(base, other, spec)]))[0]
         return {
             "app": app,
             "baseline": baseline,
@@ -245,23 +240,16 @@ class ServeApp:
         def fetch():
             cbs = self.state.codebases(app, names, spec.coverage)
             pairs, tasks, keys = matrix_demands(cbs, spec)
-            pinned: dict[int, tuple[float, float]] = {}
             index = self.state.peek_index(app, spec)
-            if index is not None:
-                for at, (i, j) in enumerate(pairs):
-                    hit = index.pin_pair(cbs[i], cbs[j])
-                    if hit is not None:
-                        pinned[at] = hit
-            return pairs, tasks, keys, pinned
+            values = [
+                index.pin_pair(cbs[i], cbs[j]) if index is not None else None
+                for i, j in pairs
+            ]
+            return pairs, tasks, keys, values
 
-        pairs, tasks, keys, pinned = await self.run_engine(fetch)
-        live = [at for at in range(len(pairs)) if at not in pinned]
-        fresh = await self._resolve(
-            KIND_PAIR, [keys[at] for at in live], [tasks[at] for at in live]
-        )
-        values: list = [None] * len(pairs)
-        for at, value in pinned.items():
-            values[at] = value
+        pairs, tasks, keys, values = await self.run_engine(fetch)
+        live = [at for at, v in enumerate(values) if v is None]
+        fresh = await self._resolve([keys[at] for at in live], [tasks[at] for at in live])
         for at, value in zip(live, fresh):
             values[at] = value
         matrix = matrix_from_pair_values(len(names), pairs, values)
@@ -285,7 +273,7 @@ class ServeApp:
         )
         base, models = cbs[0], cbs[1:]
         tasks, keys = heatmap_demands(base, models, HEATMAP_SPECS)
-        values = await self._resolve(KIND_DIRECTED, keys, tasks)
+        values = await self._resolve(keys, tasks)
         data = heatmap_from_values([s.label for s in HEATMAP_SPECS], names, values)
         return {
             "app": app,
@@ -297,7 +285,7 @@ class ServeApp:
         }
 
     async def nearest(self, req: Request) -> dict:
-        """k nearest models by symmetrized divergence (matrix-cell values).
+        """k nearest models by divergence (the matrix-cell values).
 
         Tree metrics ride the metric-space index: the VP tree plus the
         bound oracle discard most candidates before any exact kernel, and
@@ -351,17 +339,9 @@ class ServeApp:
         )
         target, rest = cbs[0], cbs[1:]
         keys = [pair_task_key(target, cb, spec) for cb in rest]
-        tasks = [(target, cb, spec) for cb in rest]
-        values = await self._resolve(KIND_PAIR, keys, tasks)
-        # symmetrized like the matrix diagonal band: the average of both
-        # directions is what clustering and the heatmap row both see
-        scored = sorted(
-            (
-                (float(symmetrized_divergence(d_ab, d_ba)), m)
-                for m, (d_ab, d_ba) in zip(others, values)
-            ),
-            key=lambda t: (t[0], t[1]),
-        )
+        values = await self._resolve(keys, [(target, cb, spec) for cb in rest])
+        # the nearest_brute_force ordering: (score, model) ascending
+        scored = sorted(zip(values, others))
         return {
             "app": app,
             "model": model,
@@ -392,8 +372,8 @@ class ServeApp:
 
     # -- wave runner (engine thread; wired into the batcher) -----------------
 
-    def wave_runner(self, kind: str, tasks: list, keys: list) -> list:
-        """Evaluate one wave of unique demands through the engine.
+    def wave_runner(self, tasks: list, keys: list) -> list:
+        """Evaluate one wave of unique demands in one engine call.
 
         ``divergence_prepare`` rides along so a coalesced wave's TED pairs
         are cascade-pruned and cross-pair batched exactly like a batch-CLI
@@ -404,15 +384,10 @@ class ServeApp:
         :class:`~repro.serve.batcher.WaveKeyError` — one poisoned demand
         fails its own joiners, never the rest of the wave.
         """
-        from repro.workflow.comparer import (
-            divergence_pair_task,
-            divergence_prepare,
-            divergence_task,
-        )
+        from repro.workflow.comparer import divergence_prepare, divergence_task
 
-        fn = {KIND_DIRECTED: divergence_task, KIND_PAIR: divergence_pair_task}[kind]
         return self.state.engine.map_tasks(
-            fn, tasks, keys=keys, fail_value=WAVE_FAILED, prepare=divergence_prepare
+            divergence_task, tasks, keys=keys, fail_value=WAVE_FAILED, prepare=divergence_prepare
         )
 
 

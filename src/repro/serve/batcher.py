@@ -1,10 +1,10 @@
 """Request batching: coalesce concurrent TED demands into engine waves.
 
 The daemon's endpoints all reduce to lists of *demands* — pure divergence
-evaluations named by their engine task key (``dir:…`` / ``pair:…``). When
-many requests arrive together (the load-test case, and the production
-story), evaluating each request's demands separately would schedule many
-tiny :class:`ChunkedPool` runs; this batcher instead:
+evaluations named by their engine task key (``pair:…``). When many
+requests arrive together (the load-test case, and the production story),
+evaluating each request's demands separately would schedule many tiny
+:class:`ChunkedPool` runs; this batcher instead:
 
 * **collects** demands for one batching window (``window_s``, default
   5 ms) after the first demand arrives,
@@ -13,7 +13,7 @@ tiny :class:`ChunkedPool` runs; this batcher instead:
   the folded duplicates),
 * **joins in-flight work** — a demand whose key is already being computed
   awaits the existing future instead of resubmitting,
-* then runs the unique tasks as a *single* engine wave per task kind
+* then runs the unique tasks as a *single* engine wave per flush
   (``engine.waves`` is the pool-side counter the coalescing tests gate on)
   on the daemon's one engine thread, and fans results back out to every
   waiting request.
@@ -24,15 +24,15 @@ checkpoint values), which is what makes sharing one result across requests
 
 Failure isolation (pinned in DESIGN.md §"Overload and failure contract"):
 a wave is a *shared* vehicle, so one request's poisonous demand must not
-fail its neighbours. Three layers, narrowest first:
+fail its neighbours. Two layers, narrowest first:
 
 * **per-key routing** — the wave runner substitutes the :data:`WAVE_FAILED`
   sentinel for any task whose chunk exhausted retries (the pool's
   ``fail_value`` path); only the joiners of that key get a
-  :class:`WaveKeyError` (``serve.batch.failed_keys``), siblings get values;
-* **per-kind containment** — an exception escaping one kind's engine call
-  fails only that kind's joiners, never the whole flush;
-* **wave watchdog** — ``wave_timeout_s`` bounds one kind's engine call;
+  :class:`WaveKeyError` (``serve.batch.failed_keys``), siblings get values.
+  An exception escaping the engine call itself (a setup error, a strict
+  abort) reaches every joiner of the wave;
+* **wave watchdog** — ``wave_timeout_s`` bounds the wave's engine call;
   on expiry the joiners get :class:`WavePoisonedError`
   (``serve.batch.poisoned``) and ``on_poisoned`` fires so the daemon can
   replace the wedged engine thread. The abandoned call's future is
@@ -67,7 +67,7 @@ class WaveKeyError(Exception):
 
 
 class WavePoisonedError(WaveKeyError):
-    """A whole kind's engine call wedged past the wave watchdog."""
+    """A wave's engine call wedged past the wave watchdog."""
 
     def __init__(self, key: str, timeout_s: float):
         super().__init__(key, f"engine wave exceeded {timeout_s:g}s watchdog")
@@ -77,10 +77,9 @@ class WavePoisonedError(WaveKeyError):
 class _Pending:
     """One unique demand and everyone waiting on it."""
 
-    __slots__ = ("kind", "task", "future")
+    __slots__ = ("task", "future")
 
-    def __init__(self, kind: str, task: Any, future: "asyncio.Future[Any]"):
-        self.kind = kind
+    def __init__(self, task: Any, future: "asyncio.Future[Any]"):
         self.task = task
         self.future = future
 
@@ -96,7 +95,7 @@ def _consume(future: "asyncio.Future[Any]") -> None:
 class WaveBatcher:
     """Coalesces demands into single engine waves (see module docstring).
 
-    ``runner(kind, tasks, keys)`` evaluates one wave synchronously and is
+    ``runner(tasks, keys)`` evaluates one wave synchronously and is
     invoked on ``executor`` (the daemon's engine thread); it must return one
     value per task, in order, substituting :data:`WAVE_FAILED` for tasks
     that failed individually. ``executor`` may also be a zero-arg callable
@@ -107,11 +106,11 @@ class WaveBatcher:
 
     def __init__(
         self,
-        runner: Callable[[str, list, list], list],
+        runner: Callable[[list, list], list],
         executor,
         window_s: float = 0.005,
         wave_timeout_s: Optional[float] = None,
-        on_poisoned: Optional[Callable[[str], None]] = None,
+        on_poisoned: Optional[Callable[[], None]] = None,
     ):
         self.runner = runner
         self.executor = executor
@@ -127,13 +126,11 @@ class WaveBatcher:
 
     # -- demand side (event-loop thread) ------------------------------------
 
-    async def demand(self, kind: str, key: str, task: Any) -> Any:
+    async def demand(self, key: str, task: Any) -> Any:
         """One value for one demand, shared with everyone else asking."""
-        return (await self.demand_many(kind, [key], [task]))[0]
+        return (await self.demand_many([key], [task]))[0]
 
-    async def demand_many(
-        self, kind: str, keys: Sequence[str], tasks: Sequence[Any]
-    ) -> list[Any]:
+    async def demand_many(self, keys: Sequence[str], tasks: Sequence[Any]) -> list[Any]:
         """Values for a demand list, in order; registers misses for the next
         wave and awaits everything at once."""
         loop = asyncio.get_running_loop()
@@ -152,7 +149,7 @@ class WaveBatcher:
                 continue
             fut: asyncio.Future[Any] = loop.create_future()
             fut.add_done_callback(_consume)
-            self._pending[key] = _Pending(kind, task, fut)
+            self._pending[key] = _Pending(task, fut)
             futures.append(fut)
             if self._flush_handle is None:
                 self._flush_handle = loop.call_later(self.window_s, self._start_flush)
@@ -190,25 +187,17 @@ class WaveBatcher:
         asyncio.get_running_loop().create_task(self._run_wave(batch))
 
     async def _run_wave(self, batch: dict[str, _Pending]) -> None:
-        """Evaluate one flushed batch: one engine call per task kind, each
-        kind's faults contained to its own joiners."""
-        by_kind: dict[str, list[tuple[str, _Pending]]] = {}
-        for key, p in batch.items():
-            by_kind.setdefault(p.kind, []).append((key, p))
+        """Evaluate one flushed batch in a single engine call."""
         try:
-            for kind, items in sorted(by_kind.items()):
-                await self._run_kind(kind, items)
+            await self._run_call(batch)
         finally:
             for key in batch:
                 self._inflight.pop(key, None)
 
-    async def _run_kind(self, kind: str, items: list[tuple[str, _Pending]]) -> None:
+    async def _run_call(self, batch: dict[str, _Pending]) -> None:
         loop = asyncio.get_running_loop()
-        keys = [k for k, _ in items]
-        tasks = [p.task for _, p in items]
-        call = loop.run_in_executor(
-            self._executor_now(), self.runner, kind, tasks, keys
-        )
+        tasks = [p.task for p in batch.values()]
+        call = loop.run_in_executor(self._executor_now(), self.runner, tasks, list(batch))
         try:
             if self.wave_timeout_s:
                 # shield: on timeout the engine thread is abandoned (and
@@ -222,22 +211,22 @@ class WaveBatcher:
         except asyncio.TimeoutError:
             obs.add("serve.batch.poisoned")
             call.add_done_callback(_consume)
-            for key, p in items:
+            for key, p in batch.items():
                 if not p.future.done():
                     p.future.set_exception(
                         WavePoisonedError(key, self.wave_timeout_s)
                     )
             if self.on_poisoned is not None:
-                self.on_poisoned(kind)
+                self.on_poisoned()
             return
         except Exception as e:
-            # one kind's engine call failing outright (setup error, strict
-            # abort) fails that kind's joiners only, never sibling kinds
-            for key, p in items:
+            # the engine call failing outright (setup error, strict abort)
+            # fails every joiner of the wave
+            for p in batch.values():
                 if not p.future.done():
                     p.future.set_exception(e)
             return
-        for (key, p), value in zip(items, values):
+        for (key, p), value in zip(batch.items(), values):
             if p.future.done():
                 continue
             if value is WAVE_FAILED:

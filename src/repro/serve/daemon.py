@@ -209,11 +209,11 @@ class ServeDaemon:
             admission=self.admission_info,
         )
 
-        def ctx_runner(kind: str, tasks: list, keys: list) -> list:
-            return base_ctx.copy().run(app.wave_runner, kind, tasks, keys)
+        def ctx_runner(tasks: list, keys: list) -> list:
+            return base_ctx.copy().run(app.wave_runner, tasks, keys)
 
-        def on_poisoned(kind: str) -> None:
-            self._say(f"wave poisoned ({kind}); restarting engine thread")
+        def on_poisoned() -> None:
+            self._say("wave poisoned; restarting engine thread")
             self._engine_exec.restart()
 
         app.batcher = WaveBatcher(

@@ -5,7 +5,7 @@ Subcommands mirror the paper's workflow:
 * ``index``   — index a corpus app/model into a Codebase DB file,
 * ``compare`` — divergence of one model from a baseline under a metric,
 * ``cluster`` — dendrogram of all models of an app under a metric,
-* ``nearest`` — k nearest models by symmetrized divergence (metric index),
+* ``nearest`` — k nearest models by divergence (metric index),
 * ``heatmap`` — divergence-from-serial heatmap rows,
 * ``phi``     — Φ table / cascade data from the performance model,
 * ``stats``   — run a workload and dump spans / counters / cache stats,
@@ -219,7 +219,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_nearest(args: argparse.Namespace) -> int:
-    """k nearest models by symmetrized divergence, through the metric index.
+    """k nearest models by divergence, through the metric index.
 
     Tree metrics ride the ``vpindex``-persisted VP tree plus the bound
     oracle; ``--brute-force`` runs the reference linear scan instead (the
@@ -836,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pn = sub.add_parser(
         "nearest",
-        help="k nearest models by symmetrized divergence (metric-space index)",
+        help="k nearest models by divergence (metric-space index)",
         parents=[prof, eng, tol],
     )
     pn.add_argument("app")

@@ -4,6 +4,12 @@
 to yield a correlation matrix" — :func:`divergence_matrix` is that matrix
 for any metric; :func:`divergence_row` produces divergence-from-baseline
 rows (Figs. 7–10).
+
+Every divergence is symmetric: the edit distances are, and Eq. 7's
+``dmax`` is the larger of the two sizes (DESIGN.md "Eq. 7 normalisation").
+So each unordered model pair is evaluated once, by one task function
+(:func:`divergence_task`) under one key (:func:`pair_task_key`), on every
+surface: matrix, row, heatmap, nearest and serve.
 """
 
 from __future__ import annotations
@@ -18,10 +24,6 @@ from repro import obs
 from repro.distance.engine import DistanceEngine
 from repro.trees.hashing import cached_structural_hash
 from repro.workflow.codebase import IndexedCodebase
-
-#: NaN pair used when a chunk of pair evaluations exhausts its retries in
-#: non-strict mode — the matrix keeps its shape, the cells are honest holes.
-_NAN_PAIR = (float("nan"), float("nan"))
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,10 @@ DEFAULT_METRICS: tuple[MetricSpec, ...] = (
 
 
 def divergence(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> float:
-    """Normalised divergence of ``b`` from ``a`` under ``spec`` (0 = identical)."""
+    """Normalised divergence of ``b`` from ``a`` under ``spec`` (0 = identical).
+
+    Symmetric: ``divergence(a, b, s) == divergence(b, a, s)`` bit for bit.
+    """
     with obs.span("compare.divergence", metric=spec.label, base=a.model, other=b.model):
         return _divergence(a, b, spec)
 
@@ -108,19 +113,15 @@ def _divergence(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> flo
     from repro.metrics.lloc import lloc
     from repro.metrics.sloc import sloc
     from repro.metrics.source_dist import source_distance
+    from repro.metrics.tbmd import count_divergence
     from repro.metrics.treemetrics import tree_distance
 
     mask_a = a.mask() if spec.coverage else None
     mask_b = b.mask() if spec.coverage else None
     variant = "pp" if spec.pp else "pre"
-    if spec.name == "SLOC":
-        va = sloc(a, variant, mask_a)
-        vb = sloc(b, variant, mask_b)
-        return abs(vb - va) / max(va, vb, 1)
-    if spec.name == "LLOC":
-        va = lloc(a, variant, mask_a)
-        vb = lloc(b, variant, mask_b)
-        return abs(vb - va) / max(va, vb, 1)
+    if spec.name in ("SLOC", "LLOC"):
+        count = sloc if spec.name == "SLOC" else lloc
+        return count_divergence(count(a, variant, mask_a), count(b, variant, mask_b))
     if spec.name == "Source":
         d, dmax = source_distance(a, b, variant, mask_a, mask_b)
         return d / dmax if dmax else 0.0
@@ -134,14 +135,12 @@ def _divergence(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> flo
 def divergence_prepare(tasks: Sequence[tuple]) -> None:
     """Chunk-level warm-up: batch all of a chunk's TED pairs at once.
 
-    Accepts the same ``(a, b, spec)`` task tuples as :func:`divergence_task`
-    / :func:`divergence_pair_task` (both directions share one symmetric
-    memo entry, so one pass covers pair tasks too). Tree-metric tasks
-    contribute their matched unit-tree pairs; everything is handed to
-    :func:`repro.distance.ted.ted_many`, which prunes via the cascade and
-    packs the small survivors into one cross-pair row sweep. Purely a memo
-    warmer — the per-task evaluation recomputes anything missing, so
-    results are identical with or without it.
+    Accepts the same ``(a, b, spec)`` task tuples as :func:`divergence_task`.
+    Tree-metric tasks contribute their matched unit-tree pairs; everything
+    is handed to :func:`repro.distance.ted.ted_many`, which prunes via the
+    cascade and packs the small survivors into one cross-pair row sweep.
+    Purely a memo warmer — the per-task evaluation recomputes anything
+    missing, so results are identical with or without it.
     """
     from repro.distance.ted import ted_many
     from repro.metrics.treemetrics import tree_ted_demands
@@ -162,63 +161,16 @@ def divergence_prepare(tasks: Sequence[tuple]) -> None:
 
 
 def divergence_task(task: tuple[IndexedCodebase, IndexedCodebase, MetricSpec]) -> float:
-    """One directed divergence evaluation (engine task form)."""
+    """One model pair's divergence (engine task form), keyed by
+    :func:`pair_task_key`; either orientation of the pair gives the same
+    value."""
     a, b, spec = task
     return divergence(a, b, spec)
 
 
-def divergence_pair_task(
-    task: tuple[IndexedCodebase, IndexedCodebase, MetricSpec],
-) -> tuple[float, float]:
-    """Both directions of one unordered pair; the underlying TED results are
-    shared through the memo, so computing them together halves kernel work."""
-    a, b, spec = task
-    return divergence(a, b, spec), divergence(b, a, spec)
-
-
-def symmetrized_divergence(d_ab: float, d_ba: float) -> float:
-    """The symmetrized matrix-cell value: the average of both directions.
-
-    TED with unit costs is symmetric but ``dmax`` normalisation is not;
-    this single helper is what the cluster matrix band, ``/v1/nearest``,
-    ``silvervale nearest`` and the metric index all apply, so the float
-    arithmetic producing a "symmetrized divergence" exists in exactly one
-    place — the bit-identity-across-surfaces guarantee depends on it.
-    """
-    return (d_ab + d_ba) / 2.0
-
-
-def nearest_brute_force(
-    target: IndexedCodebase,
-    others: Sequence[IndexedCodebase],
-    spec: MetricSpec,
-    engine: Optional[DistanceEngine] = None,
-) -> list[tuple[float, str]]:
-    """The reference linear scan behind every nearest-neighbor surface.
-
-    One exact pair evaluation per candidate through ``engine`` (the same
-    :func:`divergence_pair_task` / :func:`pair_task_key` demands the serve
-    batcher schedules), scored with :func:`symmetrized_divergence` and
-    sorted by ``(score, model)``. The metric index's answers are gated to
-    be bit-identical to this list.
-    """
-    eng = engine if engine is not None else DistanceEngine()
-    tasks = [(target, cb, spec) for cb in others]
-    keys = [pair_task_key(target, cb, spec) for cb in others]
-    values = eng.map_tasks(
-        divergence_pair_task,
-        tasks,
-        keys=keys,
-        fail_value=_NAN_PAIR,
-        prepare=divergence_prepare,
-    )
-    return sorted(
-        (
-            (symmetrized_divergence(d_ab, d_ba), cb.model)
-            for cb, (d_ab, d_ba) in zip(others, values)
-        ),
-        key=lambda t: (t[0], t[1]),
-    )
+#: Alias kept only because ``bench_e2e/layers.py`` wraps this name; remove
+#: it together with that wrapper.
+divergence_pair_task = divergence_task
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +228,11 @@ def codebase_fingerprint(cb: IndexedCodebase, spec: MetricSpec) -> str:
     return fp
 
 
-def directed_task_key(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> str:
-    """Checkpoint key of one directed divergence evaluation (a → b)."""
-    fa = codebase_fingerprint(a, spec)
-    fb = codebase_fingerprint(b, spec)
-    return f"dir:{spec.label}:{fa}:{fb}"
-
-
 def pair_task_key(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> str:
-    """Checkpoint key of one unordered pair evaluation (both directions).
+    """Checkpoint, serve-memo and batcher key of one model pair's divergence.
 
-    Sorted like the TED cache's pair keys: the pair is one unit of work
-    regardless of orientation.
+    Sorted like the TED cache's pair keys: the divergence is symmetric, so
+    the pair is one unit of work regardless of orientation.
     """
     fa = codebase_fingerprint(a, spec)
     fb = codebase_fingerprint(b, spec)
@@ -306,10 +251,23 @@ def divergence_row(
     values = eng.map_tasks(
         divergence_task,
         [(base, cb, spec) for cb in others],
-        keys=[directed_task_key(base, cb, spec) for cb in others],
+        keys=[pair_task_key(base, cb, spec) for cb in others],
         prepare=divergence_prepare,
     )
     return {cb.model: v for cb, v in zip(others, values)}
+
+
+def nearest_brute_force(
+    target: IndexedCodebase,
+    others: Sequence[IndexedCodebase],
+    spec: MetricSpec,
+    engine: Optional[DistanceEngine] = None,
+) -> list[tuple[float, str]]:
+    """The reference linear scan behind every nearest-neighbor surface:
+    :func:`divergence_row` sorted by ``(score, model)``. The metric index's
+    answers are gated to be bit-identical to this list."""
+    row = divergence_row(target, others, spec, engine)
+    return sorted((d, model) for model, d in row.items())
 
 
 def matrix_demands(
@@ -318,7 +276,7 @@ def matrix_demands(
     """Upper-triangle pair demand list of one divergence matrix.
 
     Returns ``(pairs, tasks, keys)``: ``pairs`` are ``(i, j)`` index tuples,
-    ``tasks`` the matching :func:`divergence_pair_task` inputs, ``keys`` the
+    ``tasks`` the matching :func:`divergence_task` inputs, ``keys`` the
     matching :func:`pair_task_key` identities. Shared by the batch path
     below and the serve layer's request batcher so both schedule the *same*
     work under the *same* checkpoint/memo keys — the matrix a service
@@ -332,49 +290,33 @@ def matrix_demands(
 
 
 def matrix_from_pair_values(
-    n: int,
-    pairs: Sequence[tuple[int, int]],
-    values: Sequence[tuple[float, float]],
-    symmetrize: bool = True,
+    n: int, pairs: Sequence[tuple[int, int]], values: Sequence[float]
 ) -> np.ndarray:
-    """Assemble the dense matrix from per-pair ``(d_ij, d_ji)`` values —
-    the (deterministic) second half of :func:`divergence_matrix`."""
+    """Assemble the dense symmetric matrix from one value per pair — the
+    (deterministic) second half of :func:`divergence_matrix`."""
     m = np.zeros((n, n))
-    for (i, j), (d_ij, d_ji) in zip(pairs, values):
-        m[i, j] = d_ij
-        m[j, i] = d_ji
-    if symmetrize:
-        # cell-by-cell through the one shared helper (IEEE addition is
-        # commutative, so this is bit-identical to the historical
-        # whole-matrix (m + m.T) / 2 band)
-        for (i, j), (d_ij, d_ji) in zip(pairs, values):
-            s = symmetrized_divergence(d_ij, d_ji)
-            m[i, j] = s
-            m[j, i] = s
+    for (i, j), d in zip(pairs, values):
+        m[i, j] = m[j, i] = d
     return m
 
 
 def divergence_matrix(
     codebases: Sequence[IndexedCodebase],
     spec: MetricSpec,
-    symmetrize: bool = True,
     engine: Optional[DistanceEngine] = None,
     index=None,
 ) -> np.ndarray:
-    """Dense divergence matrix over all model pairs.
-
-    TED with unit costs is symmetric but ``dmax`` normalisation is not;
-    ``symmetrize`` averages the two directions so clustering sees a proper
-    dissimilarity (the paper's correlation-matrix step does the same
-    cartesian product).
+    """Dense, symmetric divergence matrix over all model pairs (the paper's
+    correlation-matrix step): one evaluation per unordered pair.
 
     The upper-triangle pair list is scheduled through ``engine`` (a default
     serial :class:`DistanceEngine` when none is given). Every pair is a pure
     function of its two codebases, so serial and parallel schedules produce
-    bit-identical matrices.
+    bit-identical matrices. A pair whose chunk exhausts its retries in
+    non-strict mode is a NaN cell.
 
-    ``index`` (anything with a ``pin_pair(a, b) -> (d_ab, d_ba) | None``
-    method — a :class:`repro.metricindex.MetricIndex` or
+    ``index`` (anything with a ``pin_pair(a, b) -> float | None`` method —
+    a :class:`repro.metricindex.MetricIndex` or
     :class:`~repro.metricindex.PairPinner`) enables the index-backed
     candidate pruning path: pairs whose value pins *exactly* from stored
     unit geometry (hash-identical matched units, unmatched size sums)
@@ -386,33 +328,18 @@ def divergence_matrix(
     n = len(codebases)
     with obs.span("compare.matrix", metric=spec.label, models=n, jobs=eng.jobs):
         pairs, tasks, keys = matrix_demands(codebases, spec)
-        pinned: dict[int, tuple[float, float]] = {}
-        if index is not None:
-            for at, (i, j) in enumerate(pairs):
-                hit = index.pin_pair(codebases[i], codebases[j])
-                if hit is not None:
-                    pinned[at] = hit
-        if pinned:
-            live = [at for at in range(len(pairs)) if at not in pinned]
-            fresh = eng.map_tasks(
-                divergence_pair_task,
-                [tasks[at] for at in live],
-                keys=[keys[at] for at in live],
-                fail_value=_NAN_PAIR,
-                prepare=divergence_prepare,
-            )
-            values: list[tuple[float, float]] = [None] * len(pairs)  # type: ignore[list-item]
-            for at, v in zip(live, fresh):
-                values[at] = v
-            for at, v in pinned.items():
-                values[at] = v
-        else:
-            values = eng.map_tasks(
-                divergence_pair_task,
-                tasks,
-                keys=keys,
-                fail_value=_NAN_PAIR,
-                prepare=divergence_prepare,
-            )
-        obs.add("compare.pairs", n * (n - 1))
-        return matrix_from_pair_values(n, pairs, values, symmetrize=symmetrize)
+        values = [
+            index.pin_pair(codebases[i], codebases[j]) if index is not None else None
+            for i, j in pairs
+        ]
+        live = [at for at, v in enumerate(values) if v is None]
+        fresh = eng.map_tasks(
+            divergence_task,
+            [tasks[at] for at in live],
+            keys=[keys[at] for at in live],
+            prepare=divergence_prepare,
+        )
+        for at, v in zip(live, fresh):
+            values[at] = v
+        obs.add("compare.pairs", len(pairs))
+        return matrix_from_pair_values(n, pairs, values)

@@ -167,21 +167,6 @@ class TestCheckpointResume:
         assert col.counters["ckpt.loaded"] == 6
         assert col.counters["engine.chunks"] == 2  # only 4 pending tasks scheduled
 
-    def test_tuple_values_roundtrip_through_checkpoint(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-
-        def both(task):
-            return (float(task), float(task * task))
-
-        keys = KEYS[:4]
-        from repro.ckpt import run_key_for
-
-        store.save(run_key_for(keys), {keys[0]: [0.0, 0.0]})
-        out = DistanceEngine(checkpoint=store, resume=True).map_tasks(
-            both, TASKS[:4], keys=keys
-        )
-        assert out == [(0.0, 0.0), (1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]
-
     def test_no_keys_means_no_checkpointing(self, tmp_path):
         store = CheckpointStore(tmp_path)
         DistanceEngine(checkpoint=store).map_tasks(_square, TASKS)

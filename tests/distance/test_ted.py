@@ -41,9 +41,15 @@ class TestKnownDistances:
 
 
 class TestTedResult:
-    def test_dmax_is_target_size(self):
-        r = ted(from_sexpr("(a b)"), from_sexpr("(x y z)"))
-        assert r.dmax == 3
+    def test_dmax_is_larger_tree_in_both_orders(self):
+        """Eq. 7 on the Fig. 1 trees: dmax = max(|T1|, |T2|) = 6 whichever
+        tree comes first (the target-size reading would give 5/2 one way)."""
+        big = from_sexpr("(call (args a b) (body c))")  # 6 nodes
+        small = from_sexpr("(ret c)")  # 2 nodes
+        for r in (ted(big, small), ted(small, big)):
+            assert (r.distance, r.size1 + r.size2) == (5, 8)
+            assert r.dmax == 6
+            assert r.normalized == 5 / 6
 
     def test_normalized_in_unit_range_for_disjoint(self):
         r = ted(from_sexpr("(a b c)"), from_sexpr("(x y z)"))

@@ -180,7 +180,7 @@ class TestPinning:
     def test_identical_pair_pins_to_zero(self, corpus):
         pinner = PairPinner(SPEC)
         cb = next(iter(corpus.values()))
-        assert pinner.pin_pair(cb, cb) == (0.0, 0.0)
+        assert pinner.pin_pair(cb, cb) == 0.0
 
     def test_differing_pair_does_not_pin(self, corpus):
         pinner = PairPinner(SPEC)

@@ -104,8 +104,14 @@ class TestMatchUnits:
         a = index(SERIAL, role="solver")
         b = index(SERIAL, model="m2", role="driver")
         d, dmax = tree_distance(a, b, "sem")
-        assert d == dmax  # full deletion + full insertion
-        assert d > 0
+        # SERIAL's T_sem has 26 nodes: translation-unit, fn, return
+        # type-name, two params (3 + 2), compound, for, decl-stmt (4),
+        # binop (3), unop (2), and the loop body compound > expr-stmt >
+        # assign > subscript (3) + literal. Solver is deleted whole and
+        # driver inserted whole (d = 26 + 26), and each unmatched unit
+        # adds its own size to dmax (26 + 26).
+        assert (d, dmax) == (52, 52)
+        assert tree_distance(b, a, "sem") == (52, 52)
 
 
 class TestTbmdFacade:
@@ -127,6 +133,16 @@ class TestTbmdFacade:
         res = tbmd(stream_serial, stream_omp)
         d, dmax = res.raw["Tsem"]
         assert res.values["Tsem"] == pytest.approx(d / dmax)
+
+    def test_rows_equal_heatmap_cells(self, stream_serial, stream_omp, stream_cuda):
+        """tbmd() is a Fig. 7/8 heatmap column: one formula per row."""
+        from repro.analysis.heatmap import HEATMAP_SPECS
+        from repro.workflow.comparer import divergence
+
+        for other in (stream_omp, stream_cuda):
+            res = tbmd(stream_serial, other)
+            for s in HEATMAP_SPECS:
+                assert res.values[s.label] == divergence(stream_serial, other, s), s.label
 
 
 class TestCoupling:

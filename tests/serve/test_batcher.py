@@ -25,14 +25,14 @@ class Runner:
 
     def __init__(self, fn=None, block: threading.Event = None):
         self.calls = []
-        self.fn = fn or (lambda kind, task: ("val", kind, task))
+        self.fn = fn or (lambda task: ("val", task))
         self.block = block
 
-    def __call__(self, kind, tasks, keys):
+    def __call__(self, tasks, keys):
         if self.block is not None:
             assert self.block.wait(10)
-        self.calls.append((kind, list(keys)))
-        return [self.fn(kind, t) for t in tasks]
+        self.calls.append(list(keys))
+        return [self.fn(t) for t in tasks]
 
 
 def run_with_batcher(coro_fn, runner, window_s=0.001, **kw):
@@ -53,41 +53,24 @@ class TestCoalescing:
 
         async def scenario(batcher):
             results = await asyncio.gather(
-                batcher.demand_many("pair", ["a", "b"], [1, 2]),
-                batcher.demand_many("pair", ["b", "c"], [2, 3]),
-                batcher.demand_many("pair", ["a", "c"], [1, 3]),
+                batcher.demand_many(["a", "b"], [1, 2]),
+                batcher.demand_many(["b", "c"], [2, 3]),
+                batcher.demand_many(["a", "c"], [1, 3]),
             )
             return results
 
         with obs.collect() as col:
             results = run_with_batcher(scenario, runner)
         assert len(runner.calls) == 1
-        kind, keys = runner.calls[0]
-        assert kind == "pair" and sorted(keys) == ["a", "b", "c"]
+        assert sorted(runner.calls[0]) == ["a", "b", "c"]
         # every requester got its values, shared results included
-        assert results[0] == [("val", "pair", 1), ("val", "pair", 2)]
-        assert results[1] == [("val", "pair", 2), ("val", "pair", 3)]
-        assert results[2] == [("val", "pair", 1), ("val", "pair", 3)]
+        assert results[0] == [("val", 1), ("val", 2)]
+        assert results[1] == [("val", 2), ("val", 3)]
+        assert results[2] == [("val", 1), ("val", 3)]
         assert col.counters["serve.batch.waves"] == 1
         assert col.counters["serve.batch.tasks"] == 3
         assert col.counters["serve.batch.demands"] == 6
         assert col.counters["serve.batch.coalesced"] == 3
-
-    def test_kinds_grouped_within_one_wave(self):
-        runner = Runner()
-
-        async def scenario(batcher):
-            return await asyncio.gather(
-                batcher.demand("directed", "d1", 10),
-                batcher.demand("pair", "p1", 20),
-            )
-
-        with obs.collect() as col:
-            values = run_with_batcher(scenario, runner)
-        # one flush window, one runner call per task kind
-        assert col.counters["serve.batch.waves"] == 1
-        assert sorted(kind for kind, _ in runner.calls) == ["directed", "pair"]
-        assert values == [("val", "directed", 10), ("val", "pair", 20)]
 
     def test_inflight_join_shares_running_work(self):
         """A demand for a key already being computed joins it, no re-run."""
@@ -95,17 +78,17 @@ class TestCoalescing:
         runner = Runner(block=release)
 
         async def scenario(batcher):
-            first = asyncio.ensure_future(batcher.demand("pair", "k", 1))
+            first = asyncio.ensure_future(batcher.demand("k", 1))
             # let the first demand flush and start running (runner blocks)
             await asyncio.sleep(0.05)
-            second = asyncio.ensure_future(batcher.demand("pair", "k", 1))
+            second = asyncio.ensure_future(batcher.demand("k", 1))
             await asyncio.sleep(0.05)
             release.set()
             return await asyncio.gather(first, second)
 
         with obs.collect() as col:
             v1, v2 = run_with_batcher(scenario, runner, window_s=0.001)
-        assert v1 == v2 == ("val", "pair", 1)
+        assert v1 == v2 == ("val", 1)
         assert len(runner.calls) == 1
         assert col.counters["serve.batch.coalesced"] == 1
 
@@ -113,8 +96,8 @@ class TestCoalescing:
         runner = Runner()
 
         async def scenario(batcher):
-            await batcher.demand("pair", "a", 1)
-            await batcher.demand("pair", "b", 2)
+            await batcher.demand("a", 1)
+            await batcher.demand("b", 2)
 
         with obs.collect() as col:
             run_with_batcher(scenario, runner)
@@ -124,14 +107,14 @@ class TestCoalescing:
 
 class TestFailure:
     def test_runner_error_reaches_every_waiter(self):
-        def boom(kind, tasks, keys):
+        def boom(tasks, keys):
             raise RuntimeError("wave failed")
 
         async def scenario(batcher):
             with pytest.raises(RuntimeError, match="wave failed"):
                 await asyncio.gather(
-                    batcher.demand("pair", "a", 1),
-                    batcher.demand("pair", "b", 2),
+                    batcher.demand("a", 1),
+                    batcher.demand("b", 2),
                 )
             # a failed wave must not leave its keys stuck in-flight
             assert batcher._inflight == {}
@@ -141,14 +124,14 @@ class TestFailure:
     def test_failed_key_isolated_from_siblings(self):
         """A WAVE_FAILED sentinel fails only its own key's joiners."""
 
-        def runner(kind, tasks, keys):
+        def runner(tasks, keys):
             return [WAVE_FAILED if t == 2 else ("val", t) for t in tasks]
 
         async def scenario(batcher):
             results = await asyncio.gather(
-                batcher.demand("pair", "a", 1),
-                batcher.demand("pair", "b", 2),
-                batcher.demand("pair", "c", 3),
+                batcher.demand("a", 1),
+                batcher.demand("b", 2),
+                batcher.demand("c", 3),
                 return_exceptions=True,
             )
             assert batcher._inflight == {}
@@ -161,41 +144,22 @@ class TestFailure:
         assert c == ("val", 3)
         assert col.counters["serve.batch.failed_keys"] == 1
 
-    def test_one_kind_failing_spares_sibling_kinds(self):
-        """An exception out of one kind's engine call fails only that kind."""
-
-        def runner(kind, tasks, keys):
-            if kind == "directed":
-                raise RuntimeError("directed wave blew up")
-            return [("val", t) for t in tasks]
-
-        async def scenario(batcher):
-            return await asyncio.gather(
-                batcher.demand("directed", "d1", 1),
-                batcher.demand("pair", "p1", 2),
-                return_exceptions=True,
-            )
-
-        d, p = run_with_batcher(scenario, runner)
-        assert isinstance(d, RuntimeError)
-        assert p == ("val", 2)
-
     def test_requester_cancellation_spares_shared_future(self):
         """One joiner's deadline cancellation must not cancel the wave."""
         release = threading.Event()
         runner = Runner(block=release)
 
         async def scenario(batcher):
-            slow = asyncio.ensure_future(batcher.demand("pair", "k", 1))
+            slow = asyncio.ensure_future(batcher.demand("k", 1))
             await asyncio.sleep(0.05)  # flush; runner blocks
-            joiner = asyncio.ensure_future(batcher.demand("pair", "k", 1))
+            joiner = asyncio.ensure_future(batcher.demand("k", 1))
             await asyncio.sleep(0.05)
             joiner.cancel()  # the request-deadline path
             release.set()
             return await slow
 
         value = run_with_batcher(scenario, runner)
-        assert value == ("val", "pair", 1)
+        assert value == ("val", 1)
 
 
 class TestWaveWatchdog:
@@ -207,8 +171,8 @@ class TestWaveWatchdog:
         async def scenario(batcher):
             try:
                 results = await asyncio.gather(
-                    batcher.demand("pair", "a", 1),
-                    batcher.demand("pair", "b", 2),
+                    batcher.demand("a", 1),
+                    batcher.demand("b", 2),
                     return_exceptions=True,
                 )
             finally:
@@ -218,11 +182,11 @@ class TestWaveWatchdog:
 
         with obs.collect() as col:
             a, b = run_with_batcher(
-                scenario, runner, wave_timeout_s=0.1, on_poisoned=poisoned.append
+                scenario, runner, wave_timeout_s=0.1, on_poisoned=lambda: poisoned.append(1)
             )
         assert isinstance(a, WavePoisonedError)
         assert isinstance(b, WavePoisonedError)
-        assert poisoned == ["pair"]
+        assert poisoned == [1]
         assert col.counters["serve.batch.poisoned"] == 1
 
     def test_next_wave_runs_on_replacement_executor(self):
@@ -232,12 +196,12 @@ class TestWaveWatchdog:
         wedged = Runner(block=release)
         executors = [concurrent.futures.ThreadPoolExecutor(max_workers=1)]
 
-        def runner(kind, tasks, keys):
+        def runner(tasks, keys):
             if not release.is_set():
-                return wedged(kind, tasks, keys)
+                return wedged(tasks, keys)
             return [("ok", t) for t in tasks]
 
-        def on_poisoned(kind):
+        def on_poisoned():
             old = executors[0]
             executors.append(concurrent.futures.ThreadPoolExecutor(max_workers=1))
             executors[0] = executors[-1]
@@ -252,9 +216,9 @@ class TestWaveWatchdog:
                 on_poisoned=on_poisoned,
             )
             with pytest.raises(WavePoisonedError):
-                await batcher.demand("pair", "a", 1)
+                await batcher.demand("a", 1)
             release.set()
-            value = await batcher.demand("pair", "b", 2)
+            value = await batcher.demand("b", 2)
             executors[0].shutdown(wait=True)
             return value
 
@@ -270,14 +234,14 @@ class TestDrain:
 
         async def scenario(batcher):
             # long window: without drain() this demand would sit pending
-            fut = asyncio.ensure_future(batcher.demand("pair", "a", 1))
+            fut = asyncio.ensure_future(batcher.demand("a", 1))
             await asyncio.sleep(0)
             await batcher.drain()
             assert fut.done()
             return await fut
 
         value = run_with_batcher(scenario, runner, window_s=30.0)
-        assert value == ("val", "pair", 1)
+        assert value == ("val", 1)
         assert len(runner.calls) == 1
 
     def test_drain_idle_is_noop(self):

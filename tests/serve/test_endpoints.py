@@ -188,7 +188,8 @@ class TestBitIdentity:
         ds = [n["divergence"] for n in payload["neighbors"]]
         assert len(ds) == 3
         assert ds == sorted(ds)
-        # symmetrized values are averages of two [0,1] divergences
+        # divergences lie in [0, 2] (Eq. 7's dmax is the larger size, not
+        # an upper bound on TED); these Fortran T_sem ones stay below 1
         assert all(0.0 <= d <= 1.0 for d in ds)
 
     def test_nearest_index_matches_brute_and_batch(self, served):
