@@ -18,8 +18,8 @@ Asserts, on a small fixed TeaLeaf workload, that
    Codebase DB with zero frontend invocations, and touching one source file
    re-fronts exactly that one unit;
 6. nearest-neighbor answers agree bit-for-bit across all three surfaces:
-   the VP-tree index query, the brute-force linear scan, and the serve
-   daemon's ``/v1/nearest`` endpoint (both its index mode and ``brute=1``);
+   the library's ``nearest``, ``silvervale nearest --json`` and the serve
+   daemon's ``/v1/nearest`` endpoint;
 7. each model's ``divergence_row`` over the other models equals its
    ``divergence_matrix`` row bit for bit — both evaluate the same
    symmetric ``pair:`` demands.
@@ -185,28 +185,36 @@ def check_incremental(failures: list[str]) -> None:
 
 
 def check_nearest(failures: list[str]) -> None:
+    import contextlib
+    import io
     import json
     import threading
     import urllib.request
 
-    from repro.metricindex import MetricIndex
     from repro.serve.daemon import ServeDaemon
-    from repro.workflow.comparer import nearest_brute_force
+    from repro.workflow.cli import main as cli_main
+    from repro.workflow.comparer import nearest
 
     app, k = "babelstream-fortran", 3
     spec = MetricSpec("Tsem")
     codebases = index_app(app)
 
     clear_ted_cache()
-    index = MetricIndex.build(app, codebases, spec)
     per_model = {}
     for name, cb in codebases.items():
         others = [c for m, c in codebases.items() if m != name]
-        brute = nearest_brute_force(cb, others, spec)[:k]
-        via_index = index.query(cb, codebases, k).neighbors
-        if via_index != brute:
-            failures.append(f"nearest: index answer for {app}/{name} differs from brute scan")
-        per_model[name] = [{"model": m, "divergence": d} for d, m in brute]
+        top = nearest(cb, others, spec)[:k]
+        per_model[name] = [{"model": m, "divergence": d} for d, m in top]
+
+    before = len(failures)
+    with tempfile.TemporaryDirectory(prefix="svc-near-") as tmp:
+        for name, want in per_model.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                argv = ["nearest", app, name, "-k", str(k), "--json"]
+                rc = cli_main(argv + ["--cache-dir", tmp, "--no-ledger"])
+            if rc != 0 or json.loads(out.getvalue())["neighbors"] != want:
+                failures.append(f"nearest: silvervale nearest --json for {app}/{name} differs")
 
     daemon = ServeDaemon(DistanceEngine(), port=0, warm=[app], quiet=True)
     thread = threading.Thread(target=daemon.run, daemon=True)
@@ -214,28 +222,20 @@ def check_nearest(failures: list[str]) -> None:
     if not daemon.ready.wait(120):
         failures.append("nearest: serve daemon did not become ready")
         return
-    before = len(failures)
     try:
         for name, want in per_model.items():
-            for extra in ("", "&brute=1"):
-                url = (
-                    f"http://127.0.0.1:{daemon.port}/v1/nearest"
-                    f"?app={app}&model={name}&k={k}{extra}"
-                )
-                with urllib.request.urlopen(url, timeout=60) as resp:
-                    payload = json.loads(resp.read())
-                if payload["neighbors"] != want:
-                    failures.append(
-                        f"nearest: /v1/nearest{extra or ' (index mode)'} for "
-                        f"{app}/{name} differs from brute scan"
-                    )
+            url = f"http://127.0.0.1:{daemon.port}/v1/nearest?app={app}&model={name}&k={k}"
+            with urllib.request.urlopen(url, timeout=60) as resp:
+                payload = json.loads(resp.read())
+            if payload["neighbors"] != want:
+                failures.append(f"nearest: /v1/nearest for {app}/{name} differs")
     finally:
         daemon.stop()
         thread.join(timeout=30)
     if len(failures) == before:
         print(
-            f"ok: nearest top-{k} bit-identical across index, brute scan, "
-            "and /v1/nearest (both modes)"
+            f"ok: nearest top-{k} bit-identical across the library, "
+            "silvervale nearest --json and /v1/nearest"
         )
 
 

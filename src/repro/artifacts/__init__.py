@@ -4,6 +4,7 @@ from repro.artifacts.store import (
     ArtifactStore,
     BlobStore,
     ShardMapStore,
+    clear_namespaces,
     scan_namespaces,
 )
 
@@ -11,5 +12,6 @@ __all__ = [
     "ArtifactStore",
     "BlobStore",
     "ShardMapStore",
+    "clear_namespaces",
     "scan_namespaces",
 ]

@@ -41,25 +41,40 @@ from repro.util.errors import SerdeError
 SUFFIX = ".svc"
 
 
+def _namespaced_files(root: Path) -> Iterator[tuple[str, Path]]:
+    """``(namespace, path)`` of every ``<ns>-<stem>.svc`` file under ``root``;
+    files without a ``<ns>-`` prefix are skipped (nothing in the tree
+    writes them)."""
+    if not root.is_dir():
+        return
+    for p in sorted(root.glob(f"*{SUFFIX}")):
+        ns, sep, _stem = p.name[: -len(SUFFIX)].partition("-")
+        if sep and ns:
+            yield ns, p
+
+
 def scan_namespaces(root: str | Path) -> dict[str, dict]:
     """Group the ``*.svc`` files under ``root`` by namespace prefix.
 
     Returns ``{namespace: {"files": n, "bytes": b}}`` — the raw enumeration
-    ``silvervale cache stats`` builds on. Files without a ``<ns>-`` prefix
-    are ignored (nothing in the tree writes them).
+    ``silvervale cache stats`` builds on.
     """
-    root = Path(root)
     out: dict[str, dict] = {}
-    if not root.is_dir():
-        return out
-    for p in sorted(root.glob(f"*{SUFFIX}")):
-        ns, sep, _stem = p.name[: -len(SUFFIX)].partition("-")
-        if not sep or not ns:
-            continue
+    for ns, p in _namespaced_files(Path(root)):
         rec = out.setdefault(ns, {"files": 0, "bytes": 0})
         rec["files"] += 1
         rec["bytes"] += p.stat().st_size
     return out
+
+
+def clear_namespaces(root: str | Path) -> int:
+    """Delete every file :func:`scan_namespaces` reports, whether or not a
+    store still owns its namespace; returns the number removed."""
+    removed = 0
+    for _ns, p in _namespaced_files(Path(root)):
+        p.unlink(missing_ok=True)
+        removed += 1
+    return removed
 
 
 class ArtifactStore:

@@ -1,11 +1,8 @@
-"""The bound-oracle layer: admissible TED bounds as a reusable surface.
+"""The bound-oracle layer: admissible TED bounds for the pruning cascade.
 
-PR 8 grew the staged pruning cascade inside ``repro/distance/cascade.py``;
-the metric-space index (``repro/metricindex``) needs the *same* bounds —
-cheap, admissible, staged by cost — but against a different budget (the
-current k-th best score instead of a greedy upper bound). This module
-hoists the bound machinery into one oracle object both consumers share, so
-an admissibility bug could only ever exist in one place:
+:mod:`repro.distance.cascade` consults one oracle object for its cheap,
+admissible bounds, staged by cost, so an admissibility bug could only ever
+exist in one place:
 
 * :meth:`BoundOracle.lower_stages` — lower bounds in increasing cost
   order (hash-eq → ``TreeStats`` → label-histogram → banded Levenshtein),
@@ -13,14 +10,13 @@ an admissibility bug could only ever exist in one place:
 * :meth:`BoundOracle.upper` — the greedy top-down alignment upper bound
   (a concrete valid edit script, so never below the exact TED).
 
-Admissibility contract (pinned in DESIGN.md §"Metric index contract" and
+Admissibility contract (pinned in DESIGN.md §"Pruning cascade contract" and
 property-tested in ``tests/distance/test_bounds.py``): for every tree pair
 and every stage, ``lower <= TED <= upper`` — including cap-budgeted calls,
 where a bail-out must still return a valid lower bound (possibly ``>=
 cap``, which is precisely what proves the cap). :class:`BruteForceOracle`
 is the null oracle (no lower bounds, trivial upper bound): installing it
-turns every consumer into its brute-force twin, which is how the CLI's
-``--brute-force`` mode and the A/B benchmarks are wired.
+turns the cascade off, which is how the cascade-off A/B checks are wired.
 """
 
 from __future__ import annotations
@@ -212,11 +208,11 @@ class BoundOracle:
 
     One instance is stateless and thread-compatible (every memo lives on
     the frozen trees themselves), so a single module-level default serves
-    the cascade, the metric index and the serve daemon alike.
+    the batch CLI and the serve daemon alike.
     """
 
-    #: Stage names in evaluation order; every ``index.pruned.<stage>`` /
-    #: ``ted.pruned.<stage>`` counter uses exactly these labels.
+    #: Stage names in evaluation order; every ``ted.pruned.<stage>`` counter
+    #: uses exactly these labels.
     STAGES = ("hash", "stats", "histogram", "sequence")
 
     #: Whether this oracle's lower bounds are usable for pruning at all —
@@ -272,10 +268,9 @@ class BoundOracle:
 class BruteForceOracle(BoundOracle):
     """The null oracle: no lower bounds, trivial upper bound.
 
-    Installing it (or passing it explicitly) makes every bound-driven
-    consumer degrade to exact evaluation everywhere — the cascade stops
-    pruning and the metric index visits every candidate — which is the
-    reference behaviour the bit-identity gates compare against.
+    Installing it (or passing it explicitly) makes the cascade stop
+    pruning and evaluate every pair exactly, which is the reference
+    behaviour the bit-identity gates compare against.
     """
 
     prunes = False
@@ -293,7 +288,7 @@ _ORACLE: BoundOracle = BoundOracle()
 
 
 def get_oracle() -> BoundOracle:
-    """The process-wide oracle the cascade and index consult by default."""
+    """The process-wide oracle the cascade consults by default."""
     return _ORACLE
 
 

@@ -281,17 +281,6 @@ class DistanceEngine:
 
     # -- public API --------------------------------------------------------
 
-    def cache_session(self):
-        """Public context manager installing this engine's persistent TED
-        cache around direct (non-``map_tasks``) distance work.
-
-        The metric-index build/query paths evaluate TEDs inline rather
-        than through a scheduled wave; wrapping them in a cache session
-        gives them the same disk-memo reads and a flush on exit, so an
-        index build warms exactly the cache a later matrix sweep reads.
-        """
-        return self._cache_installed()
-
     def map_tasks(
         self,
         fn: Callable[[Any], Any],

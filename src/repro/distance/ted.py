@@ -57,8 +57,8 @@ def pair_dmax(size_a: int, size_b: int) -> int:
     """Eq. (7)'s budget for one matched unit pair: the larger of the two
     sizes. An unmatched unit passes 0 for its absent side and so
     contributes its own size. The one ``dmax`` definition every relative
-    metric, the metric index and the pair pinner accumulate (DESIGN.md
-    "Eq. 7 normalisation")."""
+    metric and the pair pinner accumulate (DESIGN.md "Eq. 7
+    normalisation")."""
     return max(size_a, size_b)
 
 

@@ -20,6 +20,7 @@ absolute testbed numbers.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -132,10 +133,10 @@ class PerfModel:
         if factor <= 0.0:
             return 0.0
         base = self.roofline(app, platform) * factor
-        # seeded deterministic jitter: ±3%, stable across runs
-        rng = np.random.default_rng(
-            abs(hash((self.seed, app, model, platform.abbr))) % (2**32)
-        )
+        # seeded deterministic jitter: ±3%, stable across runs; sha256, not
+        # hash(), because str hashes are salted per process
+        key = str((self.seed, app, model, platform.abbr)).encode()
+        rng = np.random.default_rng(int.from_bytes(hashlib.sha256(key).digest()[:4], "big"))
         return base * (1.0 + rng.uniform(-0.03, 0.03))
 
     def efficiency_matrix(

@@ -32,10 +32,11 @@ from __future__ import annotations
 import time
 from typing import Any, Awaitable, Callable, Optional
 
-from repro import diag, obs
+from repro import obs
 from repro.analysis.cluster import cluster_models
 from repro.analysis.heatmap import HEATMAP_SPECS, heatmap_demands, heatmap_from_values
 from repro.corpus.registry import APPS, app_models
+from repro.metricindex import PairPinner
 from repro.serve.batcher import WAVE_FAILED
 from repro.serve.http import HttpError, Request
 from repro.serve.state import ServeState
@@ -47,7 +48,6 @@ from repro.workflow.comparer import (
     matrix_from_pair_values,
     pair_task_key,
     parse_metric,
-    _tree_kind,
 )
 
 
@@ -225,13 +225,9 @@ class ServeApp:
         }
 
     async def cluster(self, req: Request) -> dict:
-        """Same matrix + linkage as ``silvervale cluster``.
-
-        When the app's metric index is already resident (``--warm`` or a
-        prior ``/v1/nearest``), candidate pairs that pin *exactly* from its
-        stored unit geometry skip the batcher entirely — pinned values are
-        bit-identical to evaluated ones by construction, so the matrix (and
-        the dendrogram) cannot change, only the wave gets smaller.
+        """Same matrix + linkage as ``silvervale cluster``, with the same
+        :class:`PairPinner`: pairs that pin *exactly* from stored unit
+        geometry skip the batcher, and the rest ride one wave.
         """
         app = self._app_param(req)
         spec = self._metric_param(req)
@@ -240,11 +236,8 @@ class ServeApp:
         def fetch():
             cbs = self.state.codebases(app, names, spec.coverage)
             pairs, tasks, keys = matrix_demands(cbs, spec)
-            index = self.state.peek_index(app, spec)
-            values = [
-                index.pin_pair(cbs[i], cbs[j]) if index is not None else None
-                for i, j in pairs
-            ]
+            pinner = PairPinner(spec)
+            values = [pinner.pin_pair(cbs[i], cbs[j]) for i, j in pairs]
             return pairs, tasks, keys, values
 
         pairs, tasks, keys, values = await self.run_engine(fetch)
@@ -285,15 +278,9 @@ class ServeApp:
         }
 
     async def nearest(self, req: Request) -> dict:
-        """k nearest models by divergence (the matrix-cell values).
-
-        Tree metrics ride the metric-space index: the VP tree plus the
-        bound oracle discard most candidates before any exact kernel, and
-        the survivors are scored with the very same floats as the linear
-        scan — the answer is gated (``benchmarks/nearest_smoke.py``) to be
-        bit-identical to brute force. ``brute=1`` forces the reference
-        scan; non-tree metrics always scan (``index/fallback``).
-        """
+        """Same ranking as ``silvervale nearest``: the target's divergence
+        row, resolved through the memo and batcher like ``/v1/compare``,
+        sorted by ``(score, model)``."""
         app = self._app_param(req)
         spec = self._metric_param(req)
         model = self._model_param(req, app, "model")
@@ -303,36 +290,6 @@ class ServeApp:
             raise HttpError(400, f"malformed k {req.query.get('k')!r}") from None
         if k < 1:
             raise HttpError(400, f"k must be >= 1, got {k}")
-        brute = req.flag("brute")
-        if not brute and _tree_kind(spec) is not None:
-            from repro.metricindex import nearest_via_index
-
-            def run():
-                index = self.state.metric_index(app, spec)
-                codebases = {
-                    m: self.state.codebase(app, m, spec.coverage)
-                    for m in app_models(app)
-                }
-                with self.state.engine.cache_session():
-                    return nearest_via_index(index, codebases[model], codebases, k)
-
-            result = await self.run_engine(run)
-            return {
-                "app": app,
-                "model": model,
-                "metric": spec.label,
-                "k": k,
-                "mode": "index",
-                "neighbors": [
-                    {"model": m, "divergence": d} for d, m in result.neighbors
-                ],
-                "index": result.stats,
-            }
-        if not brute:
-            diag.note(
-                "index/fallback",
-                f"{spec.label} is not a tree metric; /v1/nearest uses the linear scan",
-            )
         others = [m for m in app_models(app) if m != model]
         cbs = await self.run_engine(
             lambda: self.state.codebases(app, [model] + others, spec.coverage)
@@ -340,14 +297,13 @@ class ServeApp:
         target, rest = cbs[0], cbs[1:]
         keys = [pair_task_key(target, cb, spec) for cb in rest]
         values = await self._resolve(keys, [(target, cb, spec) for cb in rest])
-        # the nearest_brute_force ordering: (score, model) ascending
+        # the comparer.nearest ordering: (score, model) ascending
         scored = sorted(zip(values, others))
         return {
             "app": app,
             "model": model,
             "metric": spec.label,
             "k": k,
-            "mode": "scan",
             "neighbors": [{"model": m, "divergence": d} for d, m in scored[:k]],
         }
 

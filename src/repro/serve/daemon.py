@@ -131,7 +131,6 @@ class ServeDaemon:
         wave_timeout_s: Optional[float] = None,
         hot_max_codebases: int = 0,
         hot_max_entries: int = 0,
-        hot_max_indexes: int = 0,
     ):
         self.host = host
         self.port = port
@@ -152,7 +151,6 @@ class ServeDaemon:
             jobs=jobs,
             max_codebases=hot_max_codebases,
             max_entries=hot_max_entries,
-            max_indexes=hot_max_indexes,
         )
         self.ready = threading.Event()
         self.app: Optional[ServeApp] = None
@@ -233,8 +231,7 @@ class ServeDaemon:
                     warmed = await run_engine(lambda: self.state.warm(self.warm_apps))
                 self._say(
                     f"warm: {warmed['codebases']} codebases across "
-                    f"{warmed['apps']} apps, {warmed['ted_entries']} TED entries, "
-                    f"{warmed.get('indexes', 0)} metric indexes"
+                    f"{warmed['apps']} apps, {warmed['ted_entries']} TED entries"
                 )
             if self.port_file:
                 with open(self.port_file, "w", encoding="utf-8") as f:

@@ -13,12 +13,7 @@ Three tiers, cheapest first, all keyed by content so they self-invalidate:
   start replays persisted per-unit frontends instead of re-lexing;
 * **TED disk memo** — the engine's :class:`TedCacheStore`, preloaded into
   memory at warm-up (:meth:`ShardMapStore.preload`) so first-query shard
-  reads never show up in a latency percentile;
-* **metric indexes** — ``(app, metric, include_system)`` →
-  :class:`repro.metricindex.MetricIndex`, the ``/v1/nearest`` VP-tree
-  tier. Backed by the ``vpindex`` artifact namespace (content-fingerprint
-  self-invalidating), built on ``--warm`` or first query, LRU-capped by
-  ``max_indexes``.
+  reads never show up in a latency percentile.
 
 Mutation discipline: codebase indexing happens only on the daemon's single
 engine thread; the memo dict is written from the event-loop thread after a
@@ -69,7 +64,6 @@ class ServeState:
         jobs: int = 1,
         max_codebases: Optional[int] = None,
         max_entries: Optional[int] = None,
-        max_indexes: Optional[int] = None,
     ):
         self.engine = engine
         self.artifacts = artifacts
@@ -77,14 +71,10 @@ class ServeState:
         self.jobs = jobs
         self.max_codebases = int(max_codebases) if max_codebases else 0
         self.max_entries = int(max_entries) if max_entries else 0
-        self.max_indexes = int(max_indexes) if max_indexes else 0
         self._lock = threading.Lock()
         self._codebases: OrderedDict[tuple[str, str, bool], IndexedCodebase] = OrderedDict()
         self._memo: OrderedDict[str, Any] = OrderedDict()
-        #: (app, metric label, include_system) -> MetricIndex (the nearest
-        #: query tier; built on --warm / first tree-metric nearest query)
-        self._indexes: OrderedDict[tuple[str, str, bool], Any] = OrderedDict()
-        self._evicted = {"codebases": 0, "memo": 0, "indexes": 0}
+        self._evicted = {"codebases": 0, "memo": 0}
 
     # -- codebase tier (engine thread only for misses) ----------------------
 
@@ -127,74 +117,6 @@ class ServeState:
     ) -> list[IndexedCodebase]:
         return [self.codebase(app, m, coverage) for m in models]
 
-    # -- metric-index tier (engine thread only for misses) -------------------
-
-    def metric_index(self, app: str, spec) -> Any:
-        """Resident :class:`~repro.metricindex.MetricIndex` for ``app``
-        under ``spec``, building (or replaying the ``vpindex`` artifact and
-        refreshing it against the live corpus) on miss.
-
-        Must run on the engine thread when a miss is possible — a cold
-        build evaluates real tree distances. Same invalidation discipline
-        as the other tiers: artifact replay self-invalidates through
-        content fingerprints, and ``invalidate()`` drops residents.
-        """
-        from repro.metricindex import (
-            MetricIndex,
-            VpIndexStore,
-            load_index,
-            save_index,
-        )
-
-        key = (app, spec.label, bool(spec.include_system))
-        with self._lock:
-            hit = self._indexes.get(key)
-            if hit is not None:
-                self._indexes.move_to_end(key)
-        if hit is not None:
-            obs.add("serve.hot.index_hit")
-            return hit
-        obs.add("serve.hot.index_miss")
-        codebases = {
-            m: self.codebase(app, m, spec.coverage) for m in app_models(app)
-        }
-        store = (
-            VpIndexStore(self.artifacts.root) if self.artifacts is not None else None
-        )
-        # a cold build/refresh evaluates tree distances inline; the cache
-        # session gives them the same disk memo the wave runner installs
-        with self.engine.cache_session():
-            index = None
-            if store is not None:
-                index = load_index(store, app, spec)
-            if index is not None:
-                refreshed = index.refresh(codebases)
-                dirty = any(refreshed.values())
-            else:
-                index = MetricIndex.build(app, codebases, spec)
-                dirty = True
-        if store is not None and dirty:
-            save_index(store, index)
-        with self._lock:
-            self._indexes[key] = index
-            self._indexes.move_to_end(key)
-            while self.max_indexes and len(self._indexes) > self.max_indexes:
-                self._indexes.popitem(last=False)
-                self._evicted["indexes"] += 1
-                obs.add("serve.hot.evicted.indexes")
-        return index
-
-    def peek_index(self, app: str, spec) -> Optional[Any]:
-        """Resident index or ``None`` — never builds. The cluster path uses
-        this so candidate pinning is free when the index is warm and
-        silently absent when it is not."""
-        key = (app, spec.label, bool(spec.include_system))
-        with self._lock:
-            hit = self._indexes.get(key)
-            if hit is not None:
-                self._indexes.move_to_end(key)
-        return hit
-
     # -- divergence memo (event-loop thread) --------------------------------
 
     def lookup(self, key: str) -> Optional[Any]:
@@ -223,8 +145,6 @@ class ServeState:
         Runs on the engine thread at daemon start so the first real query
         already hits a warm tier.
         """
-        from repro.workflow.comparer import parse_metric
-
         names = sorted(APPS) if list(apps) == ["all"] else list(apps)
         indexed = 0
         for app in names:
@@ -237,32 +157,15 @@ class ServeState:
         cache = getattr(self.engine, "cache", None)
         if cache is not None:
             preloaded = cache.preload()
-        # metric-index tier: the default nearest-query metric per warmed app,
-        # so the first /v1/nearest hits a resident VP tree
-        spec = parse_metric("Tsem")
-        indexes = 0
-        for app in names:
-            self.metric_index(app, spec)
-            indexes += 1
-        return {
-            "apps": len(names),
-            "codebases": indexed,
-            "ted_entries": preloaded,
-            "indexes": indexes,
-        }
+        return {"apps": len(names), "codebases": indexed, "ted_entries": preloaded}
 
     def invalidate(self) -> dict[str, int]:
         """Drop every hot-tier entry (and the process-wide registry/TED
         memos behind them); returns the eviction counts."""
         with self._lock:
-            dropped = {
-                "codebases": len(self._codebases),
-                "memo": len(self._memo),
-                "indexes": len(self._indexes),
-            }
+            dropped = {"codebases": len(self._codebases), "memo": len(self._memo)}
             self._codebases.clear()
             self._memo.clear()
-            self._indexes.clear()
         clear_index_cache()
         clear_ted_cache()
         cache = getattr(self.engine, "cache", None)
@@ -276,10 +179,8 @@ class ServeState:
             return {
                 "codebases": len(self._codebases),
                 "memo_entries": len(self._memo),
-                "indexes": len(self._indexes),
                 "max_codebases": self.max_codebases,
                 "max_entries": self.max_entries,
-                "max_indexes": self.max_indexes,
                 "evicted": dict(self._evicted),
                 "jobs": self.jobs,
                 "strict": self.strict,

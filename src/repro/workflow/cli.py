@@ -5,7 +5,7 @@ Subcommands mirror the paper's workflow:
 * ``index``   — index a corpus app/model into a Codebase DB file,
 * ``compare`` — divergence of one model from a baseline under a metric,
 * ``cluster`` — dendrogram of all models of an app under a metric,
-* ``nearest`` — k nearest models by divergence (metric index),
+* ``nearest`` — k nearest models by divergence (one sorted matrix row),
 * ``heatmap`` — divergence-from-serial heatmap rows,
 * ``phi``     — Φ table / cascade data from the performance model,
 * ``stats``   — run a workload and dump spans / counters / cache stats,
@@ -82,16 +82,15 @@ from repro.viz.ascii import (
     ascii_span_tree,
 )
 from repro.util.errors import ReproError
-from repro.artifacts import scan_namespaces
-from repro.metricindex import VpIndexStore
+from repro.artifacts import clear_namespaces, scan_namespaces
+from repro.metricindex import PairPinner
 from repro.workflow.codebasedb import save_codebase_db
 from repro.workflow.comparer import (
     MetricSpec,
     divergence_matrix,
     divergence_row,
-    nearest_brute_force,
+    nearest,
     parse_metric,
-    _tree_kind,
 )
 from repro.workflow.unitstore import UnitArtifactStore
 
@@ -202,16 +201,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     spec = _metric_spec(args.metric)
     cbs = index_app(args.app, coverage=spec.coverage, **_index_kwargs(args))
     names = list(cbs)
-    pinner = None
-    if getattr(args, "use_index", True) and _tree_kind(spec) is not None:
-        # index-backed candidate pruning: matrix cells whose value pins
-        # exactly from stored unit geometry skip the engine (bit-identical
-        # by construction; index.matrix.pinned counts the skipped cells)
-        from repro.metricindex import PairPinner
-
-        pinner = PairPinner(spec)
+    engine = _engine_from_args(args)
+    # matrix cells that pin exactly from stored unit geometry skip the
+    # engine (bit-identical by construction)
     dend = cluster_codebases(
-        [cbs[m] for m in names], names, spec, engine=_engine_from_args(args), index=pinner
+        [cbs[m] for m in names], names, spec, engine=engine, index=PairPinner(spec)
     )
     print(f"{args.app} clustering under {spec.label} (complete linkage, Euclidean):")
     print(ascii_dendrogram(dend))
@@ -219,13 +213,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_nearest(args: argparse.Namespace) -> int:
-    """k nearest models by divergence, through the metric index.
-
-    Tree metrics ride the ``vpindex``-persisted VP tree plus the bound
-    oracle; ``--brute-force`` runs the reference linear scan instead (the
-    smoke harness diffs the two — they must be bit-identical). Non-tree
-    metrics always scan (``index/fallback`` diagnostic).
-    """
+    """k nearest models by divergence: the target's divergence row, run
+    through the engine like ``compare`` and sorted by ``(score, model)``."""
     import json
 
     spec = _metric_spec(args.metric)
@@ -236,66 +225,22 @@ def cmd_nearest(args: argparse.Namespace) -> int:
         raise ReproError(
             f"unknown model {args.model!r} for {args.app}; have {sorted(cbs)}"
         )
+    others = [cb for m, cb in cbs.items() if m != args.model]
     engine = _engine_from_args(args)
-    mode = "index"
-    stats = None
-    if _tree_kind(spec) is None:
-        diag.note(
-            "index/fallback",
-            f"{spec.label} is not a tree metric; nearest uses the linear scan",
-        )
-        mode = "scan"
-    elif args.brute_force:
-        mode = "brute"
-    if mode == "index":
-        from repro.metricindex import (
-            MetricIndex,
-            load_index,
-            nearest_via_index,
-            save_index,
-        )
-
-        artifacts = _artifacts_from_args(args)
-        store = VpIndexStore(artifacts.root) if artifacts is not None else None
-        with engine.cache_session():
-            index = load_index(store, args.app, spec) if store is not None else None
-            if index is not None:
-                dirty = any(index.refresh(cbs).values())
-            else:
-                index = MetricIndex.build(args.app, cbs, spec)
-                dirty = True
-            if store is not None and dirty:
-                save_index(store, index)
-            result = nearest_via_index(index, cbs[args.model], cbs, args.k)
-        neighbors = result.neighbors
-        stats = result.stats
-    else:
-        others = [cb for m, cb in cbs.items() if m != args.model]
-        neighbors = nearest_brute_force(cbs[args.model], others, spec, engine=engine)[
-            : args.k
-        ]
+    neighbors = nearest(cbs[args.model], others, spec, engine=engine)[: args.k]
     if args.json:
         payload = {
             "app": args.app,
             "model": args.model,
             "metric": spec.label,
             "k": args.k,
-            "mode": mode,
             "neighbors": [{"model": m, "divergence": d} for d, m in neighbors],
         }
-        if stats is not None:
-            payload["index"] = stats
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 0
-    print(f"{args.app}: {args.k} nearest to {args.model} under {spec.label} ({mode}):")
+    print(f"{args.app}: {args.k} nearest to {args.model} under {spec.label}:")
     for rank, (d, m) in enumerate(neighbors, 1):
         print(f"  {rank}. {m:<20} {d:.4f}")
-    if stats is not None:
-        pruned = sum(stats["pruned"].values())
-        print(
-            f"  ({stats['exact_calls']} exact evaluation(s) over "
-            f"{stats['candidates']} candidate(s), {pruned} pruned)"
-        )
     return 0
 
 
@@ -413,12 +358,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
     The root holds every artifact namespace side by side — TED cache shards
     (``ted``), partial-matrix checkpoints (``ckpt``), per-unit index
-    artifacts (``unit``), run-ledger snapshots (``obs``) and metric indexes
-    (``vpindex``). ``stats``
-    keeps the historical top-level TED keys
-    (the CI warm-cache gate reads ``entries``) and adds a ``namespaces``
-    section; ``clear`` empties every namespace unless ``--namespace``
-    narrows it.
+    artifacts (``unit``) and run-ledger snapshots (``obs``). ``stats``
+    keeps the historical top-level TED keys (the CI warm-cache gate reads
+    ``entries``) and adds a ``namespaces`` section; ``clear`` removes every
+    namespaced file, a retired namespace's included, unless
+    ``--namespace`` narrows it to one store.
     """
     import json
 
@@ -431,7 +375,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         "ckpt": CheckpointStore(cache_dir),
         "unit": UnitArtifactStore(cache_dir),
         "obs": runledger.RunLedgerStore(cache_dir),
-        "vpindex": VpIndexStore(cache_dir),
     }
     if args.cache_command == "clear":
         namespace = getattr(args, "namespace", None)
@@ -445,7 +388,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             removed = stores[namespace].clear()
             print(f"cleared {removed} {namespace} artifact file(s) from {stores['ted'].root}")
         else:
-            removed = sum(store.clear() for store in stores.values())
+            removed = clear_namespaces(cache_dir)
             print(f"cleared {removed} artifact file(s) from {stores['ted'].root}")
         return 0
     # top-level keys stay the TED shard summary (back-compat contract);
@@ -661,8 +604,8 @@ def cmd_obs(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the divergence service daemon until shutdown.
 
-    Serves the ``compare``/``cluster``/``heatmap`` analyses (plus ``nearest``
-    and index/stats introspection) as JSON over HTTP, from a shared hot tier
+    Serves the ``compare``/``cluster``/``heatmap``/``nearest`` analyses
+    (plus index/stats introspection) as JSON over HTTP, from a shared hot tier
     with request coalescing; see ``repro/serve`` and README §"Running as a
     service". Blocks until SIGINT/SIGTERM or ``POST /v1/shutdown``, then
     drains gracefully and records the session's ledger snapshot like any
@@ -691,7 +634,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         wave_timeout_s=(args.wave_timeout_s * 2) if args.wave_timeout_s else None,
         hot_max_codebases=args.hot_max_codebases,
         hot_max_entries=args.hot_max_entries,
-        hot_max_indexes=args.hot_max_indexes,
     )
     daemon.run()
     # the session collector is still open here; stash the serve-lifetime
@@ -824,19 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pk.add_argument("app")
     pk.add_argument("-m", "--metric", default="Tsem")
-    pk.add_argument(
-        "--index",
-        dest="use_index",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="skip matrix cells the metric index pins exactly from stored "
-        "unit geometry (default: on; values are bit-identical either way)",
-    )
     pk.set_defaults(fn=cmd_cluster, _ledger=True)
 
     pn = sub.add_parser(
         "nearest",
-        help="k nearest models by divergence (metric-space index)",
+        help="k nearest models by divergence (one sorted matrix row)",
         parents=[prof, eng, tol],
     )
     pn.add_argument("app")
@@ -845,12 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-k", type=int, default=3, metavar="N", help="neighbors to report (default: 3)"
     )
     pn.add_argument("-m", "--metric", default="Tsem")
-    pn.add_argument(
-        "--brute-force",
-        action="store_true",
-        help="reference linear scan instead of the VP-tree index "
-        "(results are gated to be bit-identical)",
-    )
     pn.add_argument("--json", action="store_true", help="print the result as JSON")
     pn.set_defaults(fn=cmd_nearest, _ledger=True)
 
@@ -957,13 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU cap on hot-tier divergence memo entries "
         "(default: 65536; 0 = unbounded)",
     )
-    ov.add_argument(
-        "--hot-max-indexes",
-        type=int,
-        default=8,
-        metavar="N",
-        help="LRU cap on hot-tier metric indexes (default: 8; 0 = unbounded)",
-    )
     psv.set_defaults(fn=cmd_serve, _always_collect=True, _ledger=True)
 
     pp = sub.add_parser("phi", help="Φ table from the performance model", parents=[prof])
@@ -1001,8 +922,8 @@ def build_parser() -> argparse.ArgumentParser:
     pcc.add_argument(
         "--namespace",
         metavar="NS",
-        help="clear only one namespace (ted, ckpt, unit, obs or vpindex; "
-        "default: all)",
+        help="clear only one namespace (ted, ckpt, unit or obs; default: "
+        "every namespaced file under the root)",
     )
     pcc.set_defaults(fn=cmd_cache)
 

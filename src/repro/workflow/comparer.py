@@ -94,9 +94,8 @@ def divergence(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> floa
 def _tree_kind(spec: MetricSpec) -> Optional[str]:
     """The tree variant a tree-metric spec compares, or ``None`` for
     non-tree metrics. One resolver shared by :func:`_divergence`,
-    :func:`divergence_prepare`, the metric index and the serve/CLI nearest
-    paths, so the warm-up can never batch a different tree than the
-    evaluation reads."""
+    :func:`divergence_prepare` and :mod:`repro.metricindex`, so the
+    warm-up can never batch a different tree than the evaluation reads."""
     if spec.name not in ("Tsrc", "Tsem", "Tir"):
         return None
     which = {"Tsrc": "src", "Tsem": "sem", "Tir": "ir"}[spec.name]
@@ -257,15 +256,15 @@ def divergence_row(
     return {cb.model: v for cb, v in zip(others, values)}
 
 
-def nearest_brute_force(
+def nearest(
     target: IndexedCodebase,
     others: Sequence[IndexedCodebase],
     spec: MetricSpec,
     engine: Optional[DistanceEngine] = None,
 ) -> list[tuple[float, str]]:
-    """The reference linear scan behind every nearest-neighbor surface:
-    :func:`divergence_row` sorted by ``(score, model)``. The metric index's
-    answers are gated to be bit-identical to this list."""
+    """Every model ranked by divergence from ``target``: its
+    :func:`divergence_row` sorted by ``(score, model)``. The CLI and serve
+    ``nearest`` surfaces report the first k entries of this list."""
     row = divergence_row(target, others, spec, engine)
     return sorted((d, model) for model, d in row.items())
 
@@ -315,14 +314,12 @@ def divergence_matrix(
     bit-identical matrices. A pair whose chunk exhausts its retries in
     non-strict mode is a NaN cell.
 
-    ``index`` (anything with a ``pin_pair(a, b) -> float | None`` method —
-    a :class:`repro.metricindex.MetricIndex` or
-    :class:`~repro.metricindex.PairPinner`) enables the index-backed
-    candidate pruning path: pairs whose value pins *exactly* from stored
-    unit geometry (hash-identical matched units, unmatched size sums)
-    never reach the engine. Pinned values are bit-identical to evaluated
-    ones by construction, so the matrix is unchanged — only cheaper
-    (``index.matrix.pinned`` counts the skipped cells).
+    ``index`` (anything with a ``pin_pair(a, b) -> float | None`` method,
+    such as :class:`repro.metricindex.PairPinner`) lets pairs whose value
+    pins *exactly* from stored unit geometry (hash-identical matched
+    units, unmatched size sums) skip the engine. Pinned values are
+    bit-identical to evaluated ones by construction, so the matrix is
+    unchanged (``index.matrix.pinned`` counts the skipped cells).
     """
     eng = engine if engine is not None else DistanceEngine()
     n = len(codebases)

@@ -3,9 +3,10 @@
 Every persisted artifact key (structural hashes in the TED cache, unit
 artifact keys, checkpoint run keys) must be identical across interpreter
 invocations regardless of ``PYTHONHASHSEED`` — otherwise a warm cache from
-one run would be invisible to the next. All key paths are built on sha256
-over explicitly ordered inputs; this test pins that by actually running two
-subprocesses with different hash seeds.
+one run would be invisible to the next. The performance model's jitter
+(and with it every Φ) must not move either. All of these are built on
+sha256 over explicitly ordered inputs; this test pins that by actually
+running subprocesses with different hash seeds.
 """
 
 import os
@@ -18,6 +19,7 @@ import json
 
 from repro.ckpt.store import run_key_for
 from repro.lang.source import VirtualFS
+from repro.perfport.perfmodel import PerfModel
 from repro.trees.hashing import structural_hash
 from repro.trees.node import Node
 from repro.workflow.codebase import ModelSpec
@@ -41,6 +43,7 @@ print(json.dumps({
     "tree": structural_hash(tree),
     "unit": unit_key(spec, fs, "main", "main.cpp", recover=True, coverage=False),
     "run": run_key_for(["k1", "k2", "k3"]),
+    "eff": [v.hex() for v in PerfModel().efficiency_matrix("tealeaf", ["omp", "kokkos"]).eff.ravel()],
 }))
 """
 
@@ -71,3 +74,4 @@ def test_keys_stable_across_hash_seeds():
     keys = json.loads(a)
     assert len({keys["tree"], keys["unit"], keys["run"]}) == 3
     assert all(v for v in keys.values())
+    assert len(set(keys["eff"])) > 2  # jittered efficiencies, not all 0 or 1

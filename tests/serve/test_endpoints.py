@@ -20,7 +20,7 @@ from repro.corpus.registry import app_models, clear_index_cache, index_app
 from repro.distance.engine import DistanceEngine
 from repro.distance.ted import clear_ted_cache
 from repro.serve.daemon import ServeDaemon
-from repro.workflow.comparer import divergence_row, parse_metric
+from repro.workflow.comparer import divergence_row, nearest, parse_metric
 
 APP = "babelstream-fortran"
 BASELINE = "sequential"
@@ -50,6 +50,14 @@ class Client:
         data = json.dumps(body).encode() if body else b""
         status, payload, _ = self.request("POST", path, data)
         return status, payload
+
+
+def batch_nearest(metric: str, k: int) -> list[dict]:
+    """The library ranking ``/v1/nearest`` must reproduce bit for bit."""
+    spec = parse_metric(metric)
+    cbs = index_app(APP, coverage=spec.coverage)
+    others = [cb for m, cb in cbs.items() if m != BASELINE]
+    return [{"model": m, "divergence": d} for d, m in nearest(cbs[BASELINE], others, spec)[:k]]
 
 
 def boot(daemon: ServeDaemon) -> threading.Thread:
@@ -192,42 +200,21 @@ class TestBitIdentity:
         # an upper bound on TED); these Fortran T_sem ones stay below 1
         assert all(0.0 <= d <= 1.0 for d in ds)
 
-    def test_nearest_index_matches_brute_and_batch(self, served):
+    def test_nearest_matches_batch_nearest(self, served):
         _, client, _ = served
-        from repro.workflow.comparer import nearest_brute_force
+        status, payload = client.get(f"/v1/nearest?app={APP}&model={BASELINE}&k=3")
+        assert status == 200
+        assert "mode" not in payload and "index" not in payload
+        assert payload["neighbors"] == batch_nearest("Tsem", 3)
 
-        status, via_index = client.get(f"/v1/nearest?app={APP}&model={BASELINE}&k=3")
-        assert status == 200 and via_index["mode"] == "index"
-        assert via_index["index"]["exact_calls"] >= 1
-        status, brute = client.get(
-            f"/v1/nearest?app={APP}&model={BASELINE}&k=3&brute=1"
-        )
-        assert status == 200 and brute["mode"] == "scan"
-        assert via_index["neighbors"] == brute["neighbors"]  # bit-identical
-        spec = parse_metric("Tsem")
-        cbs = index_app(APP, coverage=spec.coverage)
-        others = [cb for m, cb in cbs.items() if m != BASELINE]
-        want = nearest_brute_force(cbs[BASELINE], others, spec)[:3]
-        assert via_index["neighbors"] == [
-            {"model": m, "divergence": d} for d, m in want
-        ]
-
-    def test_nearest_non_tree_metric_falls_back_with_diag(self, served):
+    def test_nearest_non_tree_metric_scans_without_diag(self, served):
         _, client, _ = served
         status, payload = client.get(
             f"/v1/nearest?app={APP}&model={BASELINE}&k=2&metric=SLOC"
         )
         assert status == 200
-        assert payload["mode"] == "scan"
-        assert any("index/fallback" in d for d in payload["diagnostics"])
-
-    def test_stats_reports_index_tier(self, served):
-        _, client, _ = served
-        status, payload = client.get("/v1/stats")
-        assert status == 200
-        # warm builds the Tsem index for the warmed app
-        assert payload["serve"]["indexes"] >= 1
-        assert "max_indexes" in payload["serve"]
+        assert payload["diagnostics"] == []
+        assert payload["neighbors"] == batch_nearest("SLOC", 2)
 
 
 class TestCoalescing:
@@ -310,11 +297,10 @@ class TestLifecycle:
         status, payload = client.get(f"/v1/index?app={APP}&model={BASELINE}")
         assert status == 200
         status, payload = client.get(f"/v1/nearest?app={APP}&model={BASELINE}&k=1")
-        assert status == 200 and payload["mode"] == "index"
+        assert status == 200
         status, payload = client.post("/v1/invalidate")
         assert status == 200
         assert payload["invalidated"]["codebases"] >= 1
-        assert payload["invalidated"]["indexes"] == 1  # the nearest query built it
 
         status, payload = client.post("/v1/shutdown")
         assert status == 200 and payload["shutting_down"] is True

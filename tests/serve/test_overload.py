@@ -41,7 +41,7 @@ class TestHotTierLRU:
         for i in range(100):
             state.remember(str(i), i)
         assert state.stats()["memo_entries"] == 100
-        assert state.stats()["evicted"] == {"codebases": 0, "memo": 0, "indexes": 0}
+        assert state.stats()["evicted"] == {"codebases": 0, "memo": 0}
 
     def test_codebase_cap_evicts_in_insertion_order(self):
         state = ServeState(engine=None, max_codebases=2)

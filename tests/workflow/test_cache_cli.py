@@ -63,6 +63,8 @@ class TestStats:
 class TestClear:
     def test_clear_all_namespaces(self, cache_dir, capsys):
         populate(cache_dir)
+        # a namespace no store owns any more (a retired one) is cleared too
+        (cache_dir / "vpindex-x.svc").write_bytes(b"stale")
         capsys.readouterr()
         assert main(["cache", "clear"]) == 0
         assert "cleared" in capsys.readouterr().out
@@ -85,30 +87,3 @@ class TestClear:
     def test_unknown_namespace_rejected(self, cache_dir, capsys):
         assert main(["cache", "clear", "--namespace", "bogus"]) == 2
         assert "unknown namespace" in capsys.readouterr().err
-
-
-class TestVpIndexNamespace:
-    def populate_index(self, cache_dir):
-        clear_index_cache()
-        clear_ted_cache()
-        assert main(["nearest", "babelstream-fortran", "sequential", "-k", "2"]) == 0
-
-    def test_stats_enumerates_vpindex(self, cache_dir, capsys):
-        self.populate_index(cache_dir)
-        capsys.readouterr()
-        assert main(["cache", "stats", "--json"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["namespaces"]["vpindex"]["entries"] == 1
-        assert d["namespaces"]["vpindex"]["files"] == 1
-        # the historical top-level contract stays the TED shard summary
-        assert d["entries"] == d["namespaces"]["ted"]["entries"]
-
-    def test_clear_vpindex_only(self, cache_dir, capsys):
-        self.populate_index(cache_dir)
-        capsys.readouterr()
-        assert main(["cache", "clear", "--namespace", "vpindex"]) == 0
-        assert "vpindex artifact file(s)" in capsys.readouterr().out
-        assert main(["cache", "stats", "--json"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert "vpindex" not in d["namespaces"]
-        assert d["namespaces"]["unit"]["entries"] > 0  # other namespaces survive

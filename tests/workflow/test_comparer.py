@@ -15,12 +15,16 @@ from repro.analysis.heatmap import HEATMAP_SPECS
 from repro.ckpt import CheckpointStore, run_key_for
 from repro.distance.engine import DistanceEngine
 from repro.distance.ted import clear_ted_cache
+from repro.metricindex import PairPinner
 from repro.workflow.comparer import (
     MetricSpec,
+    _tree_kind,
     divergence,
     divergence_matrix,
     matrix_demands,
 )
+
+TREE_SPECS = [s for s in HEATMAP_SPECS if _tree_kind(s) is not None]
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +48,18 @@ class TestSymmetry:
         ab = divergence(stream_serial, one_sided, spec)
         ba = divergence(one_sided, stream_serial, spec)
         assert ab.hex() == ba.hex()
+
+
+class TestPinning:
+    @pytest.mark.parametrize("spec", TREE_SPECS, ids=lambda s: s.label)
+    def test_unmatched_unit_pins_to_its_divergence(self, spec, stream_omp, one_sided):
+        """The shared unit is hash-identical, so the pair pins to the
+        unmatched unit's size over ``dmax``: the one non-zero pin."""
+        want = divergence(stream_omp, one_sided, spec).hex()
+        for a, b in ((stream_omp, one_sided), (one_sided, stream_omp)):
+            pinned = PairPinner(spec).pin_pair(a, b)
+            assert pinned is not None
+            assert pinned.hex() == want
 
 
 class TestMatrixWork:

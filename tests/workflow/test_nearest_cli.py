@@ -1,12 +1,13 @@
-"""``silvervale nearest``: index vs brute parity, persistence, fallback."""
+"""``silvervale nearest``: the target's divergence row, sorted."""
 
 import json
 
 import pytest
 
-from repro.corpus.registry import clear_index_cache
+from repro.corpus.registry import clear_index_cache, index_app
 from repro.distance.ted import clear_ted_cache
 from repro.workflow.cli import main
+from repro.workflow.comparer import nearest, parse_metric
 
 APP = "babelstream-fortran"
 MODEL = "sequential"
@@ -27,58 +28,33 @@ def run_json(capsys, *argv):
     return json.loads(capsys.readouterr().out)
 
 
-class TestParity:
-    def test_index_matches_brute_force_bit_identically(self, cache_dir, capsys):
-        via_index = run_json(capsys, "-k", "4")
-        brute = run_json(capsys, "-k", "4", "--brute-force")
-        assert via_index["mode"] == "index"
-        assert brute["mode"] == "brute"
-        assert via_index["neighbors"] == brute["neighbors"]
+def library_top(metric: str, k: int) -> list[dict]:
+    spec = parse_metric(metric)
+    cbs = index_app(APP, coverage=spec.coverage)
+    others = [cb for m, cb in cbs.items() if m != MODEL]
+    return [{"model": m, "divergence": d} for d, m in nearest(cbs[MODEL], others, spec)[:k]]
 
-    def test_index_reports_pruning_ledger(self, cache_dir, capsys):
-        payload = run_json(capsys, "-k", "2")
-        assert payload["index"]["exact_calls"] <= payload["index"]["candidates"] + 1
-        assert set(payload["index"]["pruned"]) == {
-            "triangle",
-            "stats",
-            "histogram",
-            "sequence",
-        }
 
-    def test_text_output_names_mode_and_ranks(self, cache_dir, capsys):
+class TestRanking:
+    def test_json_is_the_library_ranking(self, cache_dir, capsys):
+        payload = run_json(capsys, "-k", "4")
+        assert set(payload) == {"app", "model", "metric", "k", "neighbors"}
+        assert payload["neighbors"] == library_top("Tsem", 4)  # bit-identical floats
+
+    def test_text_output_lists_ranks(self, cache_dir, capsys):
         assert main(["nearest", APP, MODEL, "-k", "2"]) == 0
         out = capsys.readouterr().out
-        assert f"2 nearest to {MODEL} under Tsem (index):" in out
+        assert f"2 nearest to {MODEL} under Tsem:" in out
         assert "  1. " in out and "  2. " in out
-        assert "exact evaluation(s)" in out
-
-
-class TestPersistence:
-    def test_vpindex_artifact_written_and_replayed(self, cache_dir, capsys):
-        run_json(capsys)
-        files = list(cache_dir.glob("vpindex-*.svc"))
-        assert len(files) == 1
-        # warm run replays the artifact; answers are unchanged
-        first = run_json(capsys)
-        again = run_json(capsys)
-        assert first["neighbors"] == again["neighbors"]
-        assert len(list(cache_dir.glob("vpindex-*.svc"))) == 1
-
-    def test_no_incremental_runs_without_persisting(self, cache_dir, capsys):
-        payload = run_json(capsys, "--no-incremental")
-        assert payload["mode"] == "index"
-        assert list(cache_dir.glob("vpindex-*.svc")) == []
 
 
 class TestFallbackAndErrors:
-    def test_non_tree_metric_scans_with_fallback_diag(self, cache_dir, capsys):
+    def test_non_tree_metric_scans_without_diag(self, cache_dir, capsys):
         capsys.readouterr()
         assert main(["nearest", APP, MODEL, "-m", "SLOC", "--json"]) == 0
         captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert payload["mode"] == "scan"
-        assert "index" not in payload
-        assert "index/fallback" in captured.err
+        assert json.loads(captured.out)["neighbors"] == library_top("SLOC", 3)
+        assert captured.err == ""
 
     def test_unknown_model_is_an_error(self, cache_dir, capsys):
         assert main(["nearest", APP, "not-a-model"]) == 1
