@@ -11,9 +11,11 @@ Asserts, on a small fixed TeaLeaf workload, that
 3. a matrix rebuilt entirely from the persistent cache (fresh process-level
    memo, every pair a disk hit) is bit-identical to the directly computed
    one — the cache round-trip loses nothing;
-4. a run killed halfway and resumed from its checkpoint produces the same
-   matrix while recomputing only the unfinished pairs — resume must neither
-   lose work nor redo it;
+4. a cached run interrupted inside the exact-kernel phase, at half of the
+   full run's kernels, flushes every kernel it finished; re-run on the
+   same cache root, it produces the same matrix, reads every flushed entry
+   back and runs exactly the full run's kernels minus the flushed ones —
+   resume must neither lose work nor redo it;
 5. an incremental re-index from unit artifacts yields a bit-identical
    Codebase DB with zero frontend invocations, and touching one source file
    re-fronts exactly that one unit;
@@ -29,6 +31,7 @@ Usage: PYTHONPATH=src python benchmarks/check_determinism.py
 
 from __future__ import annotations
 
+import importlib
 import sys
 import tempfile
 from pathlib import Path
@@ -37,12 +40,12 @@ import numpy as np
 
 from repro import obs
 from repro.cache import TedCacheStore
-from repro.ckpt import CheckpointStore
 from repro.corpus import index_app
 from repro.distance.bounds import BruteForceOracle, set_oracle
 from repro.distance.engine import DistanceEngine
 from repro.distance.ted import clear_ted_cache
 from repro.corpus.registry import app_models, build_fs, get_spec
+from repro.trees.hashing import cached_structural_hash
 from repro.workflow.codebasedb import save_codebase_db
 from repro.workflow.comparer import MetricSpec, divergence_matrix, divergence_row
 from repro.workflow.indexer import index_codebase
@@ -57,74 +60,67 @@ def build(codebases, engine: DistanceEngine) -> np.ndarray:
     return divergence_matrix(codebases, SPEC, engine=engine)
 
 
-class InterruptingEngine(DistanceEngine):
-    """Serial engine that raises KeyboardInterrupt after ``stop_after``
-    computed tasks — a deterministic stand-in for Ctrl-C at 50%."""
-
-    def __init__(self, stop_after: int, **kw):
-        super().__init__(**kw)
-        self.stop_after = stop_after
-        self.computed = 0
-
-    def map_tasks(self, fn, tasks, keys=None, fail_value=float("nan"), prepare=None):
-        def guarded(task):
-            if self.computed >= self.stop_after:
-                raise KeyboardInterrupt
-            out = fn(task)
-            self.computed += 1
-            return out
-
-        return super().map_tasks(
-            guarded, tasks, keys=keys, fail_value=fail_value, prepare=prepare
-        )
-
-
 def check_resume(codebases, serial: np.ndarray, failures: list[str]) -> None:
-    n_tasks = len(codebases) * (len(codebases) - 1) // 2
-    with tempfile.TemporaryDirectory(prefix="svc-det-ckpt-") as tmp:
-        store = CheckpointStore(Path(tmp))
-        clear_ted_cache()
-        with obs.collect() as full_col:
-            eng = InterruptingEngine(
-                n_tasks + 1, checkpoint=store, checkpoint_every=0.0
-            )
-            divergence_matrix(codebases, SPEC, engine=eng)  # uninterrupted control
-        full_calls = full_col.counters.get("ted.zs.calls", 0)
+    clear_ted_cache()
+    with obs.collect() as full_col:
+        divergence_matrix(codebases, SPEC)  # uninterrupted control
+    full_calls = full_col.counters.get("ted.zs.calls", 0)
 
-        killer = InterruptingEngine(
-            n_tasks // 2, checkpoint=store, checkpoint_every=0.0
-        )
+    # Ctrl-C inside the kernel phase: the serial pool runs every kernel in
+    # the chunk prepare hook, before the first task finishes
+    tedmod = importlib.import_module("repro.distance.ted")
+    kernel = tedmod.zhang_shasha_distance
+    ran: list[tuple[str, str]] = []
+
+    def interrupting(t1, t2):
+        if len(ran) >= full_calls // 2:
+            raise KeyboardInterrupt
+        d = kernel(t1, t2)
+        ran.append((cached_structural_hash(t1), cached_structural_hash(t2)))
+        return d
+
+    with tempfile.TemporaryDirectory(prefix="svc-det-resume-") as tmp:
         clear_ted_cache()
+        tedmod.zhang_shasha_distance = interrupting
         try:
-            divergence_matrix(codebases, SPEC, engine=killer)
+            divergence_matrix(codebases, SPEC, engine=DistanceEngine(cache=TedCacheStore(tmp)))
         except KeyboardInterrupt:
             pass
         else:
-            failures.append("interrupting engine ran to completion (gate bug)")
+            failures.append("interrupting kernel ran to completion (gate bug)")
             return
-        if killer.last_checkpoint is None:
-            failures.append("killed run left no checkpoint behind")
+        finally:
+            tedmod.zhang_shasha_distance = kernel
+        store = TedCacheStore(tmp)
+        # cascade-pruned pairs land in the cache too, without a kernel
+        flushed = store.stats()["entries"]
+        kernels = sum(store.lookup(h1, h2) is not None for h1, h2 in ran)
+        if not ran or kernels != len(ran):
+            failures.append(
+                f"interrupted run flushed {kernels} of its {len(ran)} finished kernels"
+            )
             return
 
         clear_ted_cache()
         with obs.collect() as col:
             resumed = divergence_matrix(
-                codebases,
-                SPEC,
-                engine=DistanceEngine(checkpoint=store, resume=True),
+                codebases, SPEC, engine=DistanceEngine(cache=TedCacheStore(tmp))
             )
         resumed_calls = col.counters.get("ted.zs.calls", 0)
+        hits = col.counters.get("cache.disk.hit", 0)
         if not np.array_equal(serial, resumed):
             failures.append("resumed matrix differs from uninterrupted serial run")
-        elif not 0 < resumed_calls < full_calls:
+        elif resumed_calls != full_calls - kernels or hits != flushed:
             failures.append(
-                f"resume recomputed {resumed_calls:g} ZS calls "
-                f"(want strictly between 0 and the full run's {full_calls:g})"
+                f"resume ran {resumed_calls:g} ZS calls and read {hits:g} entries; want "
+                f"the full run's {full_calls:g} minus the {kernels} flushed kernels, "
+                f"and all {flushed} flushed entries"
             )
         else:
             print(
-                "ok: kill-at-50% + resume bit-identical, "
-                f"recomputed {resumed_calls:g}/{full_calls:g} ZS calls"
+                f"ok: interrupt after {kernels}/{full_calls:g} kernels ({flushed} "
+                f"entries flushed) + resume from the cache bit-identical, re-ran "
+                f"{resumed_calls:g} ZS calls"
             )
 
 

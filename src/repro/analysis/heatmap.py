@@ -21,7 +21,7 @@ from repro.workflow.comparer import (
     MetricSpec,
     divergence_prepare,
     divergence_task,
-    pair_task_key,
+    hash_demand_trees,
 )
 
 
@@ -69,18 +69,16 @@ def heatmap_demands(
     baseline: IndexedCodebase,
     models: Sequence[IndexedCodebase],
     specs: Sequence[MetricSpec] = HEATMAP_SPECS,
-) -> tuple[list[tuple], list[str]]:
-    """Flat (row-major) demand list of one heatmap grid.
-
-    Returns ``(tasks, keys)`` for :func:`divergence_task` /
-    :func:`pair_task_key` — a cell is the same pair demand a matrix or a
-    nearest scan schedules. Shared by the batch path below and the serve
-    layer's request batcher — same work, same memo keys, bit-identical
-    grids on both surfaces.
+) -> list[tuple]:
+    """Flat (row-major) :func:`divergence_task` demand list of one heatmap
+    grid, its trees already hashed (:func:`hash_demand_trees`) — a cell is
+    the same pair demand a matrix or a nearest scan schedules. Shared by
+    the batch path below and the serve layer's request batcher — same
+    work, bit-identical grids on both surfaces.
     """
     tasks = [(baseline, cb, spec) for spec in specs for cb in models]
-    keys = [pair_task_key(baseline, cb, spec) for spec in specs for cb in models]
-    return tasks, keys
+    hash_demand_trees(tasks)
+    return tasks
 
 
 def heatmap_from_values(
@@ -108,8 +106,9 @@ def divergence_heatmap(
     cols = [cb.model for cb in models]
     rows = [s.label for s in specs]
     with obs.span("heatmap", rows=len(rows), cols=len(cols), jobs=eng.jobs):
-        tasks, keys = heatmap_demands(baseline, models, specs)
         flat = eng.map_tasks(
-            divergence_task, tasks, keys=keys, prepare=divergence_prepare
+            divergence_task,
+            heatmap_demands(baseline, models, specs),
+            prepare=divergence_prepare,
         )
         return heatmap_from_values(rows, cols, flat)

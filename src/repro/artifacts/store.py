@@ -1,14 +1,13 @@
 """Generic content-addressed artifact layer shared by every persistent store.
 
-PR 2 (TED cache) and PR 4 (checkpoints) each grew their own copy of the
-same durability recipe: ``SVALEDB`` container files under one root,
-``schema``/``keyspec`` version stamps that invalidate stale data, atomic
-temp-file + ``os.replace`` writes, strict reads for tooling and lenient
-reads (count + treat-as-empty) on the hot path. This module hoists that
-recipe into one place so the concrete stores — the TED memo
-(:mod:`repro.cache.store`), partial-matrix checkpoints
-(:mod:`repro.ckpt.store`) and per-unit index artifacts
-(:mod:`repro.workflow.unitstore`) — are thin namespaces over it.
+Every persistent store needs the same durability recipe: ``SVALEDB``
+container files under one root, ``schema``/``keyspec`` version stamps that
+invalidate stale data, atomic temp-file + ``os.replace`` writes, strict
+reads for tooling and lenient reads (count + treat-as-empty) on the hot
+path. This module holds that recipe in one place so the concrete stores —
+the TED memo (:mod:`repro.cache.store`), per-unit index artifacts
+(:mod:`repro.workflow.unitstore`) and run-ledger snapshots
+(:mod:`repro.obs.ledger`) — are thin namespaces over it.
 
 Layout contract (pinned in DESIGN.md §"Artifact store key contract")
 --------------------------------------------------------------------
@@ -25,7 +24,7 @@ Two shapes cover every store in the tree:
   up to 256 shard files by the first two hex digits of the key, with
   in-memory pending buffers and read-merge-replace flushes (the TED memo);
 * :class:`BlobStore` — one file per key holding a single payload value
-  (checkpoints, unit artifacts).
+  (unit artifacts, run-ledger snapshots).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Fault-tolerant parallel distance-matrix engine with cache + checkpoints.
+"""Fault-tolerant parallel distance-matrix engine with a persistent cache.
 
 The paper's compare step is the cartesian product of all models (§V-A) —
 O(n²) divergence evaluations whose cost PR 1's spans showed to dominate
@@ -15,14 +15,14 @@ the pool's counter prefix) and adds the distance-specific layers:
   a fresh store handle in every pool worker via the pool's setup hook) for
   the duration of the run and flushes buffered writes on exit, so warm
   runs perform zero Zhang–Shasha evaluations;
-* **a checkpoint** (:class:`repro.ckpt.CheckpointStore`) when one is
-  attached and the caller supplies stable task keys: completed task values
-  are periodically flushed to an atomic ``repro.ckpt/v1`` file, and
-  ``resume=True`` reloads them so an interrupted run recomputes only
-  unfinished work. SIGTERM is mapped to :class:`KeyboardInterrupt` during
-  the run, and any interrupt terminates the pool, flushes cache +
-  checkpoint, emits a ``distance/interrupted`` diagnostic naming the
-  resumable checkpoint, and re-raises;
+* **resume through that cache**: every finished TED distance is persisted
+  — by each worker at the end of its chunk, and by the parent on exit,
+  interrupted or not — so re-running an interrupted workload with the
+  same cache recomputes only the kernels that never finished. SIGTERM is
+  mapped to :class:`KeyboardInterrupt` during the run; an interrupt
+  terminates the pool, flushes the cache, emits a ``distance/interrupted``
+  diagnostic naming the cache root and the distances flushed, and
+  re-raises;
 * **degradation semantics**: a chunk that exhausts its retries degrades to
   a ``distance/chunk-failed`` diagnostic with ``fail_value`` entries
   instead of aborting the run — unless ``strict``, which restores
@@ -30,15 +30,14 @@ the pool's counter prefix) and adds the distance-specific layers:
 
 Counters: ``ted.pairs`` (tasks scheduled), ``engine.chunks``,
 ``engine.workers``, ``engine.retries``, ``engine.chunk_timeouts``,
-``engine.worker_deaths``, ``engine.chunks_failed``,
-``ckpt.saved/loaded/invalid``, plus the ``cache.disk.hit/miss`` pair
-recorded by the distance layer. Workers collect counters in-process and the
-parent merges them, so ``--profile`` output is complete either way.
+``engine.worker_deaths``, ``engine.chunks_failed``, plus the
+``cache.disk.hit/miss`` pair recorded by the distance layer. Workers
+collect counters in-process and the parent merges them, so ``--profile``
+output is complete either way.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Any, Callable, Optional, Sequence
 
@@ -47,14 +46,14 @@ from repro import diag, obs
 # NB: function imports, not ``import repro.distance.ted as ...`` — the
 # package re-exports the ``ted`` *function* under the module's name, so any
 # attribute-style module reference resolves to the function instead.
-from repro.ckpt.store import run_key_for
 from repro.distance.ted import get_disk_cache, set_disk_cache
 from repro.parallel.pool import ChunkedPool, sigterm_as_interrupt
 from repro.util.errors import ReproError
 
 
-def _flush_quietly(store) -> None:
-    """Flush cache writes; a failing cache degrades the run, never kills it.
+def _flush_quietly(store) -> int:
+    """Flush cache writes and return how many were written (0 when the
+    flush failed); a failing cache degrades the run, never kills it.
 
     Broad on purpose: a corrupted pending-write buffer surfaces as
     ``SerdeError``/``ValueError``/``TypeError`` from the serializer rather
@@ -63,10 +62,11 @@ def _flush_quietly(store) -> None:
     propagates so Ctrl-C cannot be swallowed.
     """
     try:
-        store.flush()
+        return store.flush()
     except Exception as e:
         obs.add("cache.disk.flush_errors")
         diag.error("cache/flush-failed", f"TED cache flush failed: {e!r}")
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -109,72 +109,12 @@ def _worker_teardown() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint session (one map_tasks call against one CheckpointStore)
-# ---------------------------------------------------------------------------
-
-
-class _CkptSession:
-    """Progress tracker for one run: buffers completed entries and flushes
-    them to the store periodically and on interrupt."""
-
-    def __init__(self, store, keys: Sequence[str], interval_s: float):
-        self.store = store
-        self.keys = list(keys)
-        self.run_key = run_key_for(self.keys, store.keyspec)
-        self.interval_s = interval_s
-        self.entries: dict[str, Any] = {}
-        self._dirty = False
-        self._last_save = time.monotonic()
-
-    @property
-    def path(self):
-        return self.store.path_for(self.run_key)
-
-    def load_into(self, results: list, done: list[bool]) -> int:
-        """Adopt completed values from a previous run's checkpoint."""
-        stored = self.store.load(self.run_key)
-        reused = 0
-        for i, key in enumerate(self.keys):
-            if key in stored:
-                results[i] = stored[key]
-                done[i] = True
-                self.entries[key] = stored[key]
-                reused += 1
-        if reused:
-            obs.add("ckpt.loaded", reused)
-        return reused
-
-    def note_done(self, index: int, value: Any) -> None:
-        self.entries[self.keys[index]] = value
-        self._dirty = True
-        self.maybe_save()
-
-    def maybe_save(self) -> None:
-        if self._dirty and time.monotonic() - self._last_save >= self.interval_s:
-            self.save()
-
-    def save(self) -> None:
-        """Flush buffered entries; a failing checkpoint degrades, never kills."""
-        try:
-            self.store.save(self.run_key, self.entries)
-        except Exception as e:
-            obs.add("ckpt.save_errors")
-            diag.warning("ckpt/save-failed", f"checkpoint save failed: {e!r}")
-        else:
-            self._dirty = False
-        self._last_save = time.monotonic()
-
-    def discard(self) -> None:
-        self.store.discard(self.run_key)
-
-
-# ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
 
 
 class DistanceEngine:
-    """Schedules bulk divergence work over workers, cache and checkpoints.
+    """Schedules bulk divergence work over workers and a persistent cache.
 
     Parameters
     ----------
@@ -184,7 +124,8 @@ class DistanceEngine:
         ``fork`` start method is unavailable.
     cache:
         Optional :class:`repro.cache.TedCacheStore`; installed in the
-        distance layer (and every worker) for the duration of each run.
+        distance layer (and every worker) for the duration of each run,
+        and the store an interrupted run resumes from.
     chunk_size:
         Tasks per scheduled chunk. Default: enough chunks for ~4 rounds
         per worker, which keeps the tail balanced without drowning the
@@ -207,14 +148,6 @@ class DistanceEngine:
         :class:`ReproError` (fail-fast). When False (default) it degrades:
         a ``distance/chunk-failed`` diagnostic plus ``fail_value`` for each
         of its tasks.
-    checkpoint:
-        Optional :class:`repro.ckpt.CheckpointStore`. Active only for
-        ``map_tasks`` calls that supply per-task ``keys``.
-    resume:
-        When True, adopt completed values from an existing checkpoint of
-        the same workload before computing anything.
-    checkpoint_every:
-        Seconds between periodic checkpoint flushes.
     backoff_s:
         First-retry backoff delay (doubles per attempt, capped).
     """
@@ -228,9 +161,6 @@ class DistanceEngine:
         wave_timeout: Optional[float] = None,
         retries: int = 2,
         strict: bool = False,
-        checkpoint=None,
-        resume: bool = False,
-        checkpoint_every: float = 5.0,
         backoff_s: float = 0.25,
     ):
         cache_root = str(cache.root) if cache is not None else None
@@ -257,27 +187,40 @@ class DistanceEngine:
         self.wave_timeout = wave_timeout
         self.retries = retries
         self.strict = strict
-        self.checkpoint = checkpoint
-        self.resume = resume
-        self.checkpoint_every = checkpoint_every
         self.backoff_s = backoff_s
-        #: Path of the last checkpoint saved by an interrupted run, if any —
-        #: the CLI uses it for its "resumable from ..." message.
-        self.last_checkpoint = None
 
     @contextmanager
     def _cache_installed(self):
-        """Install ``self.cache`` in the distance layer; flush on exit."""
-        if self.cache is None:
-            yield
-            return
+        """Install ``self.cache`` in the distance layer; flush on exit.
+
+        The flush runs on an interrupt too: the distances it writes are what
+        a re-run with the same cache resumes from, so the interrupt is
+        reported with their number and root before it propagates.
+        """
         prev = get_disk_cache()
-        set_disk_cache(self.cache)
+        if self.cache is not None:
+            set_disk_cache(self.cache)
+        interrupted = False
         try:
             yield
+        except KeyboardInterrupt:
+            interrupted = True
+            raise
         finally:
-            _flush_quietly(self.cache)
+            flushed = _flush_quietly(self.cache) if self.cache is not None else 0
             set_disk_cache(prev)
+            if interrupted:
+                self._report_interrupt(flushed)
+
+    def _report_interrupt(self, flushed: int) -> None:
+        if self.cache is None:
+            msg = "run interrupted; no TED cache attached, so nothing was persisted"
+        else:
+            msg = f"run interrupted; flushed {flushed} TED distance(s) to {self.cache.root}"
+            if self.jobs > 1:
+                msg += " on exit, after every finished worker chunk flushed its own"
+            msg += "; re-run with the same cache to resume"
+        diag.warning("distance/interrupted", msg)
 
     # -- public API --------------------------------------------------------
 
@@ -285,21 +228,16 @@ class DistanceEngine:
         self,
         fn: Callable[[Any], Any],
         tasks: Sequence[Any],
-        keys: Optional[Sequence[str]] = None,
         fail_value: Any = float("nan"),
         prepare: Optional[Callable[[Sequence[Any]], None]] = None,
     ) -> list[Any]:
         """Apply ``fn`` to every task, preserving order.
 
         ``fn`` must be pure per task — that is what makes the parallel
-        schedule value-identical to the serial one, duplicate evaluations
-        after a watchdog reschedule harmless, and checkpointed values
-        interchangeable with freshly computed ones.
-
-        ``keys`` (optional, same length as ``tasks``) are stable per-task
-        identity strings; they enable checkpoint/resume when the engine has
-        a checkpoint store attached. ``fail_value`` is substituted for each
-        task of a chunk that exhausts its retries in non-strict mode.
+        schedule value-identical to the serial one and duplicate
+        evaluations after a watchdog reschedule harmless. ``fail_value`` is
+        substituted for each task of a chunk that exhausts its retries in
+        non-strict mode.
 
         ``prepare`` is the pool's chunk-level warm-up hook (see
         :meth:`ChunkedPool.run`): it sees each chunk's task slice before
@@ -309,63 +247,11 @@ class DistanceEngine:
         tasks = list(tasks)
         if not tasks:
             return []
-        if keys is not None and len(keys) != len(tasks):
-            raise ValueError(f"keys length {len(keys)} != tasks length {len(tasks)}")
         obs.add("ted.pairs", len(tasks))
-
-        ckpt: Optional[_CkptSession] = None
-        if self.checkpoint is not None and keys is not None:
-            ckpt = _CkptSession(self.checkpoint, keys, self.checkpoint_every)
-
-        results: list[Any] = [None] * len(tasks)
-        done = [False] * len(tasks)
-        if ckpt is not None and self.resume:
-            ckpt.load_into(results, done)
-        #: original task indices still to compute, in submission order
-        pending = [i for i, d in enumerate(done) if not d]
-        if not pending:
-            return results
-
-        def _note(off: int, value: Any) -> None:
-            if ckpt is not None:
-                ckpt.note_done(pending[off], value)
-
-        res = None
         with self._cache_installed(), sigterm_as_interrupt():
-            try:
-                res = self._pool.run(
-                    fn,
-                    [tasks[i] for i in pending],
-                    fail_value=fail_value,
-                    on_result=_note,
-                    tick=ckpt.maybe_save if ckpt is not None else None,
-                    prepare=prepare,
-                )
-            except BaseException as e:
-                if ckpt is not None and ckpt.entries:
-                    ckpt.save()
-                    self.last_checkpoint = ckpt.path
-                    if isinstance(e, KeyboardInterrupt):
-                        diag.warning(
-                            "distance/interrupted",
-                            f"run interrupted; resumable from {ckpt.path} "
-                            "(re-run with --resume)",
-                        )
-                raise
-        for off, i in enumerate(pending):
-            results[i] = res.values[off]
+            res = self._pool.run(fn, tasks, fail_value=fail_value, prepare=prepare)
         if res.parallel and self.cache is not None:
             # Workers flushed their own pending writes; re-read shards
             # lazily so parent-side lookups see them.
             self.cache.drop_loaded()
-        if ckpt is not None:
-            if not res.degraded:
-                # every task finished for real: the checkpoint has served
-                # its purpose and a stale file would only accumulate
-                ckpt.discard()
-            elif ckpt.entries:
-                # degraded tasks are not checkpointed, so a later --resume
-                # run retries exactly them
-                ckpt.save()
-                self.last_checkpoint = ckpt.path
-        return results
+        return res.values

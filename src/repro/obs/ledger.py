@@ -16,7 +16,7 @@ the ``silvervale obs`` subcommand family reads them back:
 Ledger key contract (pinned in DESIGN.md §"Run ledger contract")
 ----------------------------------------------------------------
 One ``obs-<run-id>.svc`` file per run under the artifact root, in the
-``obs`` namespace of the generic artifact layer (next to ``ted``/``ckpt``/
+``obs`` namespace of the generic artifact layer (next to ``ted`` and
 ``unit``). The run id is time-ordered (``YYYYMMDDTHHMMSS-<µs>-<pid>``), so
 lexicographic order *is* chronological order and "latest"/"previous" are
 cheap. The payload value is the snapshot dict below; its ``metrics``

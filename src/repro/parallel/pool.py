@@ -230,9 +230,8 @@ def _run_prepare(prepare, chunk_tasks, prefix: str) -> None:
 @contextmanager
 def sigterm_as_interrupt():
     """Map SIGTERM to KeyboardInterrupt for the duration of a run, so an
-    orchestrator's soft-kill flushes caches + checkpoints exactly like
-    Ctrl-C. Only touches the handler from the main thread (signal API
-    constraint)."""
+    orchestrator's soft-kill flushes caches exactly like Ctrl-C. Only
+    touches the handler from the main thread (signal API constraint)."""
     if threading.current_thread() is not threading.main_thread():
         yield
         return
@@ -268,21 +267,11 @@ class PoolResult:
 class _PoolRun:
     """Mutable bookkeeping for one ``run`` call."""
 
-    __slots__ = (
-        "values",
-        "degraded",
-        "on_result",
-        "tick",
-        "fail_value",
-        "collector",
-        "pool_span",
-    )
+    __slots__ = ("values", "degraded", "fail_value", "collector", "pool_span")
 
-    def __init__(self, n_tasks, on_result, tick, fail_value):
+    def __init__(self, n_tasks, fail_value):
         self.values: list[Any] = [None] * n_tasks
         self.degraded: list[int] = []
-        self.on_result = on_result
-        self.tick = tick
         self.fail_value = fail_value
         self.collector = obs.current_collector()
         #: record index of the parent-side pool span; adopted worker chunk
@@ -401,18 +390,13 @@ class ChunkedPool:
         fn: Callable[[Any], Any],
         tasks: Sequence[Any],
         fail_value: Any = None,
-        on_result: Optional[Callable[[int, Any], None]] = None,
-        tick: Optional[Callable[[], None]] = None,
         prepare: Optional[Callable[[Sequence[Any]], None]] = None,
     ) -> PoolResult:
         """Apply ``fn`` to every task, preserving order.
 
         ``fn`` must be pure per task — that is what makes the parallel
         schedule value-identical to the serial one and duplicate
-        evaluations after a watchdog reschedule harmless. ``on_result`` is
-        called as ``(index, value)`` when a task completes (never for
-        degraded tasks); ``tick`` runs once per watchdog poll so callers
-        can piggy-back periodic work (checkpoint flushes) on the loop.
+        evaluations after a watchdog reschedule harmless.
 
         ``prepare``, when given, receives each chunk's task slice (the
         whole list on the serial path) before its per-task loop — in the
@@ -422,7 +406,7 @@ class ChunkedPool:
         it.
         """
         tasks = list(tasks)
-        run = _PoolRun(len(tasks), on_result, tick, fail_value)
+        run = _PoolRun(len(tasks), fail_value)
         if not tasks:
             return PoolResult(run.values, run.degraded, False)
         # one wave = one scheduling pass over a task list; the serve layer's
@@ -444,10 +428,7 @@ class ChunkedPool:
         obs.gauge(f"{self.counter_prefix}.workers", 1)
         _run_prepare(prepare, tasks, self.counter_prefix)
         for i, task in enumerate(tasks):
-            value = fn(task)
-            run.values[i] = value
-            if run.on_result is not None:
-                run.on_result(i, value)
+            run.values[i] = fn(task)
 
     # -- parallel (watchdogged) --------------------------------------------
 
@@ -494,8 +475,6 @@ class ChunkedPool:
                 self._expire_wave(remaining, run)
                 return
             remaining = [c for c in remaining if not self._step_chunk(pool, c, now, run)]
-            if run.tick is not None:
-                run.tick()
             pids = _live_pids(pool)
             vanished = known_pids - pids
             if vanished:
@@ -516,10 +495,7 @@ class ChunkedPool:
             except Exception as e:  # worker raised (or pool lost the task)
                 return self._register_failure(chunk, now, e, run)
             lo, hi = chunk.bounds
-            for i, value in zip(range(lo, hi), out):
-                run.values[i] = value
-                if run.on_result is not None:
-                    run.on_result(i, value)
+            run.values[lo:hi] = out
             if run.collector is not None:
                 for name, value in counters.items():
                     run.collector.add(name, value)

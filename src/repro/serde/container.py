@@ -27,8 +27,8 @@ def write_blob(path: str | Path, obj: Any, level: int = 6, atomic: bool = False)
     With ``atomic=True`` the container is written to a unique sibling temp
     file and ``os.replace``d into place, so concurrent readers (and a run
     killed mid-write) only ever observe a complete old or new file — the
-    durability contract the TED cache shards and ``repro.ckpt`` checkpoints
-    rely on.
+    durability contract the TED cache shards (which an interrupted run
+    resumes from) and the other artifact stores rely on.
     """
     payload = zlib.compress(pack(obj), level)
     data = MAGIC + bytes([VERSION]) + struct.pack(">I", len(payload)) + payload

@@ -3,13 +3,13 @@
 Every analysis endpoint is the *same computation* as its batch-CLI
 counterpart — same index path, same :class:`MetricSpec` parsing, same
 demand lists (:func:`matrix_demands` / :func:`heatmap_demands`), the one
-engine task function (:func:`divergence_task`) under the one key builder
-(:func:`pair_task_key`), same assembly helpers — so a served value is
-bit-identical to what ``silvervale compare/cluster/heatmap`` prints over
-the same corpus, and a pair evaluated for one endpoint is a memo hit for
-every other endpoint that asks for it. The only serve-specific machinery
-is *where* the work runs (the engine thread) and *how* it is scheduled
-(the wave batcher and the hot-tier memo in front of it).
+engine task function (:func:`divergence_task`), same assembly helpers — so
+a served value is bit-identical to what ``silvervale compare/cluster/heatmap``
+prints over the same corpus. The only serve-specific machinery is *where*
+the work runs (the engine thread) and *how* it is scheduled (the wave
+batcher and the hot-tier memo in front of it), both keyed by
+:func:`pair_task_key`, so a pair evaluated for one endpoint is a memo hit
+for every other endpoint that asks for it.
 
 Surface (one JSON object per response; all analysis routes are ``GET``):
 
@@ -116,14 +116,14 @@ class ServeApp:
 
     # -- demand resolution (memo in front of the batcher) --------------------
 
-    async def _resolve(self, keys: list[str], tasks: list) -> list[Any]:
+    async def _resolve(self, tasks: list) -> list[Any]:
         """Values for a demand list: hot-tier memo first, batcher for the
         misses, results remembered for the next query."""
-        values: list[Any] = [None] * len(keys)
+        values: list[Any] = [None] * len(tasks)
         miss_keys: list[str] = []
         miss_tasks: list = []
         miss_at: list[int] = []
-        for i, key in enumerate(keys):
+        for i, key in enumerate(pair_task_key(*task) for task in tasks):
             hit = self.state.lookup(key)
             if hit is not None:
                 values[i] = hit
@@ -213,8 +213,7 @@ class ServeApp:
         base, other = await self.run_engine(
             lambda: self.state.codebases(app, [baseline, model], spec.coverage)
         )
-        key = pair_task_key(base, other, spec)
-        value = (await self._resolve([key], [(base, other, spec)]))[0]
+        value = (await self._resolve([(base, other, spec)]))[0]
         return {
             "app": app,
             "baseline": baseline,
@@ -235,14 +234,14 @@ class ServeApp:
 
         def fetch():
             cbs = self.state.codebases(app, names, spec.coverage)
-            pairs, tasks, keys = matrix_demands(cbs, spec)
+            pairs, tasks = matrix_demands(cbs, spec)
             pinner = PairPinner(spec)
             values = [pinner.pin_pair(cbs[i], cbs[j]) for i, j in pairs]
-            return pairs, tasks, keys, values
+            return pairs, tasks, values
 
-        pairs, tasks, keys, values = await self.run_engine(fetch)
+        pairs, tasks, values = await self.run_engine(fetch)
         live = [at for at, v in enumerate(values) if v is None]
-        fresh = await self._resolve([keys[at] for at in live], [tasks[at] for at in live])
+        fresh = await self._resolve([tasks[at] for at in live])
         for at, value in zip(live, fresh):
             values[at] = value
         matrix = matrix_from_pair_values(len(names), pairs, values)
@@ -265,8 +264,7 @@ class ServeApp:
             lambda: self.state.codebases(app, [baseline] + names, coverage=True)
         )
         base, models = cbs[0], cbs[1:]
-        tasks, keys = heatmap_demands(base, models, HEATMAP_SPECS)
-        values = await self._resolve(keys, tasks)
+        values = await self._resolve(heatmap_demands(base, models, HEATMAP_SPECS))
         data = heatmap_from_values([s.label for s in HEATMAP_SPECS], names, values)
         return {
             "app": app,
@@ -295,8 +293,7 @@ class ServeApp:
             lambda: self.state.codebases(app, [model] + others, spec.coverage)
         )
         target, rest = cbs[0], cbs[1:]
-        keys = [pair_task_key(target, cb, spec) for cb in rest]
-        values = await self._resolve(keys, [(target, cb, spec) for cb in rest])
+        values = await self._resolve([(target, cb, spec) for cb in rest])
         # the comparer.nearest ordering: (score, model) ascending
         scored = sorted(zip(values, others))
         return {
@@ -329,7 +326,8 @@ class ServeApp:
     # -- wave runner (engine thread; wired into the batcher) -----------------
 
     def wave_runner(self, tasks: list, keys: list) -> list:
-        """Evaluate one wave of unique demands in one engine call.
+        """Evaluate one wave of unique demands in one engine call (``keys``
+        are the batcher's dedupe handles; the engine needs none).
 
         ``divergence_prepare`` rides along so a coalesced wave's TED pairs
         are cascade-pruned and cross-pair batched exactly like a batch-CLI
@@ -343,7 +341,7 @@ class ServeApp:
         from repro.workflow.comparer import divergence_prepare, divergence_task
 
         return self.state.engine.map_tasks(
-            divergence_task, tasks, keys=keys, fail_value=WAVE_FAILED, prepare=divergence_prepare
+            divergence_task, tasks, fail_value=WAVE_FAILED, prepare=divergence_prepare
         )
 
 

@@ -18,9 +18,9 @@ evaluating each request's demands separately would schedule many tiny
   on the daemon's one engine thread, and fans results back out to every
   waiting request.
 
-Demands are pure functions of their key (same contract as the engine's
-checkpoint values), which is what makes sharing one result across requests
-— and with the batch CLI — sound.
+Demands are pure functions of their key (the key fingerprints every
+input the divergence reads), which is what makes sharing one result across
+requests — and with the batch CLI — sound.
 
 Failure isolation (pinned in DESIGN.md §"Overload and failure contract"):
 a wave is a *shared* vehicle, so one request's poisonous demand must not

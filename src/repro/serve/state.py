@@ -2,9 +2,9 @@
 
 Three tiers, cheapest first, all keyed by content so they self-invalidate:
 
-* **divergence memo** — task-key → value, where the key is the same
-  :func:`repro.workflow.comparer.pair_task_key` string the engine uses
-  for checkpoints: it embeds the metric label and both codebase content
+* **divergence memo** — task-key → value, where the key is the
+  :func:`repro.workflow.comparer.pair_task_key` string the batcher also
+  dedupes by: it embeds the metric label and both codebase content
   fingerprints, so a key can only ever name one value. A warm query
   resolves here without touching the batcher, the engine or any kernel;
 * **indexed codebases** — ``(app, model, coverage)`` → ``IndexedCodebase``,

@@ -48,9 +48,9 @@ class LineMask:
         return LineMask(merged, self.unknown_covered or other.unknown_covered)
 
     def digest(self) -> str:
-        """Stable content hash of the mask (checkpoint/cache fingerprints:
+        """Stable content hash of the mask (serve memo fingerprints:
         coverage-filtered metrics change whenever the executed-line sets
-        change, so the mask must be part of any persisted-result key)."""
+        change, so the mask must be part of any stored-result key)."""
         import hashlib
 
         h = hashlib.sha256()

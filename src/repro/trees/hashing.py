@@ -36,9 +36,9 @@ def cached_structural_hash(root: Node) -> str:
 
     Metric-pipeline trees are frozen once built; callers who mutate a tree
     after it has been hashed must drop the ``_shash`` attr (or rebuild the
-    tree, which is the idiomatic path). Shared by the TED memo, checkpoint
-    task keys and unit-artifact fingerprints so they all agree on tree
-    identity.
+    tree, which is the idiomatic path). Shared by the TED memo and disk
+    cache, the serve memo's codebase fingerprints and unit-artifact
+    fingerprints so they all agree on tree identity.
     """
     h = root.attrs.get("_shash")
     if h is None:

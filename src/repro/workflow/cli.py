@@ -32,13 +32,11 @@ Matrix-sweeping subcommands additionally accept ``--jobs N`` (parallel
 distance engine; default serial), ``--cache-dir DIR`` (persistent TED cache,
 also settable via ``REPRO_CACHE_DIR``) and ``--no-cache`` (ignore any
 configured cache for this run), plus the fault-tolerance options:
-``--chunk-timeout S`` (watchdog deadline per scheduled chunk),
-``--retries N`` (rescheduling budget for timed-out/crashed chunks),
-``--checkpoint-dir DIR`` (periodic atomic partial-matrix checkpoints, also
-settable via ``REPRO_CKPT_DIR``) and ``--resume`` (adopt a previous
-interrupted run's checkpoint and recompute only unfinished work). An
-interrupted run (Ctrl-C or SIGTERM) terminates its workers, flushes cache
-and checkpoint, and names the resumable checkpoint on stderr.
+``--chunk-timeout S`` (watchdog deadline per scheduled chunk) and
+``--retries N`` (rescheduling budget for timed-out/crashed chunks). An
+interrupted run (Ctrl-C or SIGTERM) terminates its workers, flushes the
+TED cache, names the cache root and the distances flushed on stderr, and
+exits 130; re-running with the same cache resumes it.
 
 Incremental indexing: subcommands that index (``index``, ``compare``,
 ``cluster``, ``heatmap``, ``figures``, ``stats``) persist per-unit index
@@ -65,7 +63,6 @@ from repro import diag, obs
 from repro.analysis.cluster import cluster_codebases
 from repro.analysis.heatmap import HEATMAP_SPECS, divergence_heatmap
 from repro.cache import TedCacheStore
-from repro.ckpt import CheckpointStore, resolve_checkpoint_dir
 from repro.corpus import APPS, app_models, index_app, index_model
 from repro.distance.engine import DistanceEngine
 from repro.distance.ted import cache_stats
@@ -139,18 +136,6 @@ def _index_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
-def _checkpoint_from_args(args: argparse.Namespace):
-    """Build the checkpoint store when checkpointing is requested:
-    ``--checkpoint-dir`` beats ``REPRO_CKPT_DIR``; bare ``--resume`` uses
-    the conventional local directory."""
-    ckpt_dir = resolve_checkpoint_dir(
-        explicit=getattr(args, "checkpoint_dir", None),
-        env=os.environ.get("REPRO_CKPT_DIR"),
-        resume=getattr(args, "resume", False),
-    )
-    return CheckpointStore(ckpt_dir) if ckpt_dir else None
-
-
 def _engine_from_args(args: argparse.Namespace) -> DistanceEngine:
     cache_dir = _cache_dir_from_args(args)
     cache = TedCacheStore(cache_dir) if cache_dir else None
@@ -161,8 +146,6 @@ def _engine_from_args(args: argparse.Namespace) -> DistanceEngine:
         wave_timeout=getattr(args, "wave_timeout_s", None) or None,
         retries=getattr(args, "retries", 2),
         strict=getattr(args, "strict", False),
-        checkpoint=_checkpoint_from_args(args),
-        resume=getattr(args, "resume", False),
     )
 
 
@@ -357,12 +340,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect (``stats``) or empty (``clear``) the shared artifact root.
 
     The root holds every artifact namespace side by side — TED cache shards
-    (``ted``), partial-matrix checkpoints (``ckpt``), per-unit index
-    artifacts (``unit``) and run-ledger snapshots (``obs``). ``stats``
-    keeps the historical top-level TED keys (the CI warm-cache gate reads
-    ``entries``) and adds a ``namespaces`` section; ``clear`` removes every
-    namespaced file, a retired namespace's included, unless
-    ``--namespace`` narrows it to one store.
+    (``ted``), per-unit index artifacts (``unit``) and run-ledger snapshots
+    (``obs``). ``stats`` keeps the historical top-level TED keys (the CI
+    warm-cache gate reads ``entries``) and adds a ``namespaces`` section;
+    ``clear`` removes every namespaced file, a retired namespace's
+    included, unless ``--namespace`` narrows it to one store.
     """
     import json
 
@@ -372,7 +354,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return 2
     stores = {
         "ted": TedCacheStore(cache_dir),
-        "ckpt": CheckpointStore(cache_dir),
         "unit": UnitArtifactStore(cache_dir),
         "obs": runledger.RunLedgerStore(cache_dir),
     }
@@ -421,7 +402,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def _ledger_root(args: argparse.Namespace) -> str:
     """Run-ledger root: the same resolution as incremental indexing, so
-    snapshots live next to the unit/ted/ckpt namespaces. ``--no-cache``
+    snapshots live next to the unit/ted namespaces. ``--no-cache``
     only affects the TED cache, not the ledger."""
     return (
         getattr(args, "cache_dir", None)
@@ -680,21 +661,34 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail fast on frontend errors instead of quarantining damaged units",
     )
-    # distance-engine options shared by every matrix-sweeping subcommand
-    eng = argparse.ArgumentParser(add_help=False)
-    ge = eng.add_argument_group("distance engine")
-    ge.add_argument(
+    # options shared by every indexing subcommand
+    idx = argparse.ArgumentParser(add_help=False)
+    gx = idx.add_argument_group("indexing")
+    gx.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the distance engine (default: 1, serial)",
+        help="worker processes for indexing and the distance engine "
+        "(default: 1, serial)",
     )
-    ge.add_argument(
+    gx.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="persistent TED cache directory (default: $REPRO_CACHE_DIR if set)",
+        help="artifact root holding unit artifacts and the persistent TED "
+        "cache (default: $REPRO_CACHE_DIR if set)",
     )
+    gx.add_argument(
+        "--incremental",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="replay unchanged units from per-unit index artifacts in the "
+        "cache directory (default: on; --no-incremental re-runs every "
+        "frontend)",
+    )
+    # distance-engine options, only for subcommands that build an engine
+    eng = argparse.ArgumentParser(add_help=False)
+    ge = eng.add_argument_group("distance engine")
     ge.add_argument(
         "--no-cache",
         action="store_true",
@@ -717,34 +711,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra attempts per chunk after a timeout or worker crash "
         "(default: 2); an exhausted chunk degrades to NaN cells unless --strict",
     )
-    gf.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        help="write periodic partial-matrix checkpoints to this directory "
-        "(default: $REPRO_CKPT_DIR if set)",
-    )
-    gf.add_argument(
-        "--resume",
-        action="store_true",
-        help="adopt a matching checkpoint from a previous interrupted run and "
-        "recompute only unfinished work",
-    )
-    gi = eng.add_argument_group("incremental indexing")
-    gi.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="replay unchanged units from per-unit index artifacts in the "
-        "cache directory (default: on; --no-incremental re-runs every "
-        "frontend)",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("apps", help="list corpus apps and models", parents=[prof])
     pa.set_defaults(fn=cmd_apps)
 
     pi = sub.add_parser(
-        "index", help="index one model port into a Codebase DB", parents=[prof, eng, tol]
+        "index", help="index one model port into a Codebase DB", parents=[prof, idx, tol]
     )
     pi.add_argument("app")
     pi.add_argument("model")
@@ -753,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.set_defaults(fn=cmd_index, _ledger=True)
 
     pc = sub.add_parser(
-        "compare", help="divergence of a model from a baseline", parents=[prof, eng, tol]
+        "compare", help="divergence of a model from a baseline", parents=[prof, idx, eng, tol]
     )
     pc.add_argument("app")
     pc.add_argument("model")
@@ -762,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(fn=cmd_compare, _ledger=True)
 
     pk = sub.add_parser(
-        "cluster", help="dendrogram of all models under a metric", parents=[prof, eng, tol]
+        "cluster", help="dendrogram of all models under a metric", parents=[prof, idx, eng, tol]
     )
     pk.add_argument("app")
     pk.add_argument("-m", "--metric", default="Tsem")
@@ -771,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn = sub.add_parser(
         "nearest",
         help="k nearest models by divergence (one sorted matrix row)",
-        parents=[prof, eng, tol],
+        parents=[prof, idx, eng, tol],
     )
     pn.add_argument("app")
     pn.add_argument("model")
@@ -783,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.set_defaults(fn=cmd_nearest, _ledger=True)
 
     ph = sub.add_parser(
-        "heatmap", help="divergence-from-baseline heatmap", parents=[prof, eng, tol]
+        "heatmap", help="divergence-from-baseline heatmap", parents=[prof, idx, eng, tol]
     )
     ph.add_argument("app")
     ph.add_argument("-b", "--baseline", default="serial")
@@ -792,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     psv = sub.add_parser(
         "serve",
         help="long-lived HTTP daemon serving compare/cluster/heatmap as JSON",
-        parents=[prof, eng, tol],
+        parents=[prof, idx, eng, tol],
     )
     psv.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
     psv.add_argument(
@@ -895,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser(
         "stats",
         help="run an index+compare workload and dump spans/counters/cache stats",
-        parents=[prof, eng, tol],
+        parents=[prof, idx, eng, tol],
     )
     ps.add_argument("app")
     ps.add_argument("-m", "--metric", default="Tsem")
@@ -903,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=cmd_stats, _always_collect=True, _ledger=True)
 
     pf = sub.add_parser(
-        "figures", help="render all figure SVGs for an app", parents=[prof, eng, tol]
+        "figures", help="render all figure SVGs for an app", parents=[prof, idx, eng, tol]
     )
     pf.add_argument("app")
     pf.add_argument("-o", "--output", default="figures")
@@ -922,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcc.add_argument(
         "--namespace",
         metavar="NS",
-        help="clear only one namespace (ted, ckpt, unit or obs; default: "
+        help="clear only one namespace (ted, unit or obs; default: "
         "every namespaced file under the root)",
     )
     pcc.set_defaults(fn=cmd_cache)
@@ -1033,10 +1006,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        # engine runs already terminated their pool and flushed cache +
-        # checkpoint; the distance/interrupted diagnostic above names the
-        # resumable checkpoint file when one was written
-        print("interrupted: re-run with --resume to continue", file=sys.stderr)
+        # engine runs already terminated their pool and flushed the TED
+        # cache; the distance/interrupted diagnostic above says what the
+        # cache holds for a re-run to resume from
+        print("interrupted", file=sys.stderr)
         return 130
     return rc
 

@@ -8,8 +8,9 @@ rows (Figs. 7–10).
 Every divergence is symmetric: the edit distances are, and Eq. 7's
 ``dmax`` is the larger of the two sizes (DESIGN.md "Eq. 7 normalisation").
 So each unordered model pair is evaluated once, by one task function
-(:func:`divergence_task`) under one key (:func:`pair_task_key`), on every
-surface: matrix, row, heatmap, nearest and serve.
+(:func:`divergence_task`), on every surface: matrix, row, heatmap, nearest
+and serve. Serve also names each pair by one key (:func:`pair_task_key`)
+for its memo and request batcher; the batch surfaces need no key.
 """
 
 from __future__ import annotations
@@ -172,8 +173,28 @@ def divergence_task(task: tuple[IndexedCodebase, IndexedCodebase, MetricSpec]) -
 divergence_pair_task = divergence_task
 
 
+def hash_demand_trees(tasks: Sequence[tuple]) -> None:
+    """Memoise the structural hash of every tree of every codebase the
+    :func:`divergence_task` demands read, before any of them runs.
+
+    Stripped and masked tree copies inherit their source root's ``_shash``
+    memo (the memo-copy bug in ROADMAP), so whether an original was hashed
+    before its copies were made decides which TED key a copy gets — and,
+    under a coverage mask, which value the cell reads and how many kernels
+    run. The batch and serve surfaces have always hashed every original
+    first; pinning that order keeps every value, TED key and kernel count
+    until the memo copy is fixed.
+    """
+    for a, b, _spec in tasks:
+        for cb in (a, b):
+            for u in cb.units.values():
+                for t in (u.t_src_pre, u.t_src_post, u.t_sem, u.t_sem_inlined, u.t_ir):
+                    if t is not None:
+                        cached_structural_hash(t)
+
+
 # ---------------------------------------------------------------------------
-# Task identity (checkpoint/resume keys)
+# Task identity (serve memo and batcher keys)
 # ---------------------------------------------------------------------------
 
 
@@ -184,9 +205,9 @@ def codebase_fingerprint(cb: IndexedCodebase, spec: MetricSpec) -> str:
     per-unit structural hashes of all five trees plus the line/source
     summaries, and — when the spec is coverage-filtered — the executed-line
     mask. Any reindex that changes a compared tree, a line count or the
-    coverage data changes the fingerprint, which is what makes checkpoints
-    keyed by these fingerprints self-invalidating (same contract as the TED
-    cache's structural-hash keys; see DESIGN.md).
+    coverage data changes the fingerprint, which is what makes serve memo
+    entries keyed by these fingerprints self-invalidating (same contract as
+    the TED cache's structural-hash keys; see DESIGN.md).
 
     Fingerprints are memoised per (codebase, coverage-flag): the trees are
     frozen once indexed, exactly like the TED layer assumes.
@@ -228,7 +249,7 @@ def codebase_fingerprint(cb: IndexedCodebase, spec: MetricSpec) -> str:
 
 
 def pair_task_key(a: IndexedCodebase, b: IndexedCodebase, spec: MetricSpec) -> str:
-    """Checkpoint, serve-memo and batcher key of one model pair's divergence.
+    """Serve-memo and batcher key of one model pair's divergence.
 
     Sorted like the TED cache's pair keys: the divergence is symmetric, so
     the pair is one unit of work regardless of orientation.
@@ -247,12 +268,9 @@ def divergence_row(
 ) -> dict[str, float]:
     """Divergence of every model from ``base`` (one heatmap row)."""
     eng = engine if engine is not None else DistanceEngine()
-    values = eng.map_tasks(
-        divergence_task,
-        [(base, cb, spec) for cb in others],
-        keys=[pair_task_key(base, cb, spec) for cb in others],
-        prepare=divergence_prepare,
-    )
+    tasks = [(base, cb, spec) for cb in others]
+    hash_demand_trees(tasks)
+    values = eng.map_tasks(divergence_task, tasks, prepare=divergence_prepare)
     return {cb.model: v for cb, v in zip(others, values)}
 
 
@@ -271,21 +289,21 @@ def nearest(
 
 def matrix_demands(
     codebases: Sequence[IndexedCodebase], spec: MetricSpec
-) -> tuple[list[tuple[int, int]], list[tuple], list[str]]:
+) -> tuple[list[tuple[int, int]], list[tuple]]:
     """Upper-triangle pair demand list of one divergence matrix.
 
-    Returns ``(pairs, tasks, keys)``: ``pairs`` are ``(i, j)`` index tuples,
-    ``tasks`` the matching :func:`divergence_task` inputs, ``keys`` the
-    matching :func:`pair_task_key` identities. Shared by the batch path
-    below and the serve layer's request batcher so both schedule the *same*
-    work under the *same* checkpoint/memo keys — the matrix a service
-    assembles from these demands is bit-identical to the batch one.
+    Returns ``(pairs, tasks)``: ``pairs`` are ``(i, j)`` index tuples,
+    ``tasks`` the matching :func:`divergence_task` inputs, their trees
+    already hashed (:func:`hash_demand_trees`). Shared by the batch path
+    below and the serve layer's request batcher so both schedule the
+    *same* work — the matrix a service assembles from these demands is
+    bit-identical to the batch one.
     """
     n = len(codebases)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     tasks = [(codebases[i], codebases[j], spec) for i, j in pairs]
-    keys = [pair_task_key(codebases[i], codebases[j], spec) for i, j in pairs]
-    return pairs, tasks, keys
+    hash_demand_trees(tasks)
+    return pairs, tasks
 
 
 def matrix_from_pair_values(
@@ -324,17 +342,14 @@ def divergence_matrix(
     eng = engine if engine is not None else DistanceEngine()
     n = len(codebases)
     with obs.span("compare.matrix", metric=spec.label, models=n, jobs=eng.jobs):
-        pairs, tasks, keys = matrix_demands(codebases, spec)
+        pairs, tasks = matrix_demands(codebases, spec)
         values = [
             index.pin_pair(codebases[i], codebases[j]) if index is not None else None
             for i, j in pairs
         ]
         live = [at for at, v in enumerate(values) if v is None]
         fresh = eng.map_tasks(
-            divergence_task,
-            [tasks[at] for at in live],
-            keys=[keys[at] for at in live],
-            prepare=divergence_prepare,
+            divergence_task, [tasks[at] for at in live], prepare=divergence_prepare
         )
         for at, v in zip(live, fresh):
             values[at] = v

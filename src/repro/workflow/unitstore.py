@@ -2,8 +2,8 @@
 
 Each successfully indexed translation unit is persisted as one
 content-addressed artifact in the shared artifact root (namespace
-``unit``, next to the ``ted`` cache shards and ``ckpt`` checkpoint
-files). The key fingerprints everything that can change the unit's
+``unit``, next to the ``ted`` cache shards and ``obs`` run-ledger
+snapshots). The key fingerprints everything that can change the unit's
 representations:
 
 * the key spec version (bump on any indexer output change),

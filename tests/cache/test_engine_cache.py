@@ -98,27 +98,15 @@ class TestCliResolution:
         engine = _engine_from_args(self._args())
         assert engine.cache is None and engine.jobs == 1
 
-    def test_default_has_no_checkpoint_and_lenient_watchdog(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CKPT_DIR", raising=False)
+    def test_default_has_no_checkpoint_and_lenient_watchdog(self):
         engine = _engine_from_args(self._args())
-        assert engine.checkpoint is None and engine.resume is False
+        # an interrupted run resumes from the TED cache; there is no
+        # second store to configure
+        assert not hasattr(engine, "checkpoint") and not hasattr(engine, "resume")
         assert engine.chunk_timeout is None and engine.retries == 2
 
-    def test_fault_tolerance_flags_thread_through(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CKPT_DIR", raising=False)
-        args = self._args(
-            chunk_timeout=30.0,
-            retries=5,
-            strict=True,
-            checkpoint_dir=str(tmp_path),
-            resume=True,
-        )
+    def test_fault_tolerance_flags_thread_through(self):
+        args = self._args(chunk_timeout=30.0, retries=5, strict=True)
         engine = _engine_from_args(args)
         assert engine.chunk_timeout == 30.0 and engine.retries == 5
-        assert engine.strict is True and engine.resume is True
-        assert str(engine.checkpoint.root) == str(tmp_path)
-
-    def test_ckpt_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path))
-        engine = _engine_from_args(self._args())
-        assert str(engine.checkpoint.root) == str(tmp_path)
+        assert engine.strict is True

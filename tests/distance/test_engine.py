@@ -1,11 +1,10 @@
-"""DistanceEngine scheduling: serial/parallel equivalence, counters,
-checkpoint/resume, and the worker-init degrade path."""
+"""DistanceEngine scheduling: serial/parallel equivalence, counters, the
+interrupt report, and the worker-init degrade path."""
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.ckpt import CheckpointStore
 from repro.distance.engine import DistanceEngine, _make_worker_setup
 from repro.distance.ted import get_disk_cache, set_disk_cache
 from repro.parallel import pool as pool_mod
@@ -84,93 +83,46 @@ class TestCounters:
 
 
 TASKS = list(range(10))
-KEYS = [f"task:{i}" for i in TASKS]
-EXPECTED = [x * x for x in TASKS]
 
 
-class TestCheckpointResume:
-    def test_completed_run_discards_checkpoint(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        eng = DistanceEngine(checkpoint=store)
-        assert eng.map_tasks(_square, TASKS, keys=KEYS) == EXPECTED
-        assert store.run_keys() == []  # nothing left to resume
+class TestInterrupt:
+    """An interrupted run flushes the TED cache it resumes from and says
+    where: ``distance/interrupted`` names the root and the count flushed."""
 
-    def test_interrupt_saves_checkpoint_and_resume_skips_done(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        calls = {"n": 0}
-
-        def flaky(task):
-            if calls["n"] >= 4:
-                raise KeyboardInterrupt
-            calls["n"] += 1
-            return task * task
-
-        eng = DistanceEngine(checkpoint=store, checkpoint_every=0.0)
-        with pytest.raises(KeyboardInterrupt):
-            eng.map_tasks(flaky, TASKS, keys=KEYS)
-        assert eng.last_checkpoint is not None and eng.last_checkpoint.exists()
-
-        resumed_calls = {"n": 0}
-
-        def counting(task):
-            resumed_calls["n"] += 1
-            return task * task
-
-        with obs.collect() as col:
-            out = DistanceEngine(checkpoint=store, resume=True).map_tasks(
-                counting, TASKS, keys=KEYS
-            )
-        assert out == EXPECTED
-        assert resumed_calls["n"] == len(TASKS) - 4  # only unfinished work
-        assert col.counters["ckpt.loaded"] == 4
-        assert store.run_keys() == []  # completed resume cleans up
-
-    def test_interrupt_emits_resumable_diagnostic(self, tmp_path):
+    def test_interrupt_names_flushed_cache_root(self, tmp_path):
         from repro import diag
+        from repro.cache import TedCacheStore
+        from repro.distance.ted import clear_ted_cache
 
-        def boom(task):
-            if task >= 3:
+        clear_ted_cache()
+        trees = [from_sexpr(f"(a (b c{i}) (d e{i} f))") for i in range(4)]
+        tasks = [(trees[0], t) for t in trees[1:]]
+
+        def interrupt_at_last(task):
+            if task[1] is trees[-1]:
                 raise KeyboardInterrupt
-            return task
+            return _ted_task(task)
 
         with diag.capture() as sink:
             with pytest.raises(KeyboardInterrupt):
-                DistanceEngine(checkpoint=CheckpointStore(tmp_path)).map_tasks(
-                    boom, TASKS, keys=KEYS
+                DistanceEngine(cache=TedCacheStore(tmp_path)).map_tasks(
+                    interrupt_at_last, tasks
                 )
-        codes = sink.by_code()
-        assert codes.get("distance/interrupted") == 1
-        assert "resumable from" in sink.diagnostics[0].message
+        assert sink.by_code() == {"distance/interrupted": 1}
+        msg = sink.diagnostics[0].message
+        assert f"flushed 2 TED distance(s) to {tmp_path};" in msg
+        assert TedCacheStore(tmp_path).stats()["entries"] == 2
 
-    def test_resume_without_checkpoint_computes_everything(self, tmp_path):
-        with obs.collect() as col:
-            out = DistanceEngine(
-                checkpoint=CheckpointStore(tmp_path), resume=True
-            ).map_tasks(_square, TASKS, keys=KEYS)
-        assert out == EXPECTED
-        assert "ckpt.loaded" not in col.counters
+    def test_interrupt_without_cache_says_nothing_persisted(self):
+        from repro import diag
 
-    def test_parallel_run_checkpoints_and_resumes(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        eng = DistanceEngine(jobs=2, chunk_size=3, checkpoint=store, checkpoint_every=0.0)
-        assert eng.map_tasks(_square, TASKS, keys=KEYS) == EXPECTED
+        def boom(task):
+            raise KeyboardInterrupt
 
-        # simulate a torn run: seed a partial checkpoint, then resume parallel
-        from repro.ckpt import run_key_for
-
-        store.save(run_key_for(KEYS), {KEYS[i]: float(EXPECTED[i]) for i in range(6)})
-        with obs.collect() as col:
-            out = DistanceEngine(
-                jobs=2, chunk_size=2, checkpoint=store, resume=True
-            ).map_tasks(_square, TASKS, keys=KEYS)
-        assert out == EXPECTED
-        assert col.counters["ckpt.loaded"] == 6
-        assert col.counters["engine.chunks"] == 2  # only 4 pending tasks scheduled
-
-    def test_no_keys_means_no_checkpointing(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        DistanceEngine(checkpoint=store).map_tasks(_square, TASKS)
-        assert store.run_keys() == []
+        with diag.capture() as sink:
+            with pytest.raises(KeyboardInterrupt):
+                DistanceEngine().map_tasks(boom, TASKS)
+        assert "nothing was persisted" in sink.diagnostics[0].message
 
 
 def _stage(setup=None, init_counter="engine.worker_init_errors"):

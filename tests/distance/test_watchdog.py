@@ -116,6 +116,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             DistanceEngine(retries=-1)
 
-    def test_keys_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="keys length"):
-            DistanceEngine().map_tasks(_square, [1, 2, 3], keys=["a", "b"])
+    def test_task_keys_are_not_accepted(self):
+        # resume goes through the TED cache; tasks carry no identity keys
+        with pytest.raises(TypeError):
+            DistanceEngine().map_tasks(_square, [1, 2, 3], keys=["a", "b", "c"])

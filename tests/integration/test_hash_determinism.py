@@ -1,9 +1,9 @@
 """Cross-process hash determinism.
 
-Every persisted artifact key (structural hashes in the TED cache, unit
-artifact keys, checkpoint run keys) must be identical across interpreter
-invocations regardless of ``PYTHONHASHSEED`` — otherwise a warm cache from
-one run would be invisible to the next. The performance model's jitter
+Every persisted or shared key (structural hashes in the TED cache, unit
+artifact keys, the serve memo's pair keys) must be identical across
+interpreter invocations regardless of ``PYTHONHASHSEED`` — otherwise a warm
+cache from one run would be invisible to the next. The performance model's jitter
 (and with it every Φ) must not move either. All of these are built on
 sha256 over explicitly ordered inputs; this test pins that by actually
 running subprocesses with different hash seeds.
@@ -17,12 +17,13 @@ from pathlib import Path
 SCRIPT = """
 import json
 
-from repro.ckpt.store import run_key_for
 from repro.lang.source import VirtualFS
 from repro.perfport.perfmodel import PerfModel
 from repro.trees.hashing import structural_hash
 from repro.trees.node import Node
 from repro.workflow.codebase import ModelSpec
+from repro.workflow.comparer import MetricSpec, pair_task_key
+from repro.workflow.indexer import index_codebase
 from repro.workflow.unitstore import unit_key
 
 tree = Node("root", "decl", [
@@ -38,11 +39,13 @@ spec = ModelSpec(
     units={"main": "main.cpp"},
     defines={"B": "2", "A": "1"},
 )
+other = ModelSpec(app="a", model="n", lang="cpp", units={"main": "main.cpp"}, defines={"A": "3"})
+pair = pair_task_key(index_codebase(spec, fs), index_codebase(other, fs), MetricSpec("Tsem"))
 
 print(json.dumps({
     "tree": structural_hash(tree),
     "unit": unit_key(spec, fs, "main", "main.cpp", recover=True, coverage=False),
-    "run": run_key_for(["k1", "k2", "k3"]),
+    "pair": pair,
     "eff": [v.hex() for v in PerfModel().efficiency_matrix("tealeaf", ["omp", "kokkos"]).eff.ravel()],
 }))
 """
@@ -72,6 +75,6 @@ def test_keys_stable_across_hash_seeds():
     import json
 
     keys = json.loads(a)
-    assert len({keys["tree"], keys["unit"], keys["run"]}) == 3
+    assert len({keys["tree"], keys["unit"], keys["pair"]}) == 3
     assert all(v for v in keys.values())
     assert len(set(keys["eff"])) > 2  # jittered efficiencies, not all 0 or 1

@@ -1,9 +1,9 @@
 """ChunkedPool behaviour independent of the distance engine.
 
-The engine suite covers checkpoint/cache integration and the chaos
-harness covers worker deaths/hangs; these tests pin the reusable pool
-contract: ordering, counter prefixes, degrade-vs-strict failure handling
-and argument validation.
+The engine suite covers cache integration and the chaos harness covers
+worker deaths/hangs; these tests pin the reusable pool contract: ordering,
+counter prefixes, degrade-vs-strict failure handling and argument
+validation.
 """
 
 import pytest
@@ -47,11 +47,6 @@ class TestSerial:
         assert res.values == [9, 1, 4]
         assert res.parallel is False
 
-    def test_on_result_called_in_order(self):
-        seen = []
-        ChunkedPool().run(_square, [1, 2, 3], on_result=lambda i, v: seen.append((i, v)))
-        assert seen == [(0, 1), (1, 4), (2, 9)]
-
     def test_custom_prefix_gauges_workers(self):
         with obs.collect() as col:
             ChunkedPool(counter_prefix="myindex").run(_square, [1, 2])
@@ -79,13 +74,6 @@ class TestParallel:
         with obs.collect() as col:
             ChunkedPool(jobs=2, chunk_size=2).run(_count_and_square, list(range(8)))
         assert col.counters["pooltest.calls"] == 8
-
-    def test_on_result_covers_every_index(self):
-        seen = {}
-        ChunkedPool(jobs=2, chunk_size=1).run(
-            _square, [1, 2, 3, 4], on_result=lambda i, v: seen.setdefault(i, v)
-        )
-        assert seen == {0: 1, 1: 4, 2: 9, 3: 16}
 
 
 class TestFailureHandling:

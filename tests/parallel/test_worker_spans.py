@@ -176,7 +176,7 @@ class TestDisabledPath:
 
     def test_pool_stages_capture_only_when_collecting(self):
         with obs.collect():
-            run = pool_mod._PoolRun(1, None, None, None)
+            run = pool_mod._PoolRun(1, None)
         assert run.collector is not None
-        run2 = pool_mod._PoolRun(1, None, None, None)
+        run2 = pool_mod._PoolRun(1, None)
         assert run2.collector is None

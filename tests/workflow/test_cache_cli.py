@@ -63,8 +63,9 @@ class TestStats:
 class TestClear:
     def test_clear_all_namespaces(self, cache_dir, capsys):
         populate(cache_dir)
-        # a namespace no store owns any more (a retired one) is cleared too
+        # namespaces no store owns any more (retired ones) are cleared too
         (cache_dir / "vpindex-x.svc").write_bytes(b"stale")
+        (cache_dir / "ckpt-x.svc").write_bytes(b"stale")
         capsys.readouterr()
         assert main(["cache", "clear"]) == 0
         assert "cleared" in capsys.readouterr().out

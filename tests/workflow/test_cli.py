@@ -49,6 +49,23 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
+    @pytest.mark.parametrize(
+        "opt", [["--retries", "3"], ["--chunk-timeout", "5"], ["--no-cache"]]
+    )
+    def test_index_rejects_engine_only_options(self, opt, capsys):
+        # index builds no distance engine, so it takes none of its options
+        with pytest.raises(SystemExit) as e:
+            main(["index", "babelstream-fortran", "sequential", *opt])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("opt", [["--resume"], ["--checkpoint-dir", "ckpt"]])
+    def test_checkpoint_options_are_gone(self, opt):
+        # an interrupted run resumes by re-running with the same --cache-dir
+        with pytest.raises(SystemExit) as e:
+            main(["cluster", "babelstream-fortran", *opt])
+        assert e.value.code == 2
+
 
 class TestProfiling:
     """--profile / --trace-out / --metrics-out / stats (small Fortran corpus)."""

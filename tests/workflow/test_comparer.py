@@ -2,7 +2,7 @@
 
 Every divergence is symmetric (Eq. 7's ``dmax`` is the larger size), so a
 matrix, a row, a heatmap and a nearest scan evaluate each unordered model
-pair once under one ``pair:`` key, and checkpoints store one float per key.
+pair once; none of them needs a task key.
 """
 
 from dataclasses import replace
@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.analysis.heatmap import HEATMAP_SPECS
-from repro.ckpt import CheckpointStore, run_key_for
-from repro.distance.engine import DistanceEngine
-from repro.distance.ted import clear_ted_cache
+from repro.analysis.heatmap import HEATMAP_SPECS, divergence_heatmap
 from repro.metricindex import PairPinner
+from repro.workflow import comparer
 from repro.workflow.comparer import (
     MetricSpec,
     _tree_kind,
     divergence,
     divergence_matrix,
-    matrix_demands,
+    nearest,
 )
 
 TREE_SPECS = [s for s in HEATMAP_SPECS if _tree_kind(s) is not None]
@@ -73,24 +71,21 @@ class TestMatrixWork:
         assert np.array_equal(m, m.T)
 
 
-class TestCheckpointKeyspec:
-    def test_v1_checkpoint_is_never_adopted(
-        self, tmp_path, stream_serial, stream_omp, stream_cuda
+class TestBatchSurfacesBuildNoKeys:
+    def test_no_batch_surface_fingerprints(
+        self, monkeypatch, fortran_sequential, fortran_omp, fortran_openacc
     ):
-        """v1 stored a pair key's two directions as ``[d, d]``; under v2 a
-        pair key holds one float, so a v1 file must not be resumed from."""
-        cbs = [stream_serial, stream_omp, stream_cuda]
-        spec = MetricSpec("Tsrc")
-        clear_ted_cache()
-        want = divergence_matrix(cbs, spec)
-        _pairs, _tasks, keys = matrix_demands(cbs, spec)
-        v1 = "div:structhash:v1"
-        entries = {k: [float(d), float(d)] for k, d in zip(keys, want[np.triu_indices(3, 1)])}
-        CheckpointStore(tmp_path, keyspec=v1).save(run_key_for(keys, v1), entries)
+        """Only serve names demands by key; a batch matrix, row or heatmap
+        never fingerprints a codebase."""
 
-        clear_ted_cache()
-        engine = DistanceEngine(checkpoint=CheckpointStore(tmp_path), resume=True)
-        with obs.collect() as col:
-            got = divergence_matrix(cbs, spec, engine=engine)
-        assert col.counters.get("ckpt.loaded", 0) == 0
-        assert got.tobytes() == want.tobytes()
+        def refuse(cb, spec):
+            raise AssertionError(f"fingerprinted {cb.model} for {spec.label}")
+
+        monkeypatch.setattr(comparer, "codebase_fingerprint", refuse)
+        cbs = [fortran_sequential, fortran_omp, fortran_openacc]
+        spec = MetricSpec("Tsem")
+        m = divergence_matrix(cbs, spec)
+        assert m.shape == (3, 3)
+        assert len(nearest(cbs[0], cbs[1:], spec)) == 2
+        grid = divergence_heatmap(cbs[0], cbs[1:])
+        assert grid.values.shape == (len(HEATMAP_SPECS), 2)
