@@ -27,6 +27,12 @@ Key devices
   keyroot-2 segments write in the same row. Segments are therefore grouped
   into waves by keyroot nesting depth and processed innermost-first; rows
   without that dependency sweep all segments in a single pass.
+* **Decomposition choice** — the leftmost-path decomposition computes
+  ``L(T1)·L(T2)`` cells, the mirrored (rightmost-path) one ``R(T1)·R(T2)``.
+  :func:`_flatten_pair` reads both off the leftmost-path flattening and,
+  when the mirrored product is smaller, re-flattens both trees with their
+  children visited in reverse. Unit-cost TED is unchanged when both trees
+  are mirrored, so the distance is exact either way; ties stay left.
 
 Exact — validated against the brute-force oracle and the generic-cost
 kernel (with unit costs) by the property suite.
@@ -103,7 +109,7 @@ class _Tree2Layout:
 
 
 def _flatten_arrays(
-    root, vocab: dict | None = None
+    root, vocab: dict | None = None, mirror: bool = False
 ) -> tuple[np.ndarray, np.ndarray, list[int], dict]:
     """Postorder label ids, leftmost-leaf indices and keyroots for one tree.
 
@@ -111,8 +117,8 @@ def _flatten_arrays(
     iff no proper ancestor shares its leftmost leaf. ``vocab`` interns
     labels to ids; pass the dict returned for the first tree when
     flattening the second so label ids stay comparable across the pair.
-    The cross-pair packer (:mod:`repro.distance.zs_cross`) reuses this
-    helper with one vocab per pair.
+    ``mirror`` flattens the tree with every node's children reversed (the
+    rightmost-path decomposition of the original) without copying it.
     """
     if vocab is None:
         vocab = {}
@@ -121,16 +127,18 @@ def _flatten_arrays(
     leftmost: dict[int, int] = {}
     order_len = 0
     lab_ids: list[int] = []
+    first = -1 if mirror else 0  # the child visited first in postorder
     while stack:
         node, state = stack.pop()
         if state == 0:
             stack.append((node, 1))
-            for c in reversed(node.children):
+            kids = node.children
+            for c in kids if mirror else reversed(kids):
                 stack.append((c, 0))
         else:
             idx = order_len
             order_len += 1
-            lm = leftmost[id(node.children[0])] if node.children else idx
+            lm = leftmost[id(node.children[first])] if node.children else idx
             leftmost[id(node)] = lm
             lab_ids.append(vocab.setdefault(node.label, len(vocab)))
             lmld.append(lm)
@@ -149,22 +157,52 @@ def _keyroot_cells(lmld: np.ndarray, keyroots: list[int]) -> int:
     return int((kr - lmld[kr] + 1).sum())
 
 
+def _mirror_cells(lmld: np.ndarray) -> int:
+    """``R(T)`` of a tree flattened on its leftmost path: ``L`` of its
+    mirror image, the summed subtree sizes of the root and of every node
+    with a right sibling. In postorder a non-root node ``i`` has a right
+    sibling iff node ``i+1`` is a leaf."""
+    n = len(lmld)
+    i = np.arange(n - 1)
+    has_right = lmld[1:] == i + 1
+    return n + int((i - lmld[:-1] + 1)[has_right].sum())
+
+
+def _flatten_pair(t1: Node, t2: Node) -> tuple[tuple, int, int]:
+    """Flatten a pair on the decomposition path with fewer DP cells.
+
+    Returns ``((lab1, l1, kr1, lab2, l2, kr2), L(T1)·L(T2), R(T1)·R(T2))``.
+    The arrays are the leftmost-path flattening unless the mirrored
+    (rightmost-path) product is strictly smaller; the two trees share one
+    label vocabulary either way.
+    """
+    lab1, l1, kr1, vocab = _flatten_arrays(t1)
+    lab2, l2, kr2, _ = _flatten_arrays(t2, vocab)
+    left = _keyroot_cells(l1, kr1) * _keyroot_cells(l2, kr2)
+    right = _mirror_cells(l1) * _mirror_cells(l2)
+    if right < left:
+        lab1, l1, kr1, _ = _flatten_arrays(t1, vocab, mirror=True)
+        lab2, l2, kr2, _ = _flatten_arrays(t2, vocab, mirror=True)
+    return (lab1, l1, kr1, lab2, l2, kr2), left, right
+
+
 def zhang_shasha_distance(t1: Node, t2: Node) -> int:
     """Exact unit-cost TED between ordered trees ``t1`` and ``t2``.
 
-    Reports ``ted.zs.calls``, ``zs.keyroot_pairs`` (``|kr1|·|kr2|``) and
-    ``zs.dp_cells`` (``L(T1)·L(T2)``, the cells the sweep computes) when a
-    collector is installed.
+    Reports ``ted.zs.calls``, ``zs.keyroot_pairs`` (``|kr1|·|kr2|``),
+    ``zs.dp_cells`` (the cells the sweep computes on the path it took,
+    ``min(L(T1)·L(T2), R(T1)·R(T2))``) and both products as
+    ``zs.cells_left`` / ``zs.cells_right`` when a collector is installed.
     """
-    lab1, l1, kr1, vocab = _flatten_arrays(t1)
-    # second tree shares the vocabulary for label-id comparability
-    lab2, l2, kr2, _ = _flatten_arrays(t2, vocab)
+    (lab1, l1, kr1, lab2, l2, kr2), left, right = _flatten_pair(t1, t2)
     if not obs.enabled():
         return _row_sweep(lab1, l1, kr1, lab2, l2, kr2)
     cells = _keyroot_cells(l1, kr1) * _keyroot_cells(l2, kr2)
     obs.add("ted.zs.calls")
     obs.add("zs.keyroot_pairs", len(kr1) * len(kr2))
     obs.add("zs.dp_cells", cells)
+    obs.add("zs.cells_left", left)
+    obs.add("zs.cells_right", right)
     with obs.span("zs", cells=cells):
         return _row_sweep(lab1, l1, kr1, lab2, l2, kr2)
 

@@ -8,7 +8,8 @@ pairs side by side** (total width ``Wtot``) and executes their row
 schedules in tick lockstep, so each ``np.minimum.accumulate`` / gather
 touches every active pair at once.
 
-Mechanics (everything else is inherited from the per-pair kernel):
+Mechanics (everything else, including each pair's choice of the left or
+mirrored decomposition path, is inherited from the per-pair kernel):
 
 * **Schedules** — each pair linearises its keyroot-1 loop into a flat list
   of DP rows ``(keyroot, di)``; tick ``t`` executes row ``t`` of every
@@ -45,7 +46,7 @@ import numpy as np
 from repro import obs
 from repro.distance.zhang_shasha import (
     _BIG,
-    _flatten_arrays,
+    _flatten_pair,
     _keyroot_cells,
     _Tree2Layout,
 )
@@ -58,8 +59,7 @@ class _PairPlan:
     """Flattened arrays, T2 layout and row schedule for one tree pair."""
 
     def __init__(self, t1, t2):
-        lab1, l1, kr1, vocab = _flatten_arrays(t1)
-        lab2, l2, kr2, _ = _flatten_arrays(t2, vocab)
+        (lab1, l1, kr1, lab2, l2, kr2), left, right = _flatten_pair(t1, t2)
         self.n = len(lab1)
         self.m = len(lab2)
         self.out = -1  # caller's result slot
@@ -72,6 +72,8 @@ class _PairPlan:
         self.layout = _Tree2Layout(l2, lab2, kr2)
         self.keyroot_pairs = len(kr1) * len(kr2)
         self.dp_cells = _keyroot_cells(l1, kr1) * _keyroot_cells(l2, kr2)
+        self.cells_left = left
+        self.cells_right = right
         # Row schedule: keyroots ascending (the ZS invariant that treedist
         # entries are published before outer keyroots read them), rows
         # di = 1..isz-1 within each.
@@ -312,6 +314,8 @@ def zhang_shasha_cross(pairs: list[tuple]) -> list[int]:
         obs.add("ted.zs.calls", len(plans))
         obs.add("zs.keyroot_pairs", sum(p.keyroot_pairs for p in plans))
         obs.add("zs.dp_cells", sum(p.dp_cells for p in plans))
+        obs.add("zs.cells_left", sum(p.cells_left for p in plans))
+        obs.add("zs.cells_right", sum(p.cells_right for p in plans))
     group: list[_PairPlan] = []
     gw = 0
     gisz = 0

@@ -1,8 +1,10 @@
 """Property-based TED tests: oracle agreement and metric axioms."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from repro import obs
 from repro.distance import brute_force_ted
 from repro.distance.zhang_shasha import zhang_shasha_distance, zhang_shasha_generic
 from repro.trees import Node
@@ -41,27 +43,50 @@ def mid_trees(draw, max_nodes=40):
     return nodes[0]
 
 
+def mirror(t: Node) -> Node:
+    """A copy of ``t`` with every node's children in reverse order."""
+    return Node(t.label, children=[mirror(c) for c in reversed(t.children)])
+
+
 @settings(max_examples=120, deadline=None)
 @given(small_trees(), small_trees())
-def test_hybrid_matches_brute_force(t1, t2):
-    assert zhang_shasha_distance(t1, t2) == brute_force_ted(t1, t2)
+def test_row_sweep_matches_brute_force(t1, t2):
+    # random trees mostly take the left path; their mirror images take the
+    # right one, and unit-cost TED is unchanged when both trees are mirrored
+    expected = brute_force_ted(t1, t2)
+    assert zhang_shasha_distance(t1, t2) == expected
+    assert zhang_shasha_distance(mirror(t1), mirror(t2)) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(mid_trees(), mid_trees())
-def test_hybrid_matches_generic_kernel(t1, t2):
+def test_row_sweep_matches_generic_kernel(t1, t2):
     assert zhang_shasha_distance(t1, t2) == zhang_shasha_generic(t1, t2, *_UNIT)
 
 
-def test_row_sweep_matches_generic_on_corpus_pair():
+@pytest.mark.parametrize(
+    "app, m1, m2, cells",
+    [
+        # 287 x 322 nodes; R(T1)·R(T2) = 740,246 < L(T1)·L(T2) = 975,312
+        pytest.param("babelstream", "serial", "omp", 740_246, id="right-path"),
+        # 305 x 362 nodes; L(T1)·L(T2) = 1,187,370 < R(T1)·R(T2) = 1,868,223
+        pytest.param(
+            "babelstream-fortran", "sequential", "omp", 1_187_370, id="left-path"
+        ),
+    ],
+)
+def test_row_sweep_matches_generic_on_corpus_pair(app, m1, m2, cells):
     """The row sweep at the scale every benchmark pair runs, far above the
-    random trees above: BabelStream serial vs omp ``main`` T_src."""
+    random trees above, on ``main`` T_src pairs that take each path."""
     from repro.corpus.registry import index_model
 
-    t1 = index_model("babelstream", "serial").units["main"].tree("src")
-    t2 = index_model("babelstream", "omp").units["main"].tree("src")
-    assert t1.size() * t2.size() > 30_000  # 287 x 322 nodes
-    assert zhang_shasha_distance(t1, t2) == zhang_shasha_generic(t1, t2, *_UNIT)
+    t1 = index_model(app, m1).units["main"].tree("src")
+    t2 = index_model(app, m2).units["main"].tree("src")
+    assert t1.size() * t2.size() > 30_000
+    with obs.collect() as c:
+        d = zhang_shasha_distance(t1, t2)
+    assert c.counters["zs.dp_cells"] == cells  # pins the branch taken
+    assert d == zhang_shasha_generic(t1, t2, *_UNIT)
 
 
 @settings(max_examples=60, deadline=None)

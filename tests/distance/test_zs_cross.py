@@ -132,6 +132,25 @@ def test_cross_emits_counters():
     assert c.counters["zs.cross_pairs"] == 3
 
 
+def test_cross_reports_the_per_pair_kernels_work():
+    from repro import obs
+
+    # the first pair takes the mirrored path (63 of 70 cells), its mirror
+    # image the left path: the packed kernel picks per pair as well
+    pairs = [
+        (from_sexpr("(a (b c) (d e))"), from_sexpr("(a (b x) (d e f))")),
+        (from_sexpr("(a (d e) (b c))"), from_sexpr("(a (d f e) (b x))")),
+    ]
+    keys = ("zs.dp_cells", "zs.cells_left", "zs.cells_right", "zs.keyroot_pairs")
+    with obs.collect() as packed:
+        got = zhang_shasha_cross(pairs)
+    with obs.collect() as single:
+        want = [zhang_shasha_distance(a, b) for a, b in pairs]
+    assert got == want
+    assert {k: packed.counters[k] for k in keys} == {k: single.counters[k] for k in keys}
+    assert packed.counters["zs.dp_cells"] == 63 + 63
+
+
 # ---------------------------------------------------------------------------
 # ted_many routing on top of it
 # ---------------------------------------------------------------------------

@@ -90,14 +90,25 @@ class TestTedCounters:
         assert c.counters["ted.shortcut"] == 1
 
     def test_zs_work_counters(self):
-        clear_ted_cache()
-        with obs.collect() as c:
-            ted(from_sexpr("(a (b c) (d e))"), from_sexpr("(a (b x) (d e f))"))
-        assert c.counters["ted.zs.calls"] == 1
-        assert "zs.calls" not in c.counters
-        # keyroots {d, a} x {f, d, a}; L(T) sums their subtree sizes
-        assert c.counters["zs.keyroot_pairs"] == 2 * 3
-        assert c.counters["zs.dp_cells"] == (2 + 5) * (1 + 3 + 6)
+        # L(T) sums the subtree sizes of the keyroots (the root and the nodes
+        # with a left sibling), {d, a} x {f, d, a}: (2 + 5) * (1 + 3 + 6) =
+        # 70. R(T) does the same over the root and the nodes with a right
+        # sibling, {b, a} x {b, e, a}: (2 + 5) * (2 + 1 + 6) = 63, so the
+        # first pair takes the mirrored path. Its mirror image swaps the
+        # two products and reaches the same 63 cells through the left path.
+        for t1, t2, left, right in (
+            ("(a (b c) (d e))", "(a (b x) (d e f))", 70, 63),
+            ("(a (d e) (b c))", "(a (d f e) (b x))", 63, 70),
+        ):
+            clear_ted_cache()
+            with obs.collect() as c:
+                ted(from_sexpr(t1), from_sexpr(t2))
+            assert c.counters["ted.zs.calls"] == 1
+            assert "zs.calls" not in c.counters
+            assert c.counters["zs.keyroot_pairs"] == 2 * 3
+            assert c.counters["zs.cells_left"] == left
+            assert c.counters["zs.cells_right"] == right
+            assert c.counters["zs.dp_cells"] == 63
 
 
 class TestLexCounters:
