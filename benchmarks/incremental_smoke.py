@@ -1,6 +1,6 @@
 """CI smoke gate for incremental indexing.
 
-Indexes a fixed corpus slice (TeaLeaf + Fortran BabelStream models) three
+Indexes a fixed corpus slice (TeaLeaf + Fortran BabelStream models) four
 ways against one shared artifact root:
 
 1. **cold** — empty root: every unit is a miss and runs the frontends;
@@ -10,10 +10,16 @@ ways against one shared artifact root:
 3. **touch-one** — one main file gets a trailing comment: exactly that one
    unit re-fronts, every other unit's DB stays byte-identical, and the
    touched unit's *representations* are unchanged (a comment is trivia to
-   every tree and line summary; only the raw source stored in the DB moves).
+   every tree and line summary; only the raw source stored in the DB moves);
+4. **corrupt-one** — one untouched unit's artifact is rewritten with a
+   valid container, schema and key but a misshapen tree section, and the
+   original sources are indexed again: exactly that unit re-fronts, it is
+   counted once as ``index.unit.invalid`` with exactly one
+   ``index/artifact-invalid`` diagnostic, and every DB is byte-identical to
+   the cold pass.
 
 Wall times and counters land in ``INCR_pr.json`` for the PR artifact; the
-three invariants above are the hard gate.
+four invariants above are the hard gate.
 
 Usage: PYTHONPATH=src python benchmarks/incremental_smoke.py [--out INCR_pr.json]
 """
@@ -26,12 +32,13 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import obs
+from repro import diag, obs
 from repro.obs import ledger as runledger
 from repro.corpus.registry import app_models, build_fs, get_spec
+from repro.serde import read_blob, write_blob
 from repro.workflow.codebasedb import _unit_to_obj, load_codebase_db, save_codebase_db
 from repro.workflow.indexer import index_codebase
-from repro.workflow.unitstore import UnitArtifactStore
+from repro.workflow.unitstore import UnitArtifactStore, unit_key
 
 #: (app, model) slice: every TeaLeaf port plus two Fortran ports, so both
 #: frontends and the coverage-replay path are exercised.
@@ -48,7 +55,7 @@ def run_pass(name: str, store, touched: tuple[str, str] | None = None) -> dict:
     """Index the whole workload once; return wall time, counters and DBs."""
     t0 = time.perf_counter()
     dbs = {}
-    with obs.collect() as col:
+    with obs.collect() as col, diag.capture() as sink:
         for app, model in workload():
             spec = get_spec(app, model)
             fs = build_fs(app, model)
@@ -63,16 +70,35 @@ def run_pass(name: str, store, touched: tuple[str, str] | None = None) -> dict:
     wall = time.perf_counter() - t0
     counters = {
         k: col.counters.get(k, 0)
-        for k in ("index.units", "index.unit.hit", "index.unit.miss", "index.unit.saved")
+        for k in (
+            "index.units",
+            "index.unit.hit",
+            "index.unit.miss",
+            "index.unit.saved",
+            "index.unit.invalid",
+        )
     }
-    print(f"{name:10s} {wall:7.3f}s  " + "  ".join(f"{k}={v:g}" for k, v in counters.items()))
+    print(f"{name:11s} {wall:7.3f}s  " + "  ".join(f"{k}={v:g}" for k, v in counters.items()))
     return {
         "name": name,
         "wall_s": wall,
         "counters": counters,
+        "diagnostics": sink.by_code(),
         "dbs": dbs,
         "metrics": obs.metrics_json(col),
     }
+
+
+def corrupt_tree_section(store, app: str, model: str) -> None:
+    """Truncate the T_sem columns of one unit's artifact, leaving its
+    container, schema, keyspec and key valid."""
+    spec, fs = get_spec(app, model), build_fs(app, model)
+    key = unit_key(spec, fs, "main", spec.units["main"], recover=True, coverage=True)
+    path = store.path_for(key)
+    payload = read_blob(path)
+    tree = payload["value"]["unit"]["t_sem"]
+    tree[1] = tree[1][:-1]
+    write_blob(path, payload, atomic=True)
 
 
 def _same_representations(a_bytes: bytes, b_bytes: bytes) -> bool:
@@ -111,6 +137,8 @@ def main(argv: list[str] | None = None) -> int:
         cold = run_pass("cold", store)
         warm = run_pass("warm", store)
         touched = run_pass("touch-one", store, touched=workload()[0])
+        corrupt_tree_section(store, *workload()[1])
+        corrupt = run_pass("corrupt-one", store)
 
         c, w, t = cold["counters"], warm["counters"], touched["counters"]
         if c["index.unit.miss"] != n_units or c["index.units"] != n_units:
@@ -135,11 +163,29 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"touch-one representations for {touched_key} drifted (comment should be trivia)"
             )
+        x = corrupt["counters"]
+        if x["index.units"] != 1 or x["index.unit.miss"] != 1:
+            failures.append(
+                f"corrupt-one pass re-fronted {x['index.units']:g} units (want exactly 1)"
+            )
+        if x["index.unit.invalid"] != 1:
+            failures.append(
+                f"corrupt-one pass counted {x['index.unit.invalid']:g} invalid (want 1)"
+            )
+        invalid_diags = corrupt["diagnostics"].get("index/artifact-invalid", 0)
+        if invalid_diags != 1:
+            failures.append(
+                f"corrupt-one pass emitted {invalid_diags} index/artifact-invalid diagnostics"
+                " (want 1)"
+            )
+        for key in cold["dbs"]:
+            if corrupt["dbs"][key] != cold["dbs"][key]:
+                failures.append(f"corrupt-one DB for {key} not bit-identical to cold")
 
     report = {
         "workload": [f"{a}/{m}" for a, m in workload()],
         "runs": [
-            {k: v for k, v in r.items() if k != "dbs"} for r in (cold, warm, touched)
+            {k: v for k, v in r.items() if k != "dbs"} for r in (cold, warm, touched, corrupt)
         ],
     }
     runledger.write_harness_artifact(args.out, "incr", report)

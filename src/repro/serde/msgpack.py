@@ -158,9 +158,17 @@ class _Reader:
 
 
 def unpack(data: bytes) -> Any:
-    """Deserialise one MessagePack object; rejects trailing garbage."""
+    """Deserialise one MessagePack object; rejects trailing garbage.
+
+    Any malformed input raises :class:`SerdeError`, including invalid
+    UTF-8, an unhashable (array or map) map key and nesting too deep for
+    the recursive reader, so lenient store reads can treat it as invalid.
+    """
     r = _Reader(data)
-    obj = _unpack_one(r)
+    try:
+        obj = _unpack_one(r)
+    except (RecursionError, TypeError, UnicodeDecodeError) as e:
+        raise SerdeError(f"malformed MessagePack data: {e}") from e
     if r.pos != len(data):
         raise SerdeError(f"{len(data) - r.pos} trailing bytes after object")
     return obj

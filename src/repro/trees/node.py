@@ -59,13 +59,6 @@ class SourceSpan:
             max(self.line_end, other.line_end),
         )
 
-    def to_tuple(self) -> tuple:
-        return (self.file, self.line_start, self.line_end)
-
-    @classmethod
-    def from_tuple(cls, t: tuple) -> "SourceSpan":
-        return cls(t[0], t[1], t[2])
-
 
 class Node:
     """An n-ary labelled tree node.
@@ -214,45 +207,6 @@ class Node:
 
     def __hash__(self) -> int:  # pragma: no cover - nodes are mutable
         return id(self)
-
-    # -- serialisation ----------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data form used by the Codebase DB serialiser (iterative)."""
-        root: dict = {}
-        stack: list[tuple[Node, dict]] = [(self, root)]
-        while stack:
-            node, d = stack.pop()
-            d["l"] = node.label
-            d["k"] = node.kind
-            if node.span is not None:
-                d["s"] = list(node.span.to_tuple())
-            if node.attrs:
-                d["a"] = {
-                    k: v for k, v in node.attrs.items() if isinstance(v, (str, int, float, bool))
-                }
-            kids: list[dict] = [{} for _ in node.children]
-            if kids:
-                d["c"] = kids
-            stack.extend(zip(node.children, kids))
-        return root
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Node":
-        """Inverse of :meth:`to_dict` (iterative)."""
-
-        def make(dd: dict) -> Node:
-            span = SourceSpan.from_tuple(tuple(dd["s"])) if "s" in dd else None
-            return cls(dd["l"], dd.get("k", "node"), None, span, dict(dd.get("a", {})))
-
-        root = make(d)
-        stack: list[tuple[dict, Node]] = [(d, root)]
-        while stack:
-            dd, node = stack.pop()
-            for cd in dd.get("c", []):
-                child = make(cd)
-                node.children.append(child)
-                stack.append((cd, child))
-        return root
 
     def pretty(self, indent: int = 0, max_depth: int = 50) -> str:
         """Human-readable indented dump (for debugging and docs)."""

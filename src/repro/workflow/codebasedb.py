@@ -3,26 +3,169 @@
 The index step's output — "a portable set of semantic-bearing trees and
 metadata files" — serialised with the from-scratch MessagePack codec into
 the compressed container, and restored without re-running the frontends.
+
+Trees use one flat encoding, shared by unit artifacts and the Codebase DB
+export (DESIGN.md §"Unit artifact key contract"): a MessagePack array
+``[strings, columns, attrs]``. ``strings`` is a string table of labels,
+kinds and span files in first-seen order. ``columns`` is one ``bin`` of
+little-endian int32 rows, one per node in preorder: label id, kind id,
+child count, span file id (``-1`` for no span), first line, last line.
+``attrs`` maps each attribute key to ``[indices, values]``: the node
+indices as an int32 ``bin`` and the values as a list. Only ``str``,
+``int``, ``float`` and ``bool`` values are stored, and no key that starts
+with ``_`` (those are in-memory memos such as ``_shash``).
 """
 
 from __future__ import annotations
 
+import operator
+import struct
+from itertools import accumulate
 from pathlib import Path
-from typing import Union
+from typing import Any, Union
 
 from repro.coverage.profile import CoverageProfile
 from repro.lang.source import VirtualFS
 from repro.serde.container import read_blob, write_blob
-from repro.trees.node import Node
+from repro.trees.node import Node, SourceSpan
 from repro.util.errors import SerdeError
 from repro.workflow.codebase import IndexedCodebase, IndexedUnit, ModelSpec
 
-_FORMAT = 2
+_FORMAT = 3
+
+#: int32 columns per node: label, kind, child count, span file, first, last line
+_COLS = 6
+_SCALARS = (str, int, float, bool)
+
+
+def _int32s(values: list[int]) -> bytes:
+    try:
+        return struct.pack(f"<{len(values)}i", *values)
+    except struct.error as e:
+        raise SerdeError(f"tree column value outside int32: {e}") from e
+
+
+def encode_tree(root: Node) -> list:
+    """The flat form of one tree (see the module docstring). Deterministic:
+    encoding a decoded tree gives the same bytes again."""
+    strings: dict[str, int] = {}
+    sid = strings.setdefault
+    cols: list[int] = []
+    attrs: dict[str, tuple[list[int], list[Any]]] = {}
+    for i, node in enumerate(root.preorder()):
+        span = node.span
+        cols += (sid(node.label, len(strings)), sid(node.kind, len(strings)), len(node.children))
+        if span is None:
+            cols += (-1, 0, 0)
+        else:
+            cols += (sid(span.file, len(strings)), span.line_start, span.line_end)
+        for key, value in node.attrs.items():
+            if not key.startswith("_") and isinstance(value, _SCALARS):
+                index, values = attrs.setdefault(key, ([], []))
+                index.append(i)
+                values.append(value)
+    return [
+        list(strings),
+        _int32s(cols),
+        {key: [_int32s(index), values] for key, (index, values) in attrs.items()},
+    ]
+
+
+def _in_range(ids: tuple[int, ...], lo: int, hi: int) -> bool:
+    return not ids or (min(ids) >= lo and max(ids) < hi)
+
+
+def _attr_columns(attrs: Any, n: int) -> list[tuple[str, tuple[int, ...], list]]:
+    """``(key, node indices, values)`` per stored attribute, validated."""
+    if not isinstance(attrs, dict):
+        raise ValueError("tree attrs are not a map")
+    out = []
+    for key, column in attrs.items():
+        if not (
+            isinstance(key, str)
+            and isinstance(column, list)
+            and len(column) == 2
+            and isinstance(column[0], bytes)
+            and len(column[0]) % 4 == 0
+            and isinstance(column[1], list)
+        ):
+            raise ValueError(f"tree attr {key!r} is not an [indices, values] pair")
+        index = struct.unpack(f"<{len(column[0]) // 4}i", column[0])
+        values = column[1]
+        if len(values) != len(index):
+            raise ValueError(f"tree attr {key!r} has {len(values)} values for {len(index)} nodes")
+        if not _in_range(index, 0, n):
+            raise ValueError(f"tree attr {key!r} node index out of range")
+        if not all(isinstance(v, _SCALARS) for v in values):
+            raise ValueError(f"tree attr {key!r} holds a non-scalar value")
+        out.append((key, index, values))
+    return out
+
+
+def decode_tree(obj: Any) -> Node:
+    """Inverse of :func:`encode_tree`, in one linear pass. The whole
+    encoding is validated before any node is built; a misshapen one raises
+    :class:`ValueError`."""
+    if not isinstance(obj, list) or len(obj) != 3:
+        raise ValueError("tree is not a [strings, columns, attrs] triple")
+    strings, columns, attrs = obj
+    if not isinstance(strings, list) or not all(type(s) is str for s in strings):
+        raise ValueError("tree string table is not a list of strings")
+    if not isinstance(columns, bytes) or not columns or len(columns) % (4 * _COLS):
+        raise ValueError("tree columns are not whole rows of six int32 values")
+    n = len(columns) // (4 * _COLS)
+    ints = struct.unpack(f"<{n * _COLS}i", columns)
+    labels, kinds, counts = ints[0::_COLS], ints[1::_COLS], ints[2::_COLS]
+    files, firsts, lasts = ints[3::_COLS], ints[4::_COLS], ints[5::_COLS]
+    ns = len(strings)
+    if not (_in_range(labels, 0, ns) and _in_range(kinds, 0, ns) and _in_range(files, -1, ns)):
+        raise ValueError("tree string id out of range")
+    if min(counts) < 0:
+        raise ValueError("tree child count is negative")
+    if sum(counts) != n - 1:
+        raise ValueError(f"tree child counts sum to {sum(counts)}, not {n - 1}")
+    # row i fills one open child slot and opens counts[i] more: the slots
+    # may only run out at the last row, or some row has no parent
+    if n > 1 and min(accumulate(c - 1 for c in counts[:-1])) < 0:
+        raise ValueError("tree child counts close the root early")
+    if min(map(operator.sub, lasts, firsts)) < 0:
+        raise ValueError("tree span ends before it starts")
+    attr_columns = _attr_columns(attrs, n)
+
+    shared: dict[tuple[int, int, int], SourceSpan] = {}
+    spans: list[Any] = []
+    for f, first, last in zip(files, firsts, lasts):
+        if f < 0:
+            spans.append(None)
+            continue
+        span = shared.get((f, first, last))
+        if span is None:
+            span = shared[(f, first, last)] = SourceSpan(strings[f], first, last)
+        spans.append(span)
+    nodes = list(
+        map(Node, [strings[i] for i in labels], [strings[i] for i in kinds], [None] * n, spans)
+    )
+    # preorder with child counts: each node is the next child of the
+    # innermost parent that still has children to take
+    open_parents: list[list] = []
+    for node, count in zip(nodes, counts):
+        if open_parents:
+            slot = open_parents[-1]
+            slot[0].append(node)
+            slot[1] -= 1
+            if not slot[1]:
+                open_parents.pop()
+        if count:
+            open_parents.append([node.children, count])
+    for key, index, values in attr_columns:
+        for i, value in zip(index, values):
+            nodes[i].attrs[key] = value
+    return nodes[0]
 
 
 def _unit_to_obj(u: IndexedUnit) -> dict:
     def tree(t):
-        return t.to_dict() if t is not None else None
+        return encode_tree(t) if t is not None else None
 
     return {
         "role": u.role,
@@ -47,7 +190,7 @@ def _unit_to_obj(u: IndexedUnit) -> dict:
 
 def _unit_from_obj(o: dict) -> IndexedUnit:
     def tree(d):
-        return Node.from_dict(d) if d is not None else None
+        return decode_tree(d) if d is not None else None
 
     u = IndexedUnit(
         role=o["role"],
@@ -98,10 +241,19 @@ def save_codebase_db(cb: IndexedCodebase, path: Union[str, Path]) -> int:
 
 
 def load_codebase_db(path: Union[str, Path]) -> IndexedCodebase:
-    """Restore an indexed codebase from disk."""
+    """Restore an indexed codebase from disk. A foreign, corrupt or
+    misshapen file raises :class:`SerdeError` naming it."""
     obj = read_blob(path)
-    if obj.get("format") != _FORMAT:
-        raise SerdeError(f"{path}: unsupported Codebase DB format {obj.get('format')!r}")
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt != _FORMAT:
+        raise SerdeError(f"{path}: unsupported Codebase DB format {fmt!r}")
+    try:
+        return _codebase_from_obj(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise SerdeError(f"{path}: malformed Codebase DB: {e!r}") from e
+
+
+def _codebase_from_obj(obj: dict) -> IndexedCodebase:
     s = obj["spec"]
     spec = ModelSpec(
         app=s["app"],

@@ -32,7 +32,7 @@ from repro.workflow.codebase import IndexedUnit, ModelSpec
 from repro.workflow.codebasedb import _unit_from_obj, _unit_to_obj
 
 SCHEMA = "repro.index/v1"
-KEY_SPEC = "unit:frontend:v1"
+KEY_SPEC = "unit:frontend:v2"
 
 
 def _text_hash(text: str) -> str:
@@ -121,24 +121,21 @@ def load_unit(
 
     A missing file is a silent miss; a changed dependency is a silent
     miss (the depfile caught it); a corrupt/foreign/misshapen artifact is
-    a miss *with* an ``index/artifact-invalid`` warning so operators know
-    the store needs a ``silvervale cache clear``.
+    a miss *with* an ``index/artifact-invalid`` warning, counted once as
+    ``index.unit.invalid``, so operators know the store needs a
+    ``silvervale cache clear``.
     """
     if not store.path_for(key).exists():
         return None
-    value = store.load(key)
+    name = store.path_for(key).name
+    value = store.load(key)  # counts an unreadable file itself
     if not value:
-        diag.warning(
-            "index/artifact-invalid",
-            f"unreadable unit artifact {store.path_for(key).name}; re-indexing",
-        )
+        diag.warning("index/artifact-invalid", f"unreadable unit artifact {name}; re-indexing")
         return None
     deps = value.get("deps")
     if not isinstance(deps, dict):
-        diag.warning(
-            "index/artifact-invalid",
-            f"unit artifact {store.path_for(key).name} has no depfile; re-indexing",
-        )
+        store._count_invalid()
+        diag.warning("index/artifact-invalid", f"unit artifact {name} has no depfile; re-indexing")
         return None
     for p, digest in deps.items():
         text = fs.files.get(p)
@@ -146,11 +143,9 @@ def load_unit(
             return None  # a dependency changed: plain miss
     try:
         unit = _unit_from_obj(value["unit"])
-    except (KeyError, TypeError, ValueError):
-        diag.warning(
-            "index/artifact-invalid",
-            f"malformed unit artifact {store.path_for(key).name}; re-indexing",
-        )
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        store._count_invalid()
+        diag.warning("index/artifact-invalid", f"malformed unit artifact {name} ({e}); re-indexing")
         return None
     cov = value.get("cov")
     return unit, cov if isinstance(cov, dict) else None

@@ -93,6 +93,15 @@ class TestErrors:
         with pytest.raises(SerdeError):
             unpack(b"\xc1")
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xa1\xff", b"\x81\x90\x01", b"\x91" * 5000 + b"\xc0"],
+        ids=["invalid-utf8", "array-map-key", "too-deep"],
+    )
+    def test_malformed_payload_is_serde_error(self, data):
+        with pytest.raises(SerdeError, match="malformed"):
+            unpack(data)
+
 
 _scalars = st.one_of(
     st.none(),

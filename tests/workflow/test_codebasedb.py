@@ -1,9 +1,19 @@
-"""Codebase DB save/load round trip."""
+"""Codebase DB save/load round trip and the flat tree encoding."""
+
+import struct
 
 import pytest
 
 from repro.metrics import sloc, tree_distance
-from repro.workflow.codebasedb import load_codebase_db, save_codebase_db
+from repro.serde import pack, read_blob, write_blob
+from repro.trees import Node, SourceSpan, from_sexpr, structural_hash
+from repro.trees.hashing import cached_structural_hash
+from repro.workflow.codebasedb import (
+    decode_tree,
+    encode_tree,
+    load_codebase_db,
+    save_codebase_db,
+)
 from repro.util.errors import SerdeError
 
 
@@ -48,9 +58,177 @@ class TestRoundTrip:
         assert back.spec.units == stream_cuda.spec.units
 
     def test_foreign_format_rejected(self, tmp_path):
-        from repro.serde import write_blob
-
         p = tmp_path / "x.svdb"
         write_blob(p, {"format": 99})
         with pytest.raises(SerdeError, match="format"):
+            load_codebase_db(p)
+
+
+def _rows_case(edit):
+    """A case that edits the int32 rows, ``[label, kind, count, file,
+    first, last]`` per node; ``edit(rows, n_strings)`` works in place."""
+
+    def make(enc):
+        ints = list(struct.unpack(f"<{len(enc[1]) // 4}i", enc[1]))
+        rows = [ints[i : i + 6] for i in range(0, len(ints), 6)]
+        edit(rows, len(enc[0]))
+        flat = [v for row in rows for v in row]
+        return [enc[0], struct.pack(f"<{len(flat)}i", *flat), enc[2]]
+
+    return make
+
+
+def _attr_case(edit):
+    """A case that replaces the first attribute's ``[indices, values]``."""
+
+    def make(enc):
+        key, (index, values) = next(iter(enc[2].items()))
+        return [enc[0], enc[1], {**enc[2], key: edit(index, values)}]
+
+    return make
+
+
+@_rows_case
+def _string_id_out_of_range(rows, n_strings):
+    rows[1][0] = n_strings
+
+
+@_rows_case
+def _counts_overrun(rows, _):
+    rows[0][2] += 1
+
+
+@_rows_case
+def _counts_underrun(rows, _):
+    rows[0][2] -= 1
+
+
+@_rows_case
+def _counts_close_root_early(rows, _):
+    # the counts still sum to n - 1, but the root takes no children
+    rows[-1][2] += rows[0][2]
+    rows[0][2] = 0
+
+
+@_rows_case
+def _negative_count(rows, _):
+    rows[-1][2] = -1
+    rows[0][2] += 1
+
+
+@_rows_case
+def _span_ends_before_start(rows, _):
+    rows[0][5] = rows[0][4] - 1
+
+
+#: one misshapen tree section per case, each made from a valid encoding of
+#: a tree with at least two nodes and one attribute (shared with the
+#: unit-artifact tests in test_incremental.py)
+MISSHAPEN = {
+    "truncated columns": lambda enc: [enc[0], enc[1][:-1], enc[2]],
+    "string id out of range": _string_id_out_of_range,
+    "child counts overrun": _counts_overrun,
+    "child counts underrun": _counts_underrun,
+    "child counts close the root early": _counts_close_root_early,
+    "negative child count": _negative_count,
+    "attribute index out of range": _attr_case(
+        lambda index, values: [index[:-4] + struct.pack("<i", 10**6), values]
+    ),
+    "attribute values of mismatched length": _attr_case(
+        lambda index, values: [index, values + values[:1]]
+    ),
+    "span ends before it starts": _span_ends_before_start,
+}
+
+
+def sample_tree():
+    t = from_sexpr("(a (b c) d)")
+    for i, node in enumerate(t.preorder()):
+        node.span = SourceSpan("f.cpp", 3 + i, 4 + i)
+        node.attrs["name"] = f"n{i}"
+    return t
+
+
+class TestTreeEncoding:
+    def test_corpus_trees_round_trip_exactly(self, stream_serial):
+        unit = stream_serial.units["main"]
+        for t in (unit.t_src_pre, unit.t_src_post, unit.t_sem, unit.t_sem_inlined, unit.t_ir):
+            enc = encode_tree(t)
+            back = decode_tree(enc)
+            assert structural_hash(back) == structural_hash(t)
+            for a, b in zip(t.preorder(), back.preorder(), strict=True):
+                assert (a.label, a.kind, a.span) == (b.label, b.kind, b.span)
+                assert b.attrs == {k: v for k, v in a.attrs.items() if not k.startswith("_")}
+            assert pack(encode_tree(back)) == pack(enc)
+
+    def test_single_node(self):
+        back = decode_tree(encode_tree(Node("", "ü")))
+        assert (back.label, back.kind, back.span, back.attrs) == ("", "ü", None, {})
+        assert back.children == []
+
+    def test_deep_chain_is_iterative(self):
+        root = Node("n0")
+        cur = root
+        for i in range(1, 10_000):
+            cur.children.append(Node(f"n{i % 7}", span=SourceSpan("f.cpp", i)))
+            cur = cur.children[0]
+        enc = encode_tree(root)
+        back = decode_tree(enc)
+        assert back.depth() == 10_000
+        assert structural_hash(back) == structural_hash(root)
+        assert pack(encode_tree(back)) == pack(enc)
+
+    def test_identical_spans_shared(self):
+        t = from_sexpr("(a b c)")
+        for node in t.preorder():
+            node.span = SourceSpan("f.cpp", 7)
+        back = decode_tree(encode_tree(t))
+        assert back.children[0].span is back.children[1].span is back.span
+
+    def test_memo_attrs_not_stored(self):
+        t = sample_tree()
+        cached_structural_hash(t)
+        back = decode_tree(encode_tree(t))
+        assert "_shash" not in back.attrs
+        assert cached_structural_hash(back) == structural_hash(t)
+
+    def test_stale_memo_not_persisted(self):
+        # a stripped copy inherits its source's _shash; the encoding must
+        # not carry that stale hash to disk
+        t = sample_tree()
+        cached_structural_hash(t)
+        stripped = t.filter_subtrees(lambda n: n.label != "d")
+        back = decode_tree(encode_tree(stripped))
+        assert cached_structural_hash(back) == structural_hash(stripped) != structural_hash(t)
+
+    def test_value_outside_int32_is_serde_error(self):
+        with pytest.raises(SerdeError, match="int32"):
+            encode_tree(Node("x", span=SourceSpan("f.cpp", 2**31)))
+
+
+class TestMisshapenTrees:
+    def test_sample_is_valid(self):
+        t = sample_tree()
+        assert decode_tree(encode_tree(t)) == t
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN))
+    def test_decode_rejects(self, case):
+        with pytest.raises(ValueError):
+            decode_tree(MISSHAPEN[case](encode_tree(sample_tree())))
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN))
+    def test_load_codebase_db_names_the_file(self, tmp_path, stream_serial, case):
+        p = tmp_path / "s.svdb"
+        save_codebase_db(stream_serial, p)
+        obj = read_blob(p)
+        unit = obj["units"]["main"]
+        unit["t_sem"] = MISSHAPEN[case](encode_tree(sample_tree()))
+        write_blob(p, obj)
+        with pytest.raises(SerdeError, match="s.svdb"):
+            load_codebase_db(p)
+
+    def test_nested_tree_format_rejected(self, tmp_path):
+        p = tmp_path / "old.svdb"
+        write_blob(p, {"format": 2})
+        with pytest.raises(SerdeError, match="unsupported Codebase DB format 2"):
             load_codebase_db(p)

@@ -5,12 +5,21 @@ a tiny hand-built codebase so every frontend invocation is observable via the
 ``index.unit.{hit,miss}`` counters.
 """
 
+import struct
+import zlib
+
+import pytest
+
 from repro import diag, obs
 from repro.lang.source import VirtualFS
+from repro.serde import read_blob, write_blob
+from repro.serde.container import MAGIC, VERSION
+from repro.workflow import unitstore
 from repro.workflow.codebase import ModelSpec
 from repro.workflow.codebasedb import save_codebase_db
 from repro.workflow.indexer import index_codebase
-from repro.workflow.unitstore import UnitArtifactStore, unit_key
+from repro.workflow.unitstore import UnitArtifactStore, load_unit, unit_key
+from tests.workflow.test_codebasedb import MISSHAPEN
 
 
 def make_fs(files):
@@ -85,6 +94,19 @@ class TestHitMiss:
         # unit "a" specifically must have been re-fronted
         assert c["index.units"] == c["index.unit.miss"]
 
+    def test_deep_tree_replays(self, tmp_path):
+        # a 300-term sum nests T_sem about 300 deep; the warm load must not
+        # recurse per tree level
+        store = UnitArtifactStore(tmp_path)
+        files = {"a.cpp": "int fa() { return " + "+".join(["1"] * 300) + "; }\n"}
+        spec = ModelSpec(app="t", model="m", lang="cpp", units={"a": "a.cpp"}, entry=None)
+        cold, _ = index_counting(spec, make_fs(files), store)
+        assert cold.units["a"].t_sem.depth() > 300
+
+        warm, c = index_counting(spec, make_fs(files), store)
+        assert c["index.unit.hit"] == 1 and "index.units" not in c
+        assert warm.units["a"].t_sem == cold.units["a"].t_sem
+
     def test_new_file_in_layout_invalidates(self, tmp_path):
         store = UnitArtifactStore(tmp_path)
         index_counting(make_spec(), make_fs(FILES), store)
@@ -108,6 +130,55 @@ class TestArtifactHygiene:
             _, c = index_counting(spec, make_fs(FILES), store)
         assert c["index.unit.miss"] == 1 and c["index.unit.hit"] == 1
         assert sink.by_code().get("index/artifact-invalid") == 1
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN))
+    def test_misshapen_tree_section_is_an_invalid_miss(self, tmp_path, case):
+        # valid container, schema, keyspec and key: only the tree is bad
+        store = UnitArtifactStore(tmp_path)
+        spec, fs = make_spec(), make_fs(FILES)
+        index_counting(spec, fs, store)
+        key = unit_key(spec, fs, "a", "a.cpp", recover=True, coverage=False)
+        path = store.path_for(key)
+        payload = read_blob(path)
+        unit = payload["value"]["unit"]
+        unit["t_sem"] = MISSHAPEN[case](unit["t_sem"])
+        write_blob(path, payload, atomic=True)
+
+        with diag.capture() as sink, obs.collect() as col:
+            assert load_unit(store, key, fs) is None
+        assert sink.by_code() == {"index/artifact-invalid": 1}
+        assert col.counters["index.unit.invalid"] == 1
+
+    def test_malformed_payload_is_an_invalid_miss(self, tmp_path):
+        # a sound container whose MessagePack payload has an array map key
+        store = UnitArtifactStore(tmp_path)
+        spec, fs = make_spec(), make_fs(FILES)
+        index_counting(spec, fs, store)
+        key = unit_key(spec, fs, "a", "a.cpp", recover=True, coverage=False)
+        payload = zlib.compress(b"\x81\x90\x01")
+        store.path_for(key).write_bytes(
+            MAGIC + bytes([VERSION]) + struct.pack(">I", len(payload)) + payload
+        )
+
+        with diag.capture() as sink, obs.collect() as col:
+            assert load_unit(store, key, fs) is None
+        assert sink.by_code() == {"index/artifact-invalid": 1}
+        assert col.counters["index.unit.invalid"] == 1
+
+    def test_previous_keyspec_root_is_all_misses(self, tmp_path, monkeypatch):
+        # artifacts written under unit:frontend:v1 sit under other keys:
+        # never read, so they are plain misses, not invalid ones
+        with monkeypatch.context() as m:
+            m.setattr(unitstore, "KEY_SPEC", "unit:frontend:v1")
+            old = UnitArtifactStore(tmp_path, keyspec="unit:frontend:v1")
+            index_counting(make_spec(), make_fs(FILES), old)
+        assert len(old.keys()) == 2
+
+        with diag.capture() as sink:
+            _, c = index_counting(make_spec(), make_fs(FILES), UnitArtifactStore(tmp_path))
+        assert c["index.unit.miss"] == 2 and c["index.units"] == 2
+        assert "index.unit.hit" not in c and "index.unit.invalid" not in c
+        assert not sink.diagnostics
 
     def test_strict_bypasses_store(self, tmp_path):
         store = UnitArtifactStore(tmp_path)
