@@ -23,15 +23,20 @@ APPS = {
 _INDEX_CACHE: dict[tuple[str, str, bool, bool], IndexedCodebase] = {}
 
 
-def app_models(app: str) -> list[str]:
-    """Model names available for ``app`` (Table II rows)."""
+def _app_module(app: str):
+    """The corpus module of ``app``; an unknown name is a :class:`WorkflowError`."""
     if app not in APPS:
         raise WorkflowError(f"unknown app {app!r}; have {sorted(APPS)}")
-    return list(APPS[app].MODELS)
+    return APPS[app]
+
+
+def app_models(app: str) -> list[str]:
+    """Model names available for ``app`` (Table II rows)."""
+    return list(_app_module(app).MODELS)
 
 
 def get_spec(app: str, model: str) -> ModelSpec:
-    mod = APPS[app]
+    mod = _app_module(app)
     if model not in mod.MODELS:
         raise WorkflowError(f"unknown model {model!r} for {app}; have {sorted(mod.MODELS)}")
     entry = mod.MODELS[model]
@@ -54,7 +59,7 @@ def get_spec(app: str, model: str) -> ModelSpec:
 
 def build_fs(app: str, model: str) -> VirtualFS:
     """Virtual filesystem for one model port: sources + shared + system."""
-    mod = APPS[app]
+    mod = _app_module(app)
     fs = VirtualFS()
     for path, text in system_headers().items():
         fs.add(path, text)
@@ -75,20 +80,19 @@ def index_model(
     coverage: bool = False,
     strict: bool = False,
     artifacts=None,
-    jobs: int = 1,
 ) -> IndexedCodebase:
     """Index one model port (cached per process).
 
-    ``artifacts``/``jobs`` thread through to :func:`index_codebase` for
-    incremental/parallel indexing; they do not partition the in-process
-    cache (the indexed result is identical either way).
+    ``artifacts`` threads through to :func:`index_codebase` for incremental
+    indexing; it does not partition the in-process cache (the indexed
+    result is identical either way).
     """
     key = (app, model, coverage, strict)
     if key not in _INDEX_CACHE:
         spec = get_spec(app, model)
         fs = build_fs(app, model)
         _INDEX_CACHE[key] = index_codebase(
-            spec, fs, run_coverage=coverage, strict=strict, artifacts=artifacts, jobs=jobs
+            spec, fs, run_coverage=coverage, strict=strict, artifacts=artifacts
         )
     return _INDEX_CACHE[key]
 
@@ -99,14 +103,15 @@ def index_app(
     coverage: bool = False,
     strict: bool = False,
     artifacts=None,
-    jobs: int = 1,
 ) -> dict[str, IndexedCodebase]:
     """Index several (default: all) model ports of an app."""
     names = list(models) if models is not None else app_models(app)
-    return {
-        m: index_model(app, m, coverage, strict=strict, artifacts=artifacts, jobs=jobs)
-        for m in names
-    }
+    return {m: index_model(app, m, coverage, strict=strict, artifacts=artifacts) for m in names}
+
+
+def cached_codebases() -> int:
+    """How many indexed codebases the in-process cache holds."""
+    return len(_INDEX_CACHE)
 
 
 def clear_index_cache() -> None:

@@ -1,14 +1,14 @@
 """Fault-tolerant parallel distance-matrix engine with a persistent cache.
 
 The paper's compare step is the cartesian product of all models (§V-A) —
-O(n²) divergence evaluations whose cost PR 1's spans showed to dominate
-every figure. On production corpora that is a multi-minute-to-multi-hour
-run, so this engine schedules the pair list *defensively* on top of the
-shared :class:`repro.parallel.ChunkedPool` (serial by default, fork pool
-for ``jobs > 1``, per-chunk watchdog deadlines, capped-backoff retries,
+O(n²) divergence evaluations whose cost dominates every figure. On
+production corpora that is a multi-minute-to-multi-hour run, so this
+engine schedules the pair list *defensively* on
+:class:`repro.parallel.ChunkedPool` (serial by default, fork pool for
+``jobs > 1``, per-chunk watchdog deadlines, capped-backoff retries,
 chaos-hook fault injection — see :mod:`repro.parallel.pool` for that
-contract; the engine keeps its historical ``engine.*`` counter names via
-the pool's counter prefix) and adds the distance-specific layers:
+contract; the engine is the pool's one caller, so the pool reports under
+``engine.*``) and adds the distance-specific layers:
 
 * **a persistent TED cache** (:class:`repro.cache.TedCacheStore`) when one
   is attached: the engine installs it in the distance layer (and attaches
@@ -139,6 +139,7 @@ class DistanceEngine:
         Whole-wave wall-clock deadline in seconds (None = no deadline);
         see :class:`repro.parallel.pool.ChunkedPool`. The serve daemon
         sets this so one wedged wave cannot pin the engine thread forever.
+        It applies only with ``jobs > 1``: a serial wave runs to the end.
     retries:
         Extra attempts per chunk after the first (timeouts and worker
         exceptions both count). Retried submissions back off exponentially
@@ -173,12 +174,8 @@ class DistanceEngine:
             retries=retries,
             strict=strict,
             backoff_s=backoff_s,
-            counter_prefix="engine",
-            label="distance chunk",
-            fail_code="distance/chunk-failed",
             worker_setup=_make_worker_setup(cache_root),
             worker_teardown=_worker_teardown,
-            init_counter="engine.worker_init_errors",
         )
         self.jobs = jobs
         self.cache = cache

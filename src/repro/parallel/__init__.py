@@ -1,4 +1,4 @@
-"""Reusable fork-pool machinery (watchdog, retries, chaos hook)."""
+"""The distance engine's fork pool (watchdog, retries, chaos hook)."""
 
 from repro.parallel.pool import ChaosError, ChunkedPool, PoolResult, sigterm_as_interrupt
 

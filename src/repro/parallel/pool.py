@@ -1,24 +1,25 @@
-"""Fault-tolerant chunked fork pool, hoisted out of the distance engine.
+"""Fault-tolerant chunked fork pool for the distance engine.
 
-PR 4 built this machinery for the O(n²) compare step; the incremental index
-step wants exactly the same defensive schedule for fanning translation
-units across workers, so the pool now lives here as a task-agnostic layer:
+:class:`repro.distance.engine.DistanceEngine` is its one caller, so the
+pool reports under the engine's names. It runs a task list:
 
-* **serial by default** (``jobs=1``), running tasks inline in submission
+* **serially by default** (``jobs=1``), running tasks inline in submission
   order so results stay byte-for-byte identical to a plain loop;
 * **across a ``fork`` multiprocessing pool** for ``jobs > 1``: the task
   list is staged in a module global *before* the fork so workers inherit
-  large task payloads (tree forests, virtual filesystems) by copy-on-write
-  instead of pickling them through a pipe — only chunk bounds and results
-  cross the pipe. Tasks must be pure functions of their inputs, which is
-  what makes any schedule value-identical to the serial one;
-* **under a watchdog**: chunks are dispatched asynchronously and polled
-  against a per-chunk wall-clock deadline (``chunk_timeout``). A chunk lost
-  to a hung or killed worker (the pool respawns dead workers) is
+  large task payloads (tree forests) by copy-on-write instead of pickling
+  them through a pipe — only chunk bounds and results cross the pipe.
+  Tasks must be pure functions of their inputs, which is what makes any
+  schedule value-identical to the serial one;
+* **under a watchdog** (forked path only): chunks are dispatched
+  asynchronously and polled against a per-chunk wall-clock deadline
+  (``chunk_timeout``) and a whole-wave one (``wave_timeout``). A chunk
+  lost to a hung or killed worker (the pool respawns dead workers) is
   rescheduled with capped exponential backoff up to ``retries`` extra
   attempts; a chunk that exhausts its retries degrades to ``fail_value``
-  entries plus a diagnostic (``fail_code``) instead of aborting the run —
-  unless ``strict``, which restores fail-fast.
+  entries plus a ``distance/chunk-failed`` diagnostic instead of aborting
+  the run — unless ``strict``, which restores fail-fast. The serial path
+  runs each task to completion: neither deadline applies to it.
 
 Fault injection for tests and the chaos harness rides in the worker: the
 ``REPRO_CHAOS`` environment variable (e.g. ``"kill@3,hang@5,exc@7"``)
@@ -28,16 +29,13 @@ suffix on the mode fires on every attempt, for retry-exhaustion tests).
 Retries skip the injection, so a chaos run must still converge to the
 fault-free result — ``benchmarks/chaos_engine.py`` asserts exactly that.
 
-Counters are emitted under the pool's ``counter_prefix`` (the engine keeps
-its historical ``engine.*`` names): ``<prefix>.waves`` (one per non-empty
-``run`` call — the unit the serve layer's request coalescing is measured
-in), ``<prefix>.chunks``, ``<prefix>.workers`` (gauge),
-``<prefix>.retries``, ``<prefix>.chunk_timeouts``,
-``<prefix>.worker_deaths``, ``<prefix>.chunks_failed``,
-``<prefix>.wave_timeouts`` plus the staged ``init_counter`` for degraded
-worker initialisation. Workers collect
-counters in-process and the parent merges them, so ``--profile`` output is
-complete either way.
+Counters: ``engine.waves`` (one per non-empty ``run`` call — the unit the
+serve layer's request coalescing is measured in), ``engine.chunks``,
+``engine.workers`` (gauge), ``engine.retries``, ``engine.chunk_timeouts``,
+``engine.worker_deaths``, ``engine.chunks_failed``,
+``engine.wave_timeouts`` and ``engine.worker_init_errors`` (degraded
+worker initialisation). Workers collect counters in-process and the parent
+merges them, so ``--profile`` output is complete either way.
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ from repro import diag, obs
 from repro.util.errors import ReproError
 
 #: Staged work visible to pool workers via fork inheritance. Shape:
-#: ``{"fn", "tasks", "setup", "teardown", "init_counter", "capture",
-#: "span_prefix"}``. Only valid between staging and pool shutdown.
+#: ``{"fn", "tasks", "prepare", "setup", "teardown", "capture"}``. Only
+#: valid between staging and pool shutdown.
 _STAGE: Optional[dict] = None
 
 #: Set when this worker's initializer had to degrade; counted inside the
@@ -71,7 +69,7 @@ _BACKOFF_CAP_S = 8.0
 
 #: Per-chunk cap on spans shipped back to the parent. A chunk that records
 #: more keeps its earliest spans (parents precede children in the log, so
-#: links stay valid) and reports the overflow as ``<prefix>.spans_dropped``
+#: links stay valid) and reports the overflow as ``engine.spans_dropped``
 #: — tracing must never turn a result pipe into a firehose.
 _MAX_CHUNK_SPANS = 2000
 
@@ -132,9 +130,9 @@ def _worker_init() -> None:
     hook (e.g. the engine attaching a fresh disk-cache handle).
 
     Must never raise: a failing pool initializer makes the pool respawn
-    workers forever, so any setup problem degrades — but visibly, via the
-    staged ``init_counter``, not silently. A setup hook signals degradation
-    by returning ``False``.
+    workers forever, so any setup problem degrades — but visibly, via
+    ``engine.worker_init_errors``, not silently. A setup hook signals
+    degradation by returning ``False``.
     """
     global _INIT_FAILED
     _INIT_FAILED = False
@@ -166,7 +164,7 @@ def _run_chunk(
 
     Returns ``(results, counter deltas, trace payload)``. The payload is
     ``None`` unless the parent was collecting when the pool was staged
-    (``capture``): then the whole chunk runs under a ``<prefix>.chunk``
+    (``capture``): then the whole chunk runs under an ``engine.chunk``
     span and the worker's span log (capped at :data:`_MAX_CHUNK_SPANS`) and
     histograms travel back for :meth:`Collector.adopt_chunk`, giving the
     parent's trace a per-worker pid lane.
@@ -176,13 +174,12 @@ def _run_chunk(
     fn = _STAGE["fn"]
     tasks = _STAGE["tasks"]
     capture = _STAGE.get("capture", False)
-    prefix = _STAGE.get("span_prefix", "pool")
     plan = _parse_chaos(os.environ.get("REPRO_CHAOS", ""))
     with obs.collect() as col:
-        with obs.span(f"{prefix}.chunk", lo=lo, hi=hi, attempt=attempt):
+        with obs.span("engine.chunk", lo=lo, hi=hi, attempt=attempt):
             if _INIT_FAILED:
-                obs.add(_STAGE.get("init_counter") or "pool.worker_init_errors")
-            _run_prepare(_STAGE.get("prepare"), tasks[lo:hi], prefix)
+                obs.add("engine.worker_init_errors")
+            _run_prepare(_STAGE.get("prepare"), tasks[lo:hi])
             out = []
             for idx in range(lo, hi):
                 if plan:
@@ -204,7 +201,7 @@ def _run_chunk(
     return out, dict(col.counters), payload
 
 
-def _run_prepare(prepare, chunk_tasks, prefix: str) -> None:
+def _run_prepare(prepare, chunk_tasks) -> None:
     """Run a chunk-level ``prepare`` hook, degrading on failure.
 
     ``prepare`` sees the whole chunk's task slice before the per-task loop;
@@ -216,10 +213,10 @@ def _run_prepare(prepare, chunk_tasks, prefix: str) -> None:
     if prepare is None:
         return
     try:
-        with obs.span(f"{prefix}.prepare", tasks=len(chunk_tasks)):
+        with obs.span("engine.prepare", tasks=len(chunk_tasks)):
             prepare(chunk_tasks)
     except Exception:
-        obs.add(f"{prefix}.prepare_errors")
+        obs.add("engine.prepare_errors")
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +311,12 @@ class ChunkedPool:
         Whole-wave wall-clock deadline in seconds (None = no deadline).
         When one ``run`` call — retries and backoff included — exceeds it,
         every unfinished chunk degrades to ``fail_value`` at once
-        (``<prefix>.wave_timeouts``; strict mode raises instead) so the
+        (``engine.wave_timeouts``; strict mode raises instead) so the
         caller's thread gets its result list back on a bounded schedule.
         The serve daemon leans on this: its engine thread must return so
-        the batcher can route per-key failures instead of wedging.
+        the batcher can route per-key failures instead of wedging. Only
+        the forked path reads it: the serial path (``jobs=1``) runs every
+        task to completion however long the wave takes.
     retries:
         Extra attempts per chunk after the first (timeouts and worker
         exceptions both count). Retried submissions back off exponentially
@@ -325,22 +324,16 @@ class ChunkedPool:
     strict:
         When True a chunk that exhausts its retries raises
         :class:`ReproError` (fail-fast). When False (default) it degrades:
-        a ``fail_code`` diagnostic plus ``fail_value`` for each of its
-        tasks.
+        a ``distance/chunk-failed`` diagnostic plus ``fail_value`` for each
+        of its tasks.
     backoff_s:
         First-retry backoff delay (doubles per attempt, capped).
-    counter_prefix / label / fail_code:
-        Naming knobs: obs counters are ``<counter_prefix>.*``, strict
-        errors read ``"<label> <lo>:<hi> failed ..."`` and degraded chunks
-        emit a ``fail_code`` diagnostic.
     worker_setup / worker_teardown:
         Optional hooks staged into workers by fork inheritance: ``setup``
         runs in the pool initializer (return ``False`` to flag degraded
-        init), ``teardown`` runs at the end of every chunk (e.g. flushing
+        init, counted as ``engine.worker_init_errors`` inside the next
+        chunk), ``teardown`` runs at the end of every chunk (e.g. flushing
         a worker-side cache) inside the chunk's counter-collect window.
-    init_counter:
-        Counter bumped (inside the next chunk) when a worker's setup
-        degraded.
     """
 
     def __init__(
@@ -352,12 +345,8 @@ class ChunkedPool:
         retries: int = 2,
         strict: bool = False,
         backoff_s: float = 0.25,
-        counter_prefix: str = "pool",
-        label: str = "chunk",
-        fail_code: str = "parallel/chunk-failed",
         worker_setup: Optional[Callable[[], Any]] = None,
         worker_teardown: Optional[Callable[[], Any]] = None,
-        init_counter: Optional[str] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -376,12 +365,8 @@ class ChunkedPool:
         self.retries = retries
         self.strict = strict
         self.backoff_s = backoff_s
-        self.counter_prefix = counter_prefix
-        self.label = label
-        self.fail_code = fail_code
         self.worker_setup = worker_setup
         self.worker_teardown = worker_teardown
-        self.init_counter = init_counter or f"{counter_prefix}.worker_init_errors"
 
     # -- public API --------------------------------------------------------
 
@@ -401,7 +386,7 @@ class ChunkedPool:
         ``prepare``, when given, receives each chunk's task slice (the
         whole list on the serial path) before its per-task loop — in the
         worker process on the forked path. It must be a pure cache warmer:
-        failures degrade to a ``<prefix>.prepare_errors`` counter and the
+        failures degrade to an ``engine.prepare_errors`` counter and the
         per-task path recomputes, so results are unchanged with or without
         it.
         """
@@ -411,7 +396,7 @@ class ChunkedPool:
             return PoolResult(run.values, run.degraded, False)
         # one wave = one scheduling pass over a task list; the serve layer's
         # request coalescing asserts its batching on exactly this counter
-        obs.add(f"{self.counter_prefix}.waves")
+        obs.add("engine.waves")
         # jobs > 1 always forks, even for a single task: the caller asked
         # for process isolation, and the watchdog/trace machinery (worker
         # pid lanes, chunk retries) only exists on the forked path. Worker
@@ -425,8 +410,8 @@ class ChunkedPool:
     # -- serial ------------------------------------------------------------
 
     def _run_serial(self, fn, tasks, run: "_PoolRun", prepare=None) -> None:
-        obs.gauge(f"{self.counter_prefix}.workers", 1)
-        _run_prepare(prepare, tasks, self.counter_prefix)
+        obs.gauge("engine.workers", 1)
+        _run_prepare(prepare, tasks)
         for i, task in enumerate(tasks):
             run.values[i] = fn(task)
 
@@ -437,23 +422,21 @@ class ChunkedPool:
         n = len(tasks)
         size = self.chunk_size or max(1, -(-n // (jobs * 4)))
         chunks = [_ChunkState((lo, min(lo + size, n))) for lo in range(0, n, size)]
-        obs.add(f"{self.counter_prefix}.chunks", len(chunks))
-        obs.gauge(f"{self.counter_prefix}.workers", jobs)
+        obs.add("engine.chunks", len(chunks))
+        obs.gauge("engine.workers", jobs)
         _STAGE = {
             "fn": fn,
             "tasks": tasks,
             "prepare": prepare,
             "setup": self.worker_setup,
             "teardown": self.worker_teardown,
-            "init_counter": self.init_counter,
             # workers only serialize spans/hists when someone is listening:
             # the disabled path must stay free of per-chunk payload cost
             "capture": run.collector is not None,
-            "span_prefix": self.counter_prefix,
         }
         ctx = multiprocessing.get_context("fork")
         try:
-            with obs.span(f"{self.counter_prefix}.pool", jobs=jobs, chunks=len(chunks)) as sp:
+            with obs.span("engine.pool", jobs=jobs, chunks=len(chunks)) as sp:
                 run.pool_span = sp.index
                 with ctx.Pool(processes=jobs, initializer=_worker_init) as pool:
                     self._drive(pool, chunks, run)
@@ -478,7 +461,7 @@ class ChunkedPool:
             pids = _live_pids(pool)
             vanished = known_pids - pids
             if vanished:
-                obs.add(f"{self.counter_prefix}.worker_deaths", len(vanished))
+                obs.add("engine.worker_deaths", len(vanished))
             known_pids = pids
             if remaining:
                 time.sleep(_POLL_S)
@@ -511,12 +494,10 @@ class ChunkedPool:
                         parent=run.pool_span,
                     )
                     if payload["dropped"]:
-                        run.collector.add(
-                            f"{self.counter_prefix}.spans_dropped", payload["dropped"]
-                        )
+                        run.collector.add("engine.spans_dropped", payload["dropped"])
             return True
         if now > chunk.deadline:
-            obs.add(f"{self.counter_prefix}.chunk_timeouts")
+            obs.add("engine.chunk_timeouts")
             lo, hi = chunk.bounds
             err = TimeoutError(
                 f"chunk {lo}:{hi} exceeded chunk_timeout={self.chunk_timeout}s "
@@ -538,17 +519,17 @@ class ChunkedPool:
         """The whole wave ran out of wall clock: degrade every unfinished
         chunk at once (in-flight attempts included — the pool context exit
         terminates their workers). Strict mode raises instead."""
-        obs.add(f"{self.counter_prefix}.wave_timeouts")
+        obs.add("engine.wave_timeouts")
         if self.strict:
             raise ReproError(
-                f"{self.label} wave exceeded wave_timeout={self.wave_timeout}s "
+                f"distance chunk wave exceeded wave_timeout={self.wave_timeout}s "
                 f"with {len(remaining)} chunk(s) unfinished"
             )
         for chunk in remaining:
             lo, hi = chunk.bounds
-            obs.add(f"{self.counter_prefix}.chunks_failed")
+            obs.add("engine.chunks_failed")
             diag.error(
-                self.fail_code,
+                "distance/chunk-failed",
                 f"tasks {lo}:{hi} degraded to fail_value: wave exceeded "
                 f"wave_timeout={self.wave_timeout}s",
             )
@@ -567,18 +548,18 @@ class ChunkedPool:
         chunk.inflight = None
         lo, hi = chunk.bounds
         if chunk.attempts <= self.retries:
-            obs.add(f"{self.counter_prefix}.retries")
+            obs.add("engine.retries")
             backoff = min(self.backoff_s * 2 ** (chunk.attempts - 1), _BACKOFF_CAP_S)
             chunk.next_submit = now + backoff
             chunk.deadline = float("inf")
             return False
         if self.strict:
             raise ReproError(
-                f"{self.label} {lo}:{hi} failed after {chunk.attempts} attempt(s): {err}"
+                f"distance chunk {lo}:{hi} failed after {chunk.attempts} attempt(s): {err}"
             )
-        obs.add(f"{self.counter_prefix}.chunks_failed")
+        obs.add("engine.chunks_failed")
         diag.error(
-            self.fail_code,
+            "distance/chunk-failed",
             f"tasks {lo}:{hi} degraded to fail_value after {chunk.attempts} "
             f"attempt(s): {err}",
         )

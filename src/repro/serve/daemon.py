@@ -5,10 +5,11 @@ Threading model (the whole story, because it is the subtle part):
 * The **event loop** owns connections, request parsing, the wave batcher
   and the divergence memo. Handlers never run engine work inline.
 * One **engine thread** (a ``ThreadPoolExecutor(max_workers=1)``) runs all
-  indexing and every :class:`ChunkedPool` wave. One thread, by design:
-  the pool already parallelises *inside* a wave (``--jobs``), the engine's
-  memo/caches assume single-writer, and serialising waves is exactly what
-  makes "N concurrent requests → one wave per unique demand set" true.
+  indexing (serial, in-process) and every :class:`ChunkedPool` wave. One
+  thread, by design: the pool already parallelises *inside* a wave
+  (``--jobs``), the engine's memo/caches and the registry's index cache
+  assume single-writer, and serialising waves is exactly what makes
+  "N concurrent requests → one wave per unique demand set" true.
   The thread is *replaceable*: when the batcher's wave watchdog declares a
   wave poisoned, the daemon abandons the wedged thread and swaps in a
   fresh one (``serve.engine.restarts``) instead of wedging forever.
@@ -118,7 +119,6 @@ class ServeDaemon:
         port: int = 8787,
         artifacts=None,
         strict: bool = False,
-        jobs: int = 1,
         warm: Sequence[str] = (),
         window_s: float = 0.005,
         port_file: Optional[str] = None,
@@ -129,7 +129,6 @@ class ServeDaemon:
         request_timeout_s: float = 300.0,
         io_timeout_s: float = 30.0,
         wave_timeout_s: Optional[float] = None,
-        hot_max_codebases: int = 0,
         hot_max_entries: int = 0,
     ):
         self.host = host
@@ -145,12 +144,7 @@ class ServeDaemon:
         self.io_timeout_s = float(io_timeout_s)
         self.wave_timeout_s = wave_timeout_s
         self.state = ServeState(
-            engine,
-            artifacts=artifacts,
-            strict=strict,
-            jobs=jobs,
-            max_codebases=hot_max_codebases,
-            max_entries=hot_max_entries,
+            engine, artifacts=artifacts, strict=strict, max_entries=hot_max_entries
         )
         self.ready = threading.Event()
         self.app: Optional[ServeApp] = None

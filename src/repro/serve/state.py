@@ -7,18 +7,20 @@ Three tiers, cheapest first, all keyed by content so they self-invalidate:
   dedupes by: it embeds the metric label and both codebase content
   fingerprints, so a key can only ever name one value. A warm query
   resolves here without touching the batcher, the engine or any kernel;
-* **indexed codebases** — ``(app, model, coverage)`` → ``IndexedCodebase``,
-  the unit-artifact tier. Backed by the incremental index artifacts in the
-  shared artifact root (``repro/artifacts/``), so even a *cold* daemon
-  start replays persisted per-unit frontends instead of re-lexing;
+* **indexed codebases** — the registry's process-wide cache
+  (:func:`repro.corpus.registry.index_model`), one entry per
+  ``(app, model, coverage, strict)``. Backed by the incremental index
+  artifacts in the shared artifact root (``repro/artifacts/``), so even a
+  *cold* daemon start replays persisted per-unit frontends instead of
+  re-lexing;
 * **TED disk memo** — the engine's :class:`TedCacheStore`, preloaded into
   memory at warm-up (:meth:`ShardMapStore.preload`) so first-query shard
   reads never show up in a latency percentile.
 
 Mutation discipline: codebase indexing happens only on the daemon's single
 engine thread; the memo dict is written from the event-loop thread after a
-wave resolves. Every structure is guarded by one lock so ``/v1/stats`` can
-snapshot from the event loop while the engine thread indexes.
+wave resolves. The memo is guarded by a lock so ``/v1/stats`` can snapshot
+it while the engine thread invalidates.
 
 Invalidation (pinned in DESIGN.md §"Serve contract"): keys are content
 fingerprints, so stale reads are impossible — a changed corpus produces
@@ -27,12 +29,13 @@ fingerprints, so stale reads are impossible — a changed corpus produces
 after an in-place corpus edit during development; it drops every tier
 including the process-wide registry and TED memos.
 
-Bounding: both in-memory tiers are LRU-capped (``max_codebases`` /
-``max_entries``; 0 or ``None`` = unbounded). Under varied traffic the
-least-recently-used entry is evicted at the cap (``serve.hot.evicted.*``
-counters) so the always-on daemon's resident set cannot grow without
-bound; evicted entries are only a latency cost, never a correctness one,
-because the backing artifact stores replay them on the next miss.
+Bounding: the memo is LRU-capped (``max_entries``; 0 or ``None`` =
+unbounded). Under varied traffic the least-recently-used entry is evicted
+at the cap (``serve.hot.evicted.memo``) so the always-on daemon's resident
+set cannot grow without bound; an evicted value is only a latency cost,
+never a correctness one, because the TED disk memo replays it on the next
+miss. The indexed codebases need no cap: the registry holds at most one
+per corpus port and mode.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro import obs
 from repro.corpus.registry import (
     APPS,
     app_models,
+    cached_codebases,
     clear_index_cache,
     index_model,
 )
@@ -61,56 +65,29 @@ class ServeState:
         engine,
         artifacts=None,
         strict: bool = False,
-        jobs: int = 1,
-        max_codebases: Optional[int] = None,
         max_entries: Optional[int] = None,
     ):
         self.engine = engine
         self.artifacts = artifacts
         self.strict = strict
-        self.jobs = jobs
-        self.max_codebases = int(max_codebases) if max_codebases else 0
         self.max_entries = int(max_entries) if max_entries else 0
         self._lock = threading.Lock()
-        self._codebases: OrderedDict[tuple[str, str, bool], IndexedCodebase] = OrderedDict()
         self._memo: OrderedDict[str, Any] = OrderedDict()
-        self._evicted = {"codebases": 0, "memo": 0}
+        self._evicted_memo = 0
 
-    # -- codebase tier (engine thread only for misses) ----------------------
+    # -- indexed codebases (engine thread only) -----------------------------
 
     def codebase(self, app: str, model: str, coverage: bool) -> IndexedCodebase:
-        """Indexed codebase from the hot tier, indexing on miss.
+        """Indexed codebase from the registry's cache, indexing on miss.
 
         Must be called on the engine thread when a miss is possible —
         indexing is seconds of work that would stall the event loop.
         Unknown app/model names raise :class:`ReproError` subclasses, which
         the endpoint layer maps to 400s.
         """
-        key = (app, model, coverage)
-        with self._lock:
-            hit = self._codebases.get(key)
-            if hit is not None:
-                self._codebases.move_to_end(key)
-        if hit is not None:
-            obs.add("serve.hot.codebase_hit")
-            return hit
-        obs.add("serve.hot.codebase_miss")
-        cb = index_model(
-            app,
-            model,
-            coverage=coverage,
-            strict=self.strict,
-            artifacts=self.artifacts,
-            jobs=self.jobs,
+        return index_model(
+            app, model, coverage=coverage, strict=self.strict, artifacts=self.artifacts
         )
-        with self._lock:
-            self._codebases[key] = cb
-            self._codebases.move_to_end(key)
-            while self.max_codebases and len(self._codebases) > self.max_codebases:
-                self._codebases.popitem(last=False)
-                self._evicted["codebases"] += 1
-                obs.add("serve.hot.evicted.codebases")
-        return cb
 
     def codebases(
         self, app: str, models: Sequence[str], coverage: bool
@@ -133,7 +110,7 @@ class ServeState:
             self._memo.move_to_end(key)
             while self.max_entries and len(self._memo) > self.max_entries:
                 self._memo.popitem(last=False)
-                self._evicted["memo"] += 1
+                self._evicted_memo += 1
                 obs.add("serve.hot.evicted.memo")
 
     # -- warm-up / invalidation / stats -------------------------------------
@@ -162,9 +139,9 @@ class ServeState:
     def invalidate(self) -> dict[str, int]:
         """Drop every hot-tier entry (and the process-wide registry/TED
         memos behind them); returns the eviction counts."""
+        dropped = {"codebases": cached_codebases()}
         with self._lock:
-            dropped = {"codebases": len(self._codebases), "memo": len(self._memo)}
-            self._codebases.clear()
+            dropped["memo"] = len(self._memo)
             self._memo.clear()
         clear_index_cache()
         clear_ted_cache()
@@ -177,12 +154,11 @@ class ServeState:
     def stats(self) -> dict[str, Any]:
         with self._lock:
             return {
-                "codebases": len(self._codebases),
+                "codebases": cached_codebases(),
                 "memo_entries": len(self._memo),
-                "max_codebases": self.max_codebases,
                 "max_entries": self.max_entries,
-                "evicted": dict(self._evicted),
-                "jobs": self.jobs,
+                "evicted": {"memo": self._evicted_memo},
+                "jobs": getattr(self.engine, "jobs", 1),
                 "strict": self.strict,
                 "incremental": self.artifacts is not None,
                 "ted_cache": getattr(self.engine, "cache", None) is not None,

@@ -28,8 +28,9 @@ completion (``--no-ledger`` opts out); ``silvervale obs history`` tabulates
 recent runs, ``obs diff prev last`` shows counter and latency deltas with
 regression highlighting, and ``obs report`` summarises one run.
 
-Matrix-sweeping subcommands additionally accept ``--jobs N`` (parallel
-distance engine; default serial), ``--cache-dir DIR`` (persistent TED cache,
+Matrix-sweeping subcommands additionally accept ``--jobs N`` (worker
+processes for the distance engine; default serial; indexing always runs
+in-process), ``--cache-dir DIR`` (persistent TED cache,
 also settable via ``REPRO_CACHE_DIR``) and ``--no-cache`` (ignore any
 configured cache for this run), plus the fault-tolerance options:
 ``--chunk-timeout S`` (watchdog deadline per scheduled chunk) and
@@ -43,8 +44,7 @@ Incremental indexing: subcommands that index (``index``, ``compare``,
 artifacts in the shared artifact root (``--cache-dir`` / ``REPRO_CACHE_DIR``
 / ``.silvervale-cache``) and replay unchanged units from disk on the next
 run — a warm re-index of an unchanged corpus runs zero frontend work.
-``--no-incremental`` opts out; ``--strict`` implies a fresh, serial index.
-``--jobs N`` also fans changed units across worker processes.
+``--no-incremental`` opts out; ``--strict`` implies a fresh index.
 
 Error handling: indexing subcommands run with recovering frontends by
 default — damaged units are quarantined, the run completes, and the
@@ -129,11 +129,7 @@ def _artifacts_from_args(args: argparse.Namespace) -> UnitArtifactStore | None:
 
 def _index_kwargs(args: argparse.Namespace) -> dict:
     """Keyword arguments shared by every indexing subcommand."""
-    return {
-        "strict": _strict(args),
-        "artifacts": _artifacts_from_args(args),
-        "jobs": getattr(args, "jobs", 1),
-    }
+    return {"strict": _strict(args), "artifacts": _artifacts_from_args(args)}
 
 
 def _engine_from_args(args: argparse.Namespace) -> DistanceEngine:
@@ -600,7 +596,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         artifacts=_artifacts_from_args(args),
         strict=_strict(args),
-        jobs=getattr(args, "jobs", 1),
         warm=args.warm or [],
         window_s=args.batch_window_ms / 1000.0,
         port_file=args.port_file,
@@ -610,10 +605,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout_s,
         io_timeout_s=args.io_timeout_s,
         # batcher watchdog sits behind the pool-level wave timeout with
-        # headroom: the pool degrading is the normal path, the batcher
-        # poisoning + engine restart is the backstop for a wedged thread
+        # headroom: with --jobs N the pool degrading is the normal path, the
+        # batcher poisoning + engine restart is the backstop for a wedged
+        # thread (and the only bound on a serial wave)
         wave_timeout_s=(args.wave_timeout_s * 2) if args.wave_timeout_s else None,
-        hot_max_codebases=args.hot_max_codebases,
         hot_max_entries=args.hot_max_entries,
     )
     daemon.run()
@@ -665,14 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     idx = argparse.ArgumentParser(add_help=False)
     gx = idx.add_argument_group("indexing")
     gx.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for indexing and the distance engine "
-        "(default: 1, serial)",
-    )
-    gx.add_argument(
         "--cache-dir",
         metavar="DIR",
         help="artifact root holding unit artifacts and the persistent TED "
@@ -689,6 +676,13 @@ def build_parser() -> argparse.ArgumentParser:
     # distance-engine options, only for subcommands that build an engine
     eng = argparse.ArgumentParser(add_help=False)
     ge = eng.add_argument_group("distance engine")
+    ge.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for the distance engine (default: 1, serial)",
+    )
     ge.add_argument(
         "--no-cache",
         action="store_true",
@@ -838,17 +832,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=300.0,
         metavar="S",
-        help="engine wave wall-clock budget: past it the pool degrades the "
-        "wave's unfinished chunks, and at 2x the batcher declares the wave "
-        "poisoned and the daemon restarts its engine thread "
-        "(default: 300; 0 disables)",
-    )
-    ov.add_argument(
-        "--hot-max-codebases",
-        type=int,
-        default=64,
-        metavar="N",
-        help="LRU cap on hot-tier indexed codebases (default: 64; 0 = unbounded)",
+        help="engine wave wall-clock budget: with --jobs N past it the pool "
+        "degrades the wave's unfinished chunks (a serial wave runs to the "
+        "end), and at 2x the batcher declares the wave poisoned and the "
+        "daemon restarts its engine thread (default: 300; 0 disables)",
     )
     ov.add_argument(
         "--hot-max-entries",

@@ -14,6 +14,12 @@ child count, span file id (``-1`` for no span), first line, last line.
 indices as an int32 ``bin`` and the values as a list. Only ``str``,
 ``int``, ``float`` and ``bool`` values are stored, and no key that starts
 with ``_`` (those are in-memory memos such as ``_shash``).
+
+A unit's trees are encoded in a fixed field order (``t_src_pre``,
+``t_src_post``, ``t_sem``, ``t_sem_i``, ``t_ir``). A tree that *is* an
+earlier field's tree (the Fortran frontend shares ``T_src`` pre/post and
+``T_sem`` / ``T_sem+i``) is stored as that field's name and decoded to the
+same object, so a loaded unit keeps the sharing of the unit that was saved.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from repro.trees.node import Node, SourceSpan
 from repro.util.errors import SerdeError
 from repro.workflow.codebase import IndexedCodebase, IndexedUnit, ModelSpec
 
-_FORMAT = 3
+_FORMAT = 4
 
 #: int32 columns per node: label, kind, child count, span file, first, last line
 _COLS = 6
@@ -163,10 +169,50 @@ def decode_tree(obj: Any) -> Node:
     return nodes[0]
 
 
-def _unit_to_obj(u: IndexedUnit) -> dict:
-    def tree(t):
-        return encode_tree(t) if t is not None else None
+#: (payload key, ``IndexedUnit`` attribute) of each tree, in encoding order
+_TREE_FIELDS = (
+    ("t_src_pre", "t_src_pre"),
+    ("t_src_post", "t_src_post"),
+    ("t_sem", "t_sem"),
+    ("t_sem_i", "t_sem_inlined"),
+    ("t_ir", "t_ir"),
+)
 
+
+def _trees_to_obj(u: IndexedUnit) -> dict:
+    """Each tree's flat form, or the key of the earlier field it *is*."""
+    out: dict = {}
+    first_key: dict[int, str] = {}
+    for key, attr in _TREE_FIELDS:
+        t = getattr(u, attr)
+        if t is None:
+            out[key] = None
+        elif id(t) in first_key:
+            out[key] = first_key[id(t)]
+        else:
+            first_key[id(t)] = key
+            out[key] = encode_tree(t)
+    return out
+
+
+def _trees_from_obj(o: dict, u: IndexedUnit) -> None:
+    """Inverse of :func:`_trees_to_obj`; a reference to a later, absent or
+    unknown field raises :class:`ValueError`."""
+    decoded: dict[str, Node] = {}
+    for key, attr in _TREE_FIELDS:
+        d = o[key]
+        if isinstance(d, str):
+            if d not in decoded:
+                raise ValueError(f"tree {key!r} refers to {d!r}, which is no earlier tree")
+            t = decoded[d]
+        else:
+            t = decode_tree(d) if d is not None else None
+        if t is not None:
+            decoded[key] = t
+        setattr(u, attr, t)
+
+
+def _unit_to_obj(u: IndexedUnit) -> dict:
     return {
         "role": u.role,
         "path": u.path,
@@ -180,18 +226,11 @@ def _unit_to_obj(u: IndexedUnit) -> dict:
         "src_lines_post": u.source_lines_post,
         "src_tags_pre": [list(t) for t in u.source_tags_pre],
         "src_tags_post": [list(t) for t in u.source_tags_post],
-        "t_src_pre": tree(u.t_src_pre),
-        "t_src_post": tree(u.t_src_post),
-        "t_sem": tree(u.t_sem),
-        "t_sem_i": tree(u.t_sem_inlined),
-        "t_ir": tree(u.t_ir),
+        **_trees_to_obj(u),
     }
 
 
 def _unit_from_obj(o: dict) -> IndexedUnit:
-    def tree(d):
-        return decode_tree(d) if d is not None else None
-
     u = IndexedUnit(
         role=o["role"],
         path=o["path"],
@@ -206,11 +245,7 @@ def _unit_from_obj(o: dict) -> IndexedUnit:
     u.source_lines_post = list(o["src_lines_post"])
     u.source_tags_pre = [tuple(t) for t in o["src_tags_pre"]]
     u.source_tags_post = [tuple(t) for t in o["src_tags_post"]]
-    u.t_src_pre = tree(o["t_src_pre"])
-    u.t_src_post = tree(o["t_src_post"])
-    u.t_sem = tree(o["t_sem"])
-    u.t_sem_inlined = tree(o["t_sem_i"])
-    u.t_ir = tree(o["t_ir"])
+    _trees_from_obj(o, u)
     return u
 
 

@@ -22,10 +22,9 @@ frontend configuration), so each unit's output can be persisted as a
 content-addressed artifact (:mod:`repro.workflow.unitstore`) and replayed
 on the next run. Pass ``artifacts=UnitArtifactStore(...)`` to enable;
 unchanged units load from disk with **zero** lex/parse/sema work
-(``index.unit.hit``), changed units re-index (``index.unit.miss``) and,
-with ``jobs > 1``, fan out across a :class:`repro.parallel.ChunkedPool`.
-Strict mode bypasses the store entirely (fail-fast implies fresh
-frontends) and indexes serially.
+(``index.unit.hit``) and changed units re-index in-process
+(``index.unit.miss``). Strict mode bypasses the store entirely (fail-fast
+implies fresh frontends).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.lang.fortran.parser import parse_fortran
 from repro.lang.fortran.asttree import fortran_to_tree
 from repro.lang.fortran.lower import lower_fortran
 from repro.lang.source import VirtualFS
-from repro.parallel import ChunkedPool
 from repro.trees.inline import collect_definitions, inline_calls
 from repro.trees.normalize import normalize_names, strip_non_semantic
 from repro.util.errors import ReproError
@@ -380,61 +378,52 @@ def _front_unit(
     return index_fortran_unit(fs, role, path, recover=recover)
 
 
-def _make_unit_worker(spec: ModelSpec, fs: VirtualFS, options: CompileOptions, run_coverage: bool):
-    """Self-contained per-unit pass: front, run coverage, quarantine on
-    failure. Diagnostics are captured and returned alongside the unit so
-    the parent can replay them into its own sink (essential when the pass
-    runs in a pool worker, and harmless in-process)."""
+def _index_miss(
+    spec: ModelSpec,
+    fs: VirtualFS,
+    options: CompileOptions,
+    run_coverage: bool,
+    role: str,
+    path: str,
+) -> tuple[IndexedUnit, Optional[dict], bool]:
+    """Front one unit, run its coverage and quarantine it on failure;
+    returns ``(unit, covrec, pristine)``.
 
-    def work(task: tuple[str, str]):
-        role, path = task
-        with diag.capture() as sink:
-            try:
-                unit = _front_unit(spec, fs, options, role, path, recover=True)
-                covrec = _unit_coverage(unit, spec, run_coverage)
-            except ReproError as e:
-                diag.emit_exception("index/quarantined", e)
-                diag.note(
-                    "index/quarantined",
-                    f"unit {role!r} degraded to SLOC-only metrics",
-                    path,
-                )
-                unit, covrec = _degraded_unit(fs, role, path), None
-            except Exception as e:  # noqa: BLE001 — quarantine wall: an
-                # unexpected frontend bug must degrade the unit, not kill
-                # the whole run; the type name keeps it debuggable.
-                diag.error(
-                    "index/internal-error",
-                    f"{type(e).__name__} while indexing unit {role!r}: {e}",
-                    path,
-                )
-                unit, covrec = _degraded_unit(fs, role, path), None
-            # the tu/sema/ftfile handles served the coverage run above and
-            # must not cross the process boundary (or reach an artifact)
-            unit.__dict__.pop("_frontend", None)
-        return unit, covrec, list(sink.diagnostics)
-
-    return work
-
-
-def _absorb_result(fs: VirtualFS, role: str, path: str, res):
-    """Integrate one worker result; returns (unit, covrec, pristine)."""
-    if res is None:  # pool chunk exhausted its retries (worker death etc.)
-        diag.error(
-            "index/internal-error",
-            f"worker failed while indexing unit {role!r}",
-            path,
-        )
-        return _degraded_unit(fs, role, path), None, False
-    unit, covrec, diags = res
-    sink = diag.current_sink()
-    if sink is not None:
-        for d in diags:
-            # direct sink append: the diag.<severity> counters were already
-            # bumped where the diagnostic was emitted (and merged from pool
-            # workers), so routing through diag.emit would double-count
-            sink.emit(d)
-    return unit, covrec, not diags and not unit.degraded
+    The unit's diagnostics are captured: a unit that raised any is not
+    pristine, so it is never persisted. They are then appended to the
+    caller's sink as they are — their ``diag.<severity>`` counters were
+    bumped where each was emitted, so emitting them again would
+    double-count.
+    """
+    with diag.capture() as sink:
+        try:
+            unit = _front_unit(spec, fs, options, role, path, recover=True)
+            covrec = _unit_coverage(unit, spec, run_coverage)
+        except ReproError as e:
+            diag.emit_exception("index/quarantined", e)
+            diag.note(
+                "index/quarantined",
+                f"unit {role!r} degraded to SLOC-only metrics",
+                path,
+            )
+            unit, covrec = _degraded_unit(fs, role, path), None
+        except Exception as e:  # noqa: BLE001 — quarantine wall: an
+            # unexpected frontend bug must degrade the unit, not kill
+            # the whole run; the type name keeps it debuggable.
+            diag.error(
+                "index/internal-error",
+                f"{type(e).__name__} while indexing unit {role!r}: {e}",
+                path,
+            )
+            unit, covrec = _degraded_unit(fs, role, path), None
+        # the tu/sema/ftfile handles served the coverage run above and
+        # must not reach an artifact
+        unit.__dict__.pop("_frontend", None)
+    outer = diag.current_sink()
+    if outer is not None:
+        for d in sink.diagnostics:
+            outer.emit(d)
+    return unit, covrec, not sink.diagnostics and not unit.degraded
 
 
 def index_codebase(
@@ -443,7 +432,6 @@ def index_codebase(
     run_coverage: bool = False,
     strict: bool = False,
     artifacts: Optional[UnitArtifactStore] = None,
-    jobs: int = 1,
 ) -> IndexedCodebase:
     """Index every unit of one model port; optionally run for coverage.
 
@@ -455,7 +443,7 @@ def index_codebase(
     With ``artifacts`` set (and not strict), unchanged units replay from
     the store (``index.unit.hit``) and only changed units re-run their
     frontends; freshly indexed units that produced no diagnostics are
-    persisted back. ``jobs > 1`` fans the misses across worker processes.
+    persisted back.
     """
     cb = IndexedCodebase(spec=spec, fs=fs)
     options = CompileOptions(dialect=spec.dialect, openmp=spec.openmp, name=spec.model)
@@ -470,61 +458,38 @@ def index_codebase(
                     f"unknown language {spec.lang!r} for unit {role!r} ({path}) "
                     f"in spec {spec.app}/{spec.model}"
                 )
-        units: dict[str, IndexedUnit] = {}
-        keys: dict[str, Optional[str]] = {}
-        misses: list[tuple[str, str]] = []
         for role, path in roles:
             key = (
                 unit_key(spec, fs, role, path, recover=recover, coverage=run_coverage)
                 if store is not None
                 else None
             )
-            keys[role] = key
             hit = load_unit(store, key, fs) if key is not None else None
             if hit is not None:
-                units[role], covrecs[role] = hit
+                cb.units[role], covrecs[role] = hit
                 obs.add("index.unit.hit")
-            else:
-                if store is not None:
-                    obs.add("index.unit.miss")
-                misses.append((role, path))
-        if misses and strict:
-            for role, path in misses:
+                continue
+            if store is not None:
+                obs.add("index.unit.miss")
+            if strict:
                 unit = _front_unit(spec, fs, options, role, path, recover=False)
                 covrecs[role] = _unit_coverage(unit, spec, run_coverage)
                 unit.__dict__.pop("_frontend", None)
-                units[role] = unit
-        elif misses:
-            worker = _make_unit_worker(spec, fs, options, run_coverage)
-            # fork even for a single miss: a one-unit model still gets its
-            # own worker lane in the trace, and compare --jobs N visibly
-            # fans its per-model cold indexes across distinct pids
-            if jobs > 1 and misses:
-                pool = ChunkedPool(
-                    jobs=jobs,
-                    chunk_size=1,
-                    counter_prefix="index.pool",
-                    label="index chunk",
-                    fail_code="index/chunk-failed",
-                )
-                results = pool.run(worker, misses, fail_value=None).values
-            else:
-                results = [worker(t) for t in misses]
-            for (role, path), res in zip(misses, results):
-                unit, covrec, pristine = _absorb_result(fs, role, path, res)
-                units[role] = unit
-                covrecs[role] = covrec
-                key = keys.get(role)
-                if store is not None and key is not None and pristine:
-                    try:
-                        save_unit(store, key, unit, covrec, fs)
-                    except (OSError, ReproError) as e:
-                        diag.warning(
-                            "index/artifact-write-failed",
-                            f"could not persist unit artifact: {e}",
-                            path,
-                        )
-        cb.units = {role: units[role] for role, _ in roles}
+                cb.units[role] = unit
+                continue
+            unit, covrecs[role], pristine = _index_miss(
+                spec, fs, options, run_coverage, role, path
+            )
+            cb.units[role] = unit
+            if key is not None and pristine:
+                try:
+                    save_unit(store, key, unit, covrecs[role], fs)
+                except (OSError, ReproError) as e:
+                    diag.warning(
+                        "index/artifact-write-failed",
+                        f"could not persist unit artifact: {e}",
+                        path,
+                    )
     if run_coverage:
         with obs.span("coverage", app=spec.app, model=spec.model):
             _merge_coverage(cb, spec, covrecs)

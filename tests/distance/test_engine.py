@@ -125,14 +125,8 @@ class TestInterrupt:
         assert "nothing was persisted" in sink.diagnostics[0].message
 
 
-def _stage(setup=None, init_counter="engine.worker_init_errors"):
-    return {
-        "fn": _square,
-        "tasks": TASKS,
-        "setup": setup,
-        "teardown": None,
-        "init_counter": init_counter,
-    }
+def _stage(setup=None):
+    return {"fn": _square, "tasks": TASKS, "setup": setup, "teardown": None}
 
 
 class TestWorkerInitDegrade:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.corpus import APPS, app_models, build_fs, get_spec, index_model
 from repro.metrics import sloc
+from repro.util.errors import WorkflowError
 from repro.workflow.comparer import MetricSpec, divergence
 
 # the fast representative subset used for per-model checks
@@ -80,6 +81,13 @@ def test_specs_are_consistent():
             fs = build_fs(app, model)
             for _role, path in spec.units.items():
                 assert fs.exists(path), (app, model, path)
+
+
+@pytest.mark.parametrize("lookup", [app_models, get_spec, build_fs])
+def test_unknown_app_is_a_workflow_error(lookup):
+    args = ("bogus",) if lookup is app_models else ("bogus", "omp")
+    with pytest.raises(WorkflowError, match="unknown app 'bogus'; have "):
+        lookup(*args)
 
 
 def test_fortran_models_have_static_coverage():

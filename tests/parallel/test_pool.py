@@ -1,9 +1,9 @@
-"""ChunkedPool behaviour independent of the distance engine.
+"""ChunkedPool behaviour independent of the distance engine's caching.
 
 The engine suite covers cache integration and the chaos harness covers
-worker deaths/hangs; these tests pin the reusable pool contract: ordering,
-counter prefixes, degrade-vs-strict failure handling and argument
-validation.
+worker deaths/hangs; these tests pin the pool contract: ordering, the
+``engine.*`` counter names, degrade-vs-strict failure handling and
+argument validation.
 """
 
 import pytest
@@ -49,9 +49,9 @@ class TestSerial:
 
     def test_custom_prefix_gauges_workers(self):
         with obs.collect() as col:
-            ChunkedPool(counter_prefix="myindex").run(_square, [1, 2])
-        assert col.gauges["myindex.workers"] == 1
-        assert "myindex.chunks" not in col.counters
+            ChunkedPool().run(_square, [1, 2])
+        assert col.gauges["engine.workers"] == 1
+        assert "engine.chunks" not in col.counters
 
 
 class TestParallel:
@@ -63,12 +63,10 @@ class TestParallel:
 
     def test_prefix_applies_to_all_counters(self):
         with obs.collect() as col:
-            res = ChunkedPool(jobs=2, chunk_size=2, counter_prefix="myindex").run(
-                _square, list(range(10))
-            )
+            res = ChunkedPool(jobs=2, chunk_size=2).run(_square, list(range(10)))
         assert res.parallel is True
-        assert col.counters["myindex.chunks"] == 5
-        assert col.gauges["myindex.workers"] == 2
+        assert col.counters["engine.chunks"] == 5
+        assert col.gauges["engine.workers"] == 2
 
     def test_worker_counters_merge_into_parent(self):
         with obs.collect() as col:
@@ -78,28 +76,18 @@ class TestParallel:
 
 class TestFailureHandling:
     def test_degrades_to_fail_value_with_custom_code(self):
-        pool = ChunkedPool(
-            jobs=2,
-            chunk_size=1,
-            retries=1,
-            backoff_s=0.0,
-            counter_prefix="myindex",
-            label="my chunk",
-            fail_code="mytest/chunk-failed",
-        )
+        pool = ChunkedPool(jobs=2, chunk_size=1, retries=1, backoff_s=0.0)
         with diag.capture() as sink, obs.collect() as col:
             res = pool.run(_explode_on_three, [1, 2, 3, 4], fail_value=-1.0)
         assert res.values == [1, 4, -1.0, 16]
         assert res.degraded == [2]
-        assert sink.by_code().get("mytest/chunk-failed") == 1
-        assert col.counters["myindex.retries"] >= 1
-        assert col.counters["myindex.chunks_failed"] == 1
+        assert sink.by_code().get("distance/chunk-failed") == 1
+        assert col.counters["engine.retries"] >= 1
+        assert col.counters["engine.chunks_failed"] == 1
 
     def test_strict_raises_with_label(self):
-        pool = ChunkedPool(
-            jobs=2, chunk_size=1, retries=0, backoff_s=0.0, strict=True, label="my chunk"
-        )
-        with pytest.raises(ReproError, match="my chunk"):
+        pool = ChunkedPool(jobs=2, chunk_size=1, retries=0, backoff_s=0.0, strict=True)
+        with pytest.raises(ReproError, match="distance chunk 2:3 failed"):
             pool.run(_explode_on_three, [1, 2, 3, 4])
 
 
@@ -125,28 +113,34 @@ def _sleepy(x):
 
 
 class TestWaveTimeout:
-    """Whole-wave wall-clock budget: unfinished chunks degrade at once so
-    the calling thread (the serve daemon's engine thread) gets its result
-    list back on a bounded schedule."""
+    """Whole-wave wall-clock budget: on the forked path unfinished chunks
+    degrade at once so the calling thread (the serve daemon's engine
+    thread) gets its result list back on a bounded schedule. The serial
+    path never reads the budget."""
 
     def test_expired_wave_degrades_remaining_chunks(self):
-        pool = ChunkedPool(
-            jobs=2,
-            chunk_size=1,
-            wave_timeout=0.5,
-            retries=0,
-            counter_prefix="myengine",
-            fail_code="mytest/chunk-failed",
-        )
+        pool = ChunkedPool(jobs=2, chunk_size=1, wave_timeout=0.5, retries=0)
         with diag.capture() as sink, obs.collect() as col:
             res = pool.run(_sleepy, [0.0, 0.0, 30.0, 30.0], fail_value=-1.0)
         # the fast tasks finished; the sleepers degraded when the wave expired
         assert res.values[0] == 0.0 and res.values[1] == 0.0
         assert res.values[2] == -1.0 and res.values[3] == -1.0
         assert sorted(res.degraded) == [2, 3]
-        assert col.counters["myengine.wave_timeouts"] == 1
-        assert col.counters["myengine.chunks_failed"] == 2
-        assert sink.by_code().get("mytest/chunk-failed") == 2
+        assert col.counters["engine.wave_timeouts"] == 1
+        assert col.counters["engine.chunks_failed"] == 2
+        assert sink.by_code().get("distance/chunk-failed") == 2
+
+    def test_serial_wave_runs_past_the_budget(self):
+        # jobs=1 runs every task to completion: no task degrades and no
+        # wave_timeouts counter, however far the wave overruns its budget
+        with diag.capture() as sink, obs.collect() as col:
+            res = ChunkedPool(jobs=1, wave_timeout=0.05).run(
+                _sleepy, [0.04, 0.04, 0.04], fail_value=-1.0
+            )
+        assert res.values == [0.04, 0.04, 0.04]
+        assert res.degraded == [] and res.parallel is False
+        assert "engine.wave_timeouts" not in col.counters
+        assert not sink.diagnostics
 
     def test_strict_wave_timeout_raises(self):
         pool = ChunkedPool(
@@ -157,12 +151,10 @@ class TestWaveTimeout:
 
     def test_fast_wave_unaffected(self):
         with obs.collect() as col:
-            res = ChunkedPool(
-                jobs=2, chunk_size=1, wave_timeout=30.0, counter_prefix="myengine"
-            ).run(_square, [1, 2, 3])
+            res = ChunkedPool(jobs=2, chunk_size=1, wave_timeout=30.0).run(_square, [1, 2, 3])
         assert res.values == [1, 4, 9]
         assert res.degraded == []
-        assert "myengine.wave_timeouts" not in col.counters
+        assert "engine.wave_timeouts" not in col.counters
 
 
 class TestPrepareHook:
@@ -177,51 +169,47 @@ class TestPrepareHook:
 
     def test_parallel_prepare_runs_per_chunk(self):
         with obs.collect() as col:
-            res = ChunkedPool(jobs=2, chunk_size=2, counter_prefix="myindex").run(
+            res = ChunkedPool(jobs=2, chunk_size=2).run(
                 _square, list(range(6)), prepare=_prepare_count
             )
         assert res.values == [x * x for x in range(6)]
         # 3 chunks x one prepare each, together covering every task
         assert col.counters["pooltest.prepare_tasks"] == 6
-        assert "myindex.prepare_errors" not in col.counters
+        assert "engine.prepare_errors" not in col.counters
 
     def test_prepare_failure_degrades_to_counter(self):
         with obs.collect() as col:
-            res = ChunkedPool(jobs=1, counter_prefix="myindex").run(
-                _square, [1, 2, 3], prepare=_prepare_boom
-            )
+            res = ChunkedPool(jobs=1).run(_square, [1, 2, 3], prepare=_prepare_boom)
         assert res.values == [1, 4, 9]
         assert res.degraded == []
-        assert col.counters["myindex.prepare_errors"] == 1
+        assert col.counters["engine.prepare_errors"] == 1
 
     def test_parallel_prepare_failure_degrades_to_counter(self):
         with obs.collect() as col:
-            res = ChunkedPool(jobs=2, chunk_size=2, counter_prefix="myindex").run(
+            res = ChunkedPool(jobs=2, chunk_size=2).run(
                 _square, [1, 2, 3, 4], prepare=_prepare_boom
             )
         assert res.values == [1, 4, 9, 16]
-        assert col.counters["myindex.prepare_errors"] == 2
+        assert col.counters["engine.prepare_errors"] == 2
 
 
 class TestWaveCounter:
-    """`<prefix>.waves` — one increment per non-empty run(); the serve
+    """`engine.waves` — one increment per non-empty run(); the serve
     layer's request-coalescing tests gate on exactly this counter."""
 
     def test_one_wave_per_run(self):
         with obs.collect() as col:
-            pool = ChunkedPool(counter_prefix="myengine")
+            pool = ChunkedPool()
             pool.run(_square, [1, 2, 3])
             pool.run(_square, [4])
-        assert col.counters["myengine.waves"] == 2
+        assert col.counters["engine.waves"] == 2
 
     def test_empty_run_is_not_a_wave(self):
         with obs.collect() as col:
-            ChunkedPool(counter_prefix="myengine").run(_square, [])
-        assert "myengine.waves" not in col.counters
+            ChunkedPool().run(_square, [])
+        assert "engine.waves" not in col.counters
 
     def test_parallel_run_is_still_one_wave(self):
         with obs.collect() as col:
-            ChunkedPool(jobs=2, chunk_size=1, counter_prefix="myengine").run(
-                _square, [1, 2, 3, 4]
-            )
-        assert col.counters["myengine.waves"] == 1
+            ChunkedPool(jobs=2, chunk_size=1).run(_square, [1, 2, 3, 4])
+        assert col.counters["engine.waves"] == 1

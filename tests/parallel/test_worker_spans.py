@@ -42,7 +42,7 @@ needs_fork = pytest.mark.skipif(not _fork_available(), reason="requires fork sta
 @needs_fork
 class TestAdoption:
     def _run(self, n=8, jobs=2, chunk_size=2):
-        pool = ChunkedPool(jobs=jobs, chunk_size=chunk_size, counter_prefix="engine")
+        pool = ChunkedPool(jobs=jobs, chunk_size=chunk_size)
         with obs.collect() as col:
             res = pool.run(_square, list(range(n)))
         assert res.values == [x * x for x in range(n)]
@@ -111,19 +111,14 @@ class TestAdoption:
 @needs_fork
 class TestCounterIdentity:
     def _domain_counters(self, col):
-        scheduling = ("engine.", "index.pool.")
-        return {
-            k: v
-            for k, v in col.counters.items()
-            if not any(k.startswith(p) for p in scheduling)
-        }
+        return {k: v for k, v in col.counters.items() if not k.startswith("engine.")}
 
     def test_serial_and_parallel_counters_bit_identical(self):
         tasks = list(range(11))
         with obs.collect() as serial:
-            ChunkedPool(jobs=1, counter_prefix="engine").run(_square, tasks)
+            ChunkedPool(jobs=1).run(_square, tasks)
         with obs.collect() as parallel:
-            ChunkedPool(jobs=2, chunk_size=3, counter_prefix="engine").run(_square, tasks)
+            ChunkedPool(jobs=2, chunk_size=3).run(_square, tasks)
         assert self._domain_counters(serial) == self._domain_counters(parallel)
         assert parallel.counters["engine.chunks"] == 4  # scheduling counters exist
 
@@ -133,9 +128,7 @@ class TestBoundedCapture:
     def test_span_cap_reports_drops(self, monkeypatch):
         monkeypatch.setattr(pool_mod, "_MAX_CHUNK_SPANS", 3)
         with obs.collect() as col:
-            ChunkedPool(jobs=2, chunk_size=4, counter_prefix="engine").run(
-                _square, list(range(8))
-            )
+            ChunkedPool(jobs=2, chunk_size=4).run(_square, list(range(8)))
         # per chunk: 1 chunk span + 4 task spans = 5 recorded, 3 shipped
         assert col.counters["engine.spans_dropped"] == 4
         assert len([r for r in col.spans if r.name == "engine.chunk"]) == 2
@@ -165,13 +158,13 @@ class TestDisabledPath:
         monkeypatch.setattr(
             pool_mod,
             "_STAGE",
-            {"fn": lambda x: x, "tasks": [1, 2], "capture": True, "span_prefix": "p"},
+            {"fn": lambda x: x, "tasks": [1, 2], "capture": True},
         )
         out, counters, payload = _run_chunk(((0, 2), 0))
         assert payload is not None
         assert payload["pid"] == os.getpid()
-        assert [s[0] for s in payload["spans"]] == ["p.chunk"]
-        assert "p.chunk" in payload["hists"]
+        assert [s[0] for s in payload["spans"]] == ["engine.chunk"]
+        assert "engine.chunk" in payload["hists"]
         assert payload["dropped"] == 0
 
     def test_pool_stages_capture_only_when_collecting(self):

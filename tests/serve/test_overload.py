@@ -1,8 +1,8 @@
 """Overload and failure semantics: admission shedding, deadlines, the
-bounded hot tier, and the explicit 405/501 surface.
+bounded divergence memo, and the explicit 405/501 surface.
 
 The daemon-level tests boot tiny cold daemons with deliberately small
-budgets; the hot-tier LRU is unit-tested directly on :class:`ServeState`.
+budgets; the memo LRU is unit-tested directly on :class:`ServeState`.
 """
 
 import http.client
@@ -41,23 +41,7 @@ class TestHotTierLRU:
         for i in range(100):
             state.remember(str(i), i)
         assert state.stats()["memo_entries"] == 100
-        assert state.stats()["evicted"] == {"codebases": 0, "memo": 0}
-
-    def test_codebase_cap_evicts_in_insertion_order(self):
-        state = ServeState(engine=None, max_codebases=2)
-        # bypass indexing: exercise only the cap bookkeeping
-        with obs.collect() as col:
-            with state._lock:
-                state._codebases[("app", "m1", False)] = "cb1"
-            state._codebases.move_to_end(("app", "m1", False))
-            with state._lock:
-                state._codebases[("app", "m2", False)] = "cb2"
-            # a hit on m1 makes m2 the eviction candidate
-            hit = state._codebases.get(("app", "m1", False))
-            state._codebases.move_to_end(("app", "m1", False))
-            assert hit == "cb1"
-            state.remember("x", 1)  # unrelated tier, no interference
-        assert len(state._codebases) == 2
+        assert state.stats()["evicted"] == {"memo": 0}
 
 
 class TestAdmissionControl:

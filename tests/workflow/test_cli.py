@@ -45,12 +45,17 @@ class TestCommands:
         assert main(["index", "babelstream", "serial", "-o", str(out_file)]) == 0
         assert out_file.exists()
 
+    @pytest.mark.parametrize("cmd", [["compare", "bogus", "omp"], ["index", "bogus", "omp"]])
+    def test_unknown_app_is_an_error_not_a_traceback(self, cmd, capsys):
+        assert main(cmd) == 1
+        assert "error: unknown app 'bogus'; have [" in capsys.readouterr().err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
 
     @pytest.mark.parametrize(
-        "opt", [["--retries", "3"], ["--chunk-timeout", "5"], ["--no-cache"]]
+        "opt", [["--retries", "3"], ["--chunk-timeout", "5"], ["--no-cache"], ["--jobs", "2"]]
     )
     def test_index_rejects_engine_only_options(self, opt, capsys):
         # index builds no distance engine, so it takes none of its options

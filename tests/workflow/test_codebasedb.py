@@ -9,6 +9,8 @@ from repro.serde import pack, read_blob, write_blob
 from repro.trees import Node, SourceSpan, from_sexpr, structural_hash
 from repro.trees.hashing import cached_structural_hash
 from repro.workflow.codebasedb import (
+    _unit_from_obj,
+    _unit_to_obj,
     decode_tree,
     encode_tree,
     load_codebase_db,
@@ -231,4 +233,52 @@ class TestMisshapenTrees:
         p = tmp_path / "old.svdb"
         write_blob(p, {"format": 2})
         with pytest.raises(SerdeError, match="unsupported Codebase DB format 2"):
+            load_codebase_db(p)
+
+
+#: tree-field edits that leave a reference no earlier tree can satisfy
+BAD_REFS = {
+    "later": {"t_src_pre": "t_src_post"},
+    "self": {"t_sem": "t_sem"},
+    "absent": {"t_src_pre": None, "t_src_post": "t_src_pre"},
+    "unknown": {"t_sem_i": "t_bogus"},
+}
+
+
+class TestSharedTrees:
+    """A tree that *is* an earlier field's tree (the Fortran frontend shares
+    T_src pre/post and T_sem / T_sem+i) is stored as that field's name."""
+
+    def test_fortran_db_keeps_shared_trees(self, tmp_path, fortran_sequential):
+        orig = fortran_sequential.units["main"]
+        assert orig.t_src_post is orig.t_src_pre and orig.t_sem_inlined is orig.t_sem
+        p = tmp_path / "f.svdb"
+        save_codebase_db(fortran_sequential, p)
+        stored = read_blob(p)["units"]["main"]
+        assert stored["t_src_post"] == "t_src_pre" and stored["t_sem_i"] == "t_sem"
+        got = load_codebase_db(p).units["main"]
+        assert got.t_src_post is got.t_src_pre and got.t_sem_inlined is got.t_sem
+        assert got.t_src_pre == orig.t_src_pre and got.t_sem == orig.t_sem
+        assert got.t_src_pre is not got.t_sem
+
+    def test_unshared_trees_are_all_encoded(self, stream_serial):
+        obj = _unit_to_obj(stream_serial.units["main"])
+        trees = [obj[k] for k in ("t_src_pre", "t_src_post", "t_sem", "t_sem_i", "t_ir")]
+        assert all(isinstance(t, list) for t in trees)
+
+    @pytest.mark.parametrize("case", sorted(BAD_REFS))
+    def test_bad_reference_rejected(self, fortran_sequential, case):
+        obj = _unit_to_obj(fortran_sequential.units["main"])
+        obj.update(BAD_REFS[case])
+        with pytest.raises(ValueError, match="no earlier tree"):
+            _unit_from_obj(obj)
+
+    @pytest.mark.parametrize("case", sorted(BAD_REFS))
+    def test_bad_reference_names_the_file(self, tmp_path, fortran_sequential, case):
+        p = tmp_path / "f.svdb"
+        save_codebase_db(fortran_sequential, p)
+        obj = read_blob(p)
+        obj["units"]["main"].update(BAD_REFS[case])
+        write_blob(p, obj)
+        with pytest.raises(SerdeError, match="f.svdb"):
             load_codebase_db(p)

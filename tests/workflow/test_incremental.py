@@ -11,15 +11,16 @@ import zlib
 import pytest
 
 from repro import diag, obs
+from repro.corpus import build_fs, get_spec
 from repro.lang.source import VirtualFS
-from repro.serde import read_blob, write_blob
+from repro.serde import pack, read_blob, write_blob
 from repro.serde.container import MAGIC, VERSION
 from repro.workflow import unitstore
 from repro.workflow.codebase import ModelSpec
-from repro.workflow.codebasedb import save_codebase_db
+from repro.workflow.codebasedb import _unit_to_obj, save_codebase_db
 from repro.workflow.indexer import index_codebase
 from repro.workflow.unitstore import UnitArtifactStore, load_unit, unit_key
-from tests.workflow.test_codebasedb import MISSHAPEN
+from tests.workflow.test_codebasedb import BAD_REFS, MISSHAPEN
 
 
 def make_fs(files):
@@ -149,6 +150,22 @@ class TestArtifactHygiene:
         assert sink.by_code() == {"index/artifact-invalid": 1}
         assert col.counters["index.unit.invalid"] == 1
 
+    @pytest.mark.parametrize("case", sorted(BAD_REFS))
+    def test_bad_tree_reference_is_an_invalid_miss(self, tmp_path, case):
+        store = UnitArtifactStore(tmp_path)
+        spec, fs = make_spec(), make_fs(FILES)
+        index_counting(spec, fs, store)
+        key = unit_key(spec, fs, "a", "a.cpp", recover=True, coverage=False)
+        path = store.path_for(key)
+        payload = read_blob(path)
+        payload["value"]["unit"].update(BAD_REFS[case])
+        write_blob(path, payload, atomic=True)
+
+        with diag.capture() as sink, obs.collect() as col:
+            assert load_unit(store, key, fs) is None
+        assert sink.by_code() == {"index/artifact-invalid": 1}
+        assert col.counters["index.unit.invalid"] == 1
+
     def test_malformed_payload_is_an_invalid_miss(self, tmp_path):
         # a sound container whose MessagePack payload has an array map key
         store = UnitArtifactStore(tmp_path)
@@ -166,11 +183,11 @@ class TestArtifactHygiene:
         assert col.counters["index.unit.invalid"] == 1
 
     def test_previous_keyspec_root_is_all_misses(self, tmp_path, monkeypatch):
-        # artifacts written under unit:frontend:v1 sit under other keys:
+        # artifacts written under unit:frontend:v2 sit under other keys:
         # never read, so they are plain misses, not invalid ones
         with monkeypatch.context() as m:
-            m.setattr(unitstore, "KEY_SPEC", "unit:frontend:v1")
-            old = UnitArtifactStore(tmp_path, keyspec="unit:frontend:v1")
+            m.setattr(unitstore, "KEY_SPEC", "unit:frontend:v2")
+            old = UnitArtifactStore(tmp_path, keyspec="unit:frontend:v2")
             index_counting(make_spec(), make_fs(FILES), old)
         assert len(old.keys()) == 2
 
@@ -217,22 +234,20 @@ class TestBitIdentity:
         save_codebase_db(warm, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = index_codebase(make_spec(), make_fs(FILES), artifacts=None, jobs=1)
-        p1 = tmp_path / "serial.svdb"
-        save_codebase_db(serial, p1)
 
-        parallel = index_codebase(make_spec(), make_fs(FILES), artifacts=None, jobs=2)
-        p2 = tmp_path / "parallel.svdb"
-        save_codebase_db(parallel, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_warm_parallel_coverage_free_ride(self, tmp_path):
-        """Artifacts written by a parallel run replay in a serial run."""
+class TestSharedTrees:
+    def test_warm_fortran_unit_keeps_shared_trees(self, tmp_path):
+        # T_src pre/post and T_sem / T_sem+i are one object each in a
+        # Fortran unit, cold or replayed, and the replay encodes the same
         store = UnitArtifactStore(tmp_path)
-        index_codebase(make_spec(), make_fs(FILES), artifacts=store, jobs=2)
-        _, c = index_counting(make_spec(), make_fs(FILES), store)
-        assert c["index.unit.hit"] == 2
+        spec = get_spec("babelstream-fortran", "sequential")
+        cold = index_codebase(spec, build_fs("babelstream-fortran", "sequential"), artifacts=store)
+        warm, c = index_counting(spec, build_fs("babelstream-fortran", "sequential"), store)
+        assert c["index.unit.hit"] == 1 and "index.units" not in c
+        for unit in (cold.units["main"], warm.units["main"]):
+            assert unit.t_src_post is unit.t_src_pre
+            assert unit.t_sem_inlined is unit.t_sem
+        assert pack(_unit_to_obj(warm.units["main"])) == pack(_unit_to_obj(cold.units["main"]))
 
 
 class TestCoverageReplay:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import diag
+from repro import diag, obs
 from repro.lang.source import VirtualFS
 from repro.util.errors import ReproError
 from repro.workflow.codebase import ModelSpec
@@ -37,6 +37,20 @@ class TestQuarantine:
         bad = cb.units["bad"]
         assert bad.degraded
         assert bad.t_sem is None and bad.t_src_pre is None and bad.t_ir is None
+
+    def test_each_diagnostic_reaches_the_caller_once(self):
+        # a unit's diagnostics are captured (they decide whether it is
+        # pristine), then appended to the caller's sink without emitting
+        # them again: diag.<severity> counts each one where it was raised
+        fs = make_fs(**{"good.cpp": GOOD_CPP, "bad.cpp": BROKEN_CPP})
+        spec = cpp_spec({"good": "good.cpp", "bad": "bad.cpp"})
+        with diag.capture() as sink, obs.collect() as col:
+            index_codebase(spec, fs)
+        seen = [(d.severity, d.code, d.message, d.file, d.line, d.col) for d in sink.diagnostics]
+        assert seen and len(seen) == len(set(seen))
+        assert all(d.file == "bad.cpp" for d in sink.diagnostics)
+        for severity in ("note", "warning", "error", "fatal"):
+            assert col.counters.get(f"diag.{severity}", 0) == sink.count(severity)
 
     def test_degraded_unit_keeps_sloc_metrics(self):
         fs = make_fs(**{"bad.cpp": BROKEN_CPP})
