@@ -4,25 +4,21 @@ Asserts, on a small fixed TeaLeaf workload, that
 
 1. the parallel (``jobs=2``) divergence matrix is ``np.array_equal`` to the
    serial one — scheduling must not change a single bit;
-2. a matrix built with the TED pruning cascade disabled (the null bound
-   oracle installed) is bit-identical to the default cascade-enabled one —
-   pruning may only skip DP work whose outcome is already pinned, never
-   change a value;
-3. a matrix rebuilt entirely from the persistent cache (fresh process-level
+2. a matrix rebuilt entirely from the persistent cache (fresh process-level
    memo, every pair a disk hit) is bit-identical to the directly computed
    one — the cache round-trip loses nothing;
-4. a cached run interrupted inside the exact-kernel phase, at half of the
+3. a cached run interrupted inside the exact-kernel phase, at half of the
    full run's kernels, flushes every kernel it finished; re-run on the
    same cache root, it produces the same matrix, reads every flushed entry
    back and runs exactly the full run's kernels minus the flushed ones —
    resume must neither lose work nor redo it;
-5. an incremental re-index from unit artifacts yields a bit-identical
+4. an incremental re-index from unit artifacts yields a bit-identical
    Codebase DB with zero frontend invocations, and touching one source file
    re-fronts exactly that one unit;
-6. nearest-neighbor answers agree bit-for-bit across all three surfaces:
+5. nearest-neighbor answers agree bit-for-bit across all three surfaces:
    the library's ``nearest``, ``silvervale nearest --json`` and the serve
    daemon's ``/v1/nearest`` endpoint;
-7. each model's ``divergence_row`` over the other models equals its
+6. each model's ``divergence_row`` over the other models equals its
    ``divergence_matrix`` row bit for bit — both evaluate the same
    symmetric ``pair:`` demands.
 
@@ -41,7 +37,6 @@ import numpy as np
 from repro import obs
 from repro.cache import TedCacheStore
 from repro.corpus import index_app
-from repro.distance.bounds import BruteForceOracle, set_oracle
 from repro.distance.engine import DistanceEngine
 from repro.distance.ted import clear_ted_cache
 from repro.corpus.registry import app_models, build_fs, get_spec
@@ -92,7 +87,6 @@ def check_resume(codebases, serial: np.ndarray, failures: list[str]) -> None:
         finally:
             tedmod.zhang_shasha_distance = kernel
         store = TedCacheStore(tmp)
-        # cascade-pruned pairs land in the cache too, without a kernel
         flushed = store.stats()["entries"]
         kernels = sum(store.lookup(h1, h2) is not None for h1, h2 in ran)
         if not ran or kernels != len(ran):
@@ -248,16 +242,6 @@ def main() -> int:
         print("ok: parallel matrix bit-identical to serial")
     else:
         failures.append("parallel (jobs=2) matrix differs from serial")
-
-    prev = set_oracle(BruteForceOracle())
-    try:
-        no_cascade = build(codebases, DistanceEngine(jobs=1))
-    finally:
-        set_oracle(prev)
-    if np.array_equal(serial, no_cascade):
-        print("ok: cascade-off matrix bit-identical to cascade-on")
-    else:
-        failures.append("cascade-off matrix differs from the cascade-on serial run")
 
     with tempfile.TemporaryDirectory(prefix="svc-det-") as tmp:
         cache_dir = Path(tmp) / "ted-cache"

@@ -35,11 +35,17 @@ def app_models(app: str) -> list[str]:
     return list(_app_module(app).MODELS)
 
 
-def get_spec(app: str, model: str) -> ModelSpec:
+def _model_entry(app: str, model: str):
+    """``(module, MODELS entry)`` of one port; an unknown app or model is a
+    :class:`WorkflowError`."""
     mod = _app_module(app)
     if model not in mod.MODELS:
         raise WorkflowError(f"unknown model {model!r} for {app}; have {sorted(mod.MODELS)}")
-    entry = mod.MODELS[model]
+    return mod, mod.MODELS[model]
+
+
+def get_spec(app: str, model: str) -> ModelSpec:
+    mod, entry = _model_entry(app, model)
     if getattr(mod, "LANG", "cpp") == "fortran":
         fname, _src = entry
         return ModelSpec(
@@ -59,13 +65,12 @@ def get_spec(app: str, model: str) -> ModelSpec:
 
 def build_fs(app: str, model: str) -> VirtualFS:
     """Virtual filesystem for one model port: sources + shared + system."""
-    mod = _app_module(app)
+    mod, entry = _model_entry(app, model)
     fs = VirtualFS()
     for path, text in system_headers().items():
         fs.add(path, text)
     for path, text in getattr(mod, "SHARED_FILES", {}).items():
         fs.add(path, text)
-    entry = mod.MODELS[model]
     if getattr(mod, "LANG", "cpp") == "fortran":
         fname, src = entry
     else:

@@ -1,5 +1,10 @@
 """The bound-oracle layer: admissible TED bounds for the pruning cascade.
 
+Kept only because ``bench_e2e/layers.py`` imports :class:`BoundOracle`;
+the cascade is no longer on the TED path (see
+:mod:`repro.distance.cascade`). Remove it with that wrapper (ROADMAP
+items 1 and 3).
+
 :mod:`repro.distance.cascade` consults one oracle object for its cheap,
 admissible bounds, staged by cost, so an admissibility bug could only ever
 exist in one place:

@@ -1,5 +1,13 @@
 """Staged pruning cascade ahead of exact Zhang–Shasha TED.
 
+Not on the TED path: :func:`repro.distance.ted.ted_many` stopped calling
+it once the twin-keyroot row sweep made its bounds cost more than the
+kernels they saved (DESIGN.md "Pruning cascade contract"). Kept only
+because ``bench_e2e/layers.py`` wraps ``ted.cascade_distance`` and
+imports :class:`~repro.distance.bounds.BoundOracle`; remove this module,
+:mod:`repro.distance.bounds` and their helpers with that wrapper
+(ROADMAP items 1 and 3).
+
 The paper's central cost is the exact pairwise TED; on real corpora most of
 that time is spent proving distances the trees already reveal much more
 cheaply. This module sandwiches each candidate pair between *valid* bounds
@@ -18,8 +26,8 @@ oracle layer (:mod:`repro.distance.bounds`) — this module is the *TED
 engine's consumer* of that oracle: it asks for the greedy upper bound,
 walks the staged lower bounds against it, and prunes **iff a lower bound
 meets the upper bound** — at that point ``lb <= TED <= ub`` pins the exact
-distance, so cascade-pruned matrices are bit-identical to brute-force ones
-(``check_determinism.py`` gates this). Installing the null oracle
+distance, so cascade-pruned matrices are bit-identical to brute-force ones.
+Installing the null oracle
 (:class:`repro.distance.bounds.BruteForceOracle`, ``prunes = False``) is
 the only way to switch the cascade off.
 

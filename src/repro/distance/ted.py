@@ -16,7 +16,10 @@ from repro import obs
 # zs_cross is reached through its module so that a wrapper installed on
 # zs_cross.zhang_shasha_cross (bench_e2e/layers.py) is seen at call time
 from repro.distance import zs_cross
-from repro.distance.cascade import cascade_distance
+
+# not called here: bench_e2e/layers.py wraps ted.cascade_distance by name;
+# remove this import with that wrapper (ROADMAP items 1 and 3)
+from repro.distance.cascade import cascade_distance  # noqa: F401
 from repro.distance.zhang_shasha import zhang_shasha_distance, zhang_shasha_generic
 from repro.trees.hashing import cached_structural_hash
 from repro.trees.node import Node
@@ -74,10 +77,6 @@ class TedResult:
     #: True when the distance was served from the memo cache (distinct from
     #: ``shortcut``: a cached pair did run the DP once, on a previous call).
     cached: bool = False
-    #: Cascade stage that pinned the distance without running the DP
-    #: ("stats" / "histogram" / "sequence"), or "" when the DP ran or the
-    #: result came from a cache. The value is exact either way.
-    pruned: str = ""
 
     @property
     def dmax(self) -> int:
@@ -166,7 +165,7 @@ def ted(t1: Node, t2: Node, cost: Optional[Cost] = None) -> TedResult:
     return ted_many([(t1, t2)], cost)[0]
 
 
-#: ``ted_many`` packs two or more survivors below this cell count (|T1|·|T2|)
+#: ``ted_many`` packs two or more fresh pairs below this cell count (|T1|·|T2|)
 #: into one cross-pair sweep; at or above it a single pair already fills the
 #: vector width of the per-pair row sweep.
 _CROSS_MAX_CELLS = 30_000
@@ -175,25 +174,26 @@ _CROSS_MAX_CELLS = 30_000
 def ted_many(pairs: list[tuple[Node, Node]], cost: Optional[Cost] = None) -> list[TedResult]:
     """Exact TED for every ``(t1, t2)`` pair, in input order.
 
-    Unit costs run each pair through the identical-hash shortcut, the memo,
-    the persistent disk cache and the pruning cascade (stats → histogram →
-    sequence bounds; see :mod:`repro.distance.cascade`), memoised by
-    structural hash: divergence matrices revisit the same tree pairs across
-    clustering, heatmaps and navigation charts. Structurally identical
-    trees short-circuit to zero (shared boilerplate between models "simply
-    evaluate[s] to a divergence of zero", §V). Duplicate pairs (by
-    structural-hash identity, either order) are computed once.
+    Unit costs run each pair through the identical-hash shortcut, the memo
+    and the persistent disk cache, memoised by structural hash: divergence
+    matrices revisit the same tree pairs across clustering, heatmaps and
+    navigation charts. Structurally identical trees short-circuit to zero
+    (shared boilerplate between models "simply evaluate[s] to a divergence
+    of zero", §V). Duplicate pairs (by structural-hash identity, either
+    order) are computed once.
 
-    Survivors go to an exact kernel: two or more below ``_CROSS_MAX_CELLS``
-    are packed into one cross-pair row sweep (:mod:`repro.distance.zs_cross`),
-    every other pair runs the per-pair row sweep
-    (:func:`zhang_shasha_distance`). Results land in the memo, so a later
-    call on any of these pairs is a cache hit; chunk-level callers (the
-    pool ``prepare`` hook, the serve warm path) use that to expose a whole
-    chunk's pairs at once.
+    Fresh pairs go to an exact kernel: two or more below
+    ``_CROSS_MAX_CELLS`` are packed into one cross-pair row sweep
+    (:mod:`repro.distance.zs_cross`), every other pair runs the per-pair
+    row sweep (:func:`zhang_shasha_distance`). The pruning cascade is not
+    consulted: with the twin-keyroot kernel its bounds cost more than the
+    kernels they save (DESIGN.md "Pruning cascade contract"). Results land
+    in the memo, so a later call on any of these pairs is a cache hit;
+    chunk-level callers (the pool ``prepare`` hook, the serve warm path)
+    use that to expose a whole chunk's pairs at once.
 
     Custom costs use the pure-Python generic kernel, uncached — and skip
-    the shortcut, the memo and the cascade entirely: under a non-unit model
+    the shortcut and the memo entirely: under a non-unit model
     ``relabel(a, a)`` may legitimately be nonzero, so structural identity
     does not imply distance zero, and the cached unit distances are simply
     for a different metric.
@@ -247,12 +247,7 @@ def ted_many(pairs: list[tuple[Node, Node]], cost: Optional[Cost] = None) -> lis
         idx = idxs[0]
         t1, t2 = pairs[idx]
         n1, n2 = sizes[idx]
-        hit = cascade_distance(t1, t2, n1, n2)
-        if hit is not None:
-            d, stage = hit
-            _record(key, d)
-            results[idx] = TedResult(d, n1, n2, pruned=stage)
-        elif n1 * n2 < _CROSS_MAX_CELLS:
+        if n1 * n2 < _CROSS_MAX_CELLS:
             small.append((key, idx))
         else:
             d = float(zhang_shasha_distance(t1, t2))

@@ -15,18 +15,33 @@ in a handful of NumPy operations.
 
 Key devices
 -----------
-* **Wide layout** — all keyroot-2 forest-DP matrices are laid side by side
-  in one ``(isz × W)`` array per keyroot-1 (``W`` = total columns incl.
-  each segment's empty-prefix column).
-* **Segmented running-min scan** — the insert option ``row[j] =
-  min(cand[j], row[j-1]+1)`` equals ``jr + running_min(cand - jr)``; adding
-  a per-segment offset ``(S - rank)·BIG`` before ``np.minimum.accumulate``
-  stops values leaking across segment boundaries.
-* **Wave ordering** — in rows where the T1 subforest is a whole subtree,
-  partial columns read ``treedist`` entries that whole columns of *nested*
-  keyroot-2 segments write in the same row. Segments are therefore grouped
-  into waves by keyroot nesting depth and processed innermost-first; rows
-  without that dependency sweep all segments in a single pass.
+* **Wide layout** — the forest-DP matrices of all kept keyroot-2 segments
+  lie side by side in one ``(isz × W)`` array per swept keyroot-1 (``W`` =
+  total columns incl. each segment's empty-prefix column), ordered by wave.
+* **Scan domain** — ``fd`` stores each forest distance minus ``dj + di``
+  plus a per-segment offset ``(S - rank)·BIG``. There the delete option
+  is the previous row itself and the insert option ``row[j] =
+  min(cand[j], row[j-1]+1)`` is ``np.minimum.accumulate``; the offsets
+  stop values leaking across segment boundaries. A partial row (T1
+  subforest not a whole subtree) is one full-width pass of four calls:
+  gather the left-forest row, add the ``treedist`` row, take the min with
+  the previous row, accumulate. Empty-prefix columns read a sentinel.
+* **Fused whole rows** — in rows where the T1 subforest is a whole
+  subtree, partial columns read ``treedist`` entries that whole columns of
+  *nested* keyroot-2 segments produce in the same row. Segments are
+  therefore grouped into waves by keyroot nesting height and processed
+  innermost-first, each wave one gather from ``fd[di-1:di+1]`` (relabel
+  terms from the previous row, subtree terms from earlier waves of the
+  current row, empty prefixes from a sentinel column) plus three calls.
+  The row's ``treedist`` entries are written once, after its last wave.
+* **Twin keyroots** — a keyroot whose subtree repeats an earlier
+  keyroot's labels and shape is swept once (:func:`_twin_keyroots`). T1
+  twins are skipped and T2 twin segments leave the layout; every read of
+  one of their nodes goes through a ``canon`` map to the first
+  occurrence. The TED of two subtrees depends only on their content, so
+  this is exact. Waves are numbered over *all* T2 keyroots before twins
+  are dropped, so the subtree term a kept segment reads is always swept
+  in an earlier wave.
 * **Decomposition choice** — the leftmost-path decomposition computes
   ``L(T1)·L(T2)`` cells, the mirrored (rightmost-path) one ``R(T1)·R(T2)``.
   :func:`_flatten_pair` reads both off the leftmost-path flattening and,
@@ -50,62 +65,92 @@ from repro.trees.node import Node
 _BIG = np.int64(1) << 24
 
 
-class _Tree2Layout:
-    """Precomputed wide-column layout for the second tree."""
+def _keyroot_heights(lmld: np.ndarray, kr: np.ndarray) -> np.ndarray:
+    """Nesting height of each keyroot in ``kr`` (ascending): 0 when no
+    other keyroot lies in its subtree, else one more than the tallest that
+    does. The keyroots nested in ``k`` are those in ``[lmld[k], k)``."""
+    lo = np.searchsorted(kr, lmld[kr]).tolist()
+    h = [0] * len(kr)
+    for r in range(len(kr)):
+        if lo[r] < r:
+            h[r] = max(h[lo[r] : r]) + 1
+    return np.asarray(h, dtype=np.int64)
 
-    def __init__(self, l2: np.ndarray, lab2: np.ndarray, keyroots: list[int]):
+
+def _twin_keyroots(lab: np.ndarray, lmld: np.ndarray, keyroots: list[int]):
+    """``(keep, canon)`` for one flattened tree.
+
+    Two keyroots are twins when their subtrees carry the same labels in
+    the same shape: the same label ids and leftmost-leaf offsets over
+    their postorder spans. ``keep`` marks the first keyroot of each class.
+    ``canon`` maps every node of a later twin to the matching node of the
+    first occurrence and every other node to itself. Keyroots ascend, so
+    an outer twin is mapped after the twins nested in it and copies the
+    first occurrence's own mapping: no canonical node lies in a skipped
+    subtree.
+    """
+    canon = np.arange(len(lab), dtype=np.int64)
+    keep = np.ones(len(keyroots), dtype=bool)
+    first: dict[tuple[bytes, bytes], int] = {}
+    for r, k in enumerate(keyroots):
+        lk = int(lmld[k])
+        shape = (lab[lk : k + 1].tobytes(), (lmld[lk : k + 1] - lk).tobytes())
+        f = first.setdefault(shape, k)
+        if f != k:
+            keep[r] = False
+            canon[lk : k + 1] = canon[f - (k - lk) : f + 1]
+    return keep, canon
+
+
+class _Tree2Layout:
+    """Wide-column layout of the second tree's keyroot segments.
+
+    Segment ``j`` holds ``jsz = |subtree(j)| + 1`` columns (``dj = 0`` is
+    the empty prefix). Segments are ordered by wave, the keyroot nesting
+    height over *all* keyroots, so each wave is one contiguous column
+    range; ``keep`` (default: every keyroot) drops twin segments after the
+    heights are taken.
+    """
+
+    def __init__(
+        self,
+        l2: np.ndarray,
+        lab2: np.ndarray,
+        keyroots: list[int],
+        keep: np.ndarray | None = None,
+    ):
         self.lab2 = lab2
-        self.keyroots = keyroots
-        col_seg: list[int] = []
-        col_dj: list[int] = []
-        col_j1: list[int] = []
-        col_whole: list[bool] = []
-        col_left: list[int] = []  # fd column of the forest left of subtree(j1)
-        offset = 0
-        for rank, j in enumerate(keyroots):
-            lj = int(l2[j])
-            jsz = j - lj + 2
-            for dj in range(jsz):
-                col_seg.append(rank)
-                col_dj.append(dj)
-                if dj == 0:
-                    col_j1.append(-1)
-                    col_whole.append(False)
-                    col_left.append(offset)
-                else:
-                    j1 = lj + dj - 1
-                    col_j1.append(j1)
-                    col_whole.append(int(l2[j1]) == lj)
-                    col_left.append(offset + (int(l2[j1]) - lj))
-            offset += jsz
-        self.W = offset
-        self.col_seg = np.asarray(col_seg, dtype=np.int64)
-        self.col_dj = np.asarray(col_dj, dtype=np.int64)
-        self.col_j1 = np.asarray(col_j1, dtype=np.int64)
-        self.col_whole = np.asarray(col_whole, dtype=bool)
-        self.col_left = np.asarray(col_left, dtype=np.int64)
+        kr = np.asarray(keyroots, dtype=np.int64)
+        heights = _keyroot_heights(l2, kr)
+        if keep is not None:
+            kr, heights = kr[keep], heights[keep]
+        order = np.argsort(heights, kind="stable")
+        kr, heights = kr[order], heights[order]
+        self.keyroots = kr.tolist()
+        lkr = l2[kr]
+        jsz = kr - lkr + 2
+        starts = np.cumsum(jsz) - jsz
+        self.W = W = int(jsz.sum())
+        nseg = len(kr)
+        self.col_seg = np.repeat(np.arange(nseg, dtype=np.int64), jsz)
+        self.col_dj = np.arange(W, dtype=np.int64) - starts[self.col_seg]
+        lj = lkr[self.col_seg]
+        j1 = lj + self.col_dj - 1
+        first = self.col_dj == 0
+        j1[first] = -1
+        lj1 = l2[np.maximum(j1, 0)]
+        self.col_j1 = j1
+        self.col_whole = ~first & (lj1 == lj)
+        # fd column of the forest left of subtree(j1) (the segment's own
+        # empty prefix for dj = 0)
+        self.col_left = starts[self.col_seg] + np.where(first, 0, lj1 - lj)
         # scan offsets: earlier (left) segments get larger offsets so their
         # values lose the running min beyond their boundary
-        nseg = len(keyroots)
         self.scan_off = (np.int64(nseg) - self.col_seg) * _BIG
-
-        # wave = keyroot nesting depth (innermost = 0)
-        kr = np.asarray(keyroots, dtype=np.int64)
-        lkr = l2[kr]
-        waves = np.zeros(nseg, dtype=np.int64)
-        for r in range(nseg):
-            nested = (kr < kr[r]) & (lkr >= lkr[r])
-            if nested.any():
-                waves[r] = waves[nested].max() + 1
-        self.n_waves = int(waves.max()) + 1 if nseg else 0
-        col_wave = waves[self.col_seg]
-        # per-wave column index arrays (all columns incl. dj=0 seeds)
-        self.wave_cols = [
-            np.nonzero(col_wave == w)[0] for w in range(self.n_waves)
-        ]
-        # global split masks
-        self.dj0_cols = np.nonzero(self.col_dj == 0)[0]
-        self.djn_cols = np.nonzero(self.col_dj > 0)[0]
+        self.n_waves = int(heights[-1]) + 1 if nseg else 0
+        seg_bounds = np.searchsorted(heights, np.arange(self.n_waves + 1))
+        col_bounds = np.append(starts, W)[seg_bounds].tolist()
+        self.wave_bounds = list(zip(col_bounds[:-1], col_bounds[1:]))
 
 
 def _flatten_arrays(
@@ -191,12 +236,14 @@ def zhang_shasha_distance(t1: Node, t2: Node) -> int:
 
     Reports ``ted.zs.calls``, ``zs.keyroot_pairs`` (``|kr1|·|kr2|``),
     ``zs.dp_cells`` (the cells the sweep computes on the path it took,
-    ``min(L(T1)·L(T2), R(T1)·R(T2))``) and both products as
-    ``zs.cells_left`` / ``zs.cells_right`` when a collector is installed.
+    ``min(L(T1)·L(T2), R(T1)·R(T2))``), both products as
+    ``zs.cells_left`` / ``zs.cells_right`` and ``zs.swept_cells`` (the part
+    of ``zs.dp_cells`` left once twin keyroots are skipped) when a
+    collector is installed.
     """
     (lab1, l1, kr1, lab2, l2, kr2), left, right = _flatten_pair(t1, t2)
     if not obs.enabled():
-        return _row_sweep(lab1, l1, kr1, lab2, l2, kr2)
+        return _row_sweep(lab1, l1, kr1, lab2, l2, kr2)[0]
     cells = _keyroot_cells(l1, kr1) * _keyroot_cells(l2, kr2)
     obs.add("ted.zs.calls")
     obs.add("zs.keyroot_pairs", len(kr1) * len(kr2))
@@ -204,119 +251,108 @@ def zhang_shasha_distance(t1: Node, t2: Node) -> int:
     obs.add("zs.cells_left", left)
     obs.add("zs.cells_right", right)
     with obs.span("zs", cells=cells):
-        return _row_sweep(lab1, l1, kr1, lab2, l2, kr2)
+        d, swept = _row_sweep(lab1, l1, kr1, lab2, l2, kr2)
+    obs.add("zs.swept_cells", swept)
+    return d
 
 
-def _row_sweep(lab1, l1, kr1, lab2, l2, kr2) -> int:
-    """The row-sweep DP over one flattened pair."""
+#: Scan-domain sentinel: above every value the sweep compares against it
+#: (those stay below ``(segments + 1)·_BIG``), with room to add offsets.
+_SENTINEL = np.int64(1) << 60
+
+
+def _row_sweep(lab1, l1, kr1, lab2, l2, kr2) -> tuple[int, int]:
+    """The row-sweep DP over one flattened pair: ``(distance, swept)``,
+    where ``swept`` counts the DP cells of the keyroots actually swept.
+
+    ``fd`` holds each forest distance ``d`` of row ``di``, column ``c`` in
+    the scan domain ``d - K[c] - di``, ``K = dj - scan_off``. There the
+    delete option is the previous row itself and the insert option is the
+    segmented running min, so a partial row is four NumPy calls. Column
+    ``W`` of ``fd`` is a sentinel. ``treedist`` has one row per node of T1
+    outside twins, in fd column order: entry ``c`` holds the TED of that
+    node and ``canon2[j1(c)]``, shifted into the domain of the partial rows
+    that add it (the sentinel at empty prefixes).
+    """
     n = len(lab1)
     m = len(lab2)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
+    if n == 0 or m == 0:
+        return n + m, 0
 
-    layout = _Tree2Layout(l2, lab2, kr2)
-    W = layout.W
-    treedist = np.zeros((n, m), dtype=np.int64)
-    jr = layout.col_dj  # insert-scan ramp = dj
-    lab2_cols = np.where(layout.col_j1 >= 0, lab2[layout.col_j1], -1)
-    j1_cols = layout.col_j1
-    left_cols = layout.col_left
-    whole_mask = layout.col_whole
-    dj0 = layout.dj0_cols
-    djn = layout.djn_cols
-    scan_off = layout.scan_off
+    keep1, canon1 = _twin_keyroots(lab1, l1, kr1)
+    keep2, canon2 = _twin_keyroots(lab2, l2, kr2)
+    lay = _Tree2Layout(l2, lab2, kr2, keep2)
+    W = lay.W
+    cols = np.arange(W, dtype=np.int64)
+    dj = lay.col_dj
+    j1 = np.maximum(lay.col_j1, 0)
+    whole = lay.col_whole
+    first = dj == 0
+    part = ~first & ~whole
+    left = lay.col_left
+    K = dj - lay.scan_off
+    # tdcol: the fd column where a whole row of node x holds TED(x,
+    # canon2[j1]); W (the sentinel) for empty prefixes
+    node_col = np.zeros(m, dtype=np.int64)
+    node_col[j1[whole]] = cols[whole]
+    tdcol = np.where(first, W, node_col[canon2[j1]])
+    Ktd = np.append(K, 0)[tdcol]
+    # treedist row of x = fd[di, tdcol] + E (its di and the reader's cancel)
+    E = np.where(first, 0, Ktd + K[left] - K)
+    # Whole rows: one gather per wave from fd[di-1:di+1] flattened. Whole
+    # columns relabel from the previous row, partial columns read their
+    # subtree term from the current row (an earlier wave), empty prefixes
+    # the sentinel. gadd + (lab2w != lab1[i1]) is added to the gather: the
+    # relabel cost on whole columns, 1 elsewhere.
+    src = np.where(first, W, np.where(whole, cols - 1, W + 1 + tdcol))
+    lab2w = np.where(whole, lab2[j1], -1)
+    gadd = np.where(whole, -2, np.where(part, left - (cols - dj) + Ktd - K - 1, 0))
 
-    # per-wave precomputed subsets (incl. gather arrays hoisted out of the
-    # row loop: these run once per wave per row)
-    wave_data = []
-    for cols in layout.wave_cols:
-        w_dj0 = cols[layout.col_dj[cols] == 0]
-        w_djn = cols[layout.col_dj[cols] > 0]
-        sel_whole = whole_mask[w_djn]
-        w_whole = w_djn[sel_whole]
-        w_part = w_djn[~sel_whole]
-        wave_data.append(
-            (
-                cols,
-                w_dj0,
-                w_djn,
-                w_whole,
-                w_part,
-                sel_whole,
-                ~sel_whole,
-                w_whole - 1,
-                lab2_cols[w_whole],
-                left_cols[w_part],
-                j1_cols[w_part],
-                j1_cols[w_whole],
-                jr[cols],
-                scan_off[cols],
-            )
-        )
+    b = np.empty(W, dtype=np.int64)
+    gadd_row = np.empty(W, dtype=np.int64)
+    mis = np.empty(W, dtype=bool)
+    waves = [(s, e, src[s:e], b[s:e], gadd_row[s:e]) for s, e in lay.wave_bounds]
 
-    for i in kr1:
-        li = int(l1[i])
-        isz = i - li + 2
-        fd = np.empty((isz, W), dtype=np.int64)
-        fd[0, :] = jr
-        scratch = np.empty(W, dtype=np.int64)
-        for di in range(1, isz):
+    l1l = l1.tolist()
+    lab1l = lab1.tolist()
+    own = canon1 == np.arange(n)
+    trow = (np.cumsum(own) - 1)[canon1].tolist()  # treedist row of canon1[x]
+    treedist = np.empty((int(own.sum()), W), dtype=np.int64)
+    swept1 = [i for i, k in zip(kr1, keep1.tolist()) if k]
+    rows = sum(i - l1l[i] + 1 for i in swept1)
+    fd = np.empty((max(i - l1l[i] + 2 for i in swept1), W + 1), dtype=np.int64)
+    fd[:, W] = _SENTINEL
+    fd[0, :W] = lay.scan_off
+
+    for i in swept1:
+        li = l1l[i]
+        for di in range(1, i - li + 2):
             i1 = li + di - 1
-            rowwhole = int(l1[i1]) == li
-            prev = fd[di - 1]
-            cur = fd[di]
-            trow = treedist[i1]
-            if not rowwhole:
-                base = fd[int(l1[i1]) - li]
-                # candidates for dj>=1 columns
-                cand = prev[djn] + 1
-                sub = base[left_cols[djn]] + trow[j1_cols[djn]]
-                np.minimum(cand, sub, out=cand)
-                scratch[dj0] = di
-                scratch[djn] = cand
-                c = scratch - jr + scan_off
-                np.minimum.accumulate(c, out=c)
-                np.subtract(c, scan_off, out=c)
-                np.add(c, jr, out=cur)
+            prev = fd[di - 1, :W]
+            cur = fd[di, :W]
+            ri = l1l[i1] - li
+            if ri:
+                # every index is in range; "clip" spares take's out= the
+                # buffered copy its default "raise" mode makes
+                np.take(fd[ri], left, out=b, mode="clip")
+                b += treedist[trow[i1]]
+                np.minimum(prev, b, out=b)
+                np.minimum.accumulate(b, out=cur)
             else:
-                fd0 = fd[0]
-                for (
-                    cols,
-                    w_dj0,
-                    w_djn,
-                    w_whole,
-                    w_part,
-                    sel_whole,
-                    sel_part,
-                    w_whole_m1,
-                    w_lab2,
-                    w_left,
-                    w_j1p,
-                    w_j1w,
-                    w_jr,
-                    w_off,
-                ) in wave_data:
-                    if len(cols) == 0:
-                        continue
-                    cand = prev[w_djn] + 1
-                    if w_whole.size:
-                        rel = prev[w_whole_m1] + (lab1[i1] != w_lab2)
-                        cand[sel_whole] = np.minimum(cand[sel_whole], rel)
-                    if w_part.size:
-                        sub = fd0[w_left] + trow[w_j1p]
-                        cand[sel_part] = np.minimum(cand[sel_part], sub)
-                    scratch[w_dj0] = di
-                    scratch[w_djn] = cand
-                    c = scratch[cols] - w_jr + w_off
-                    np.minimum.accumulate(c, out=c)
-                    c -= w_off
-                    c += w_jr
-                    cur[cols] = c
-                    if w_whole.size:
-                        trow[w_j1w] = cur[w_whole]
-    return int(treedist[n - 1, m - 1])
+                np.not_equal(lab2w, lab1l[i1], out=mis)
+                np.add(gadd, mis, out=gadd_row)
+                flat2 = fd[di - 1 : di + 1].reshape(-1)
+                for s, e, src_w, g, gadd_w in waves:
+                    np.take(flat2, src_w, out=g, mode="clip")
+                    g += gadd_w
+                    np.minimum(prev[s:e], g, out=g)
+                    np.minimum.accumulate(g, out=cur[s:e])
+                td = treedist[trow[i1]]
+                np.take(fd[di], tdcol, out=td, mode="clip")
+                td += E
+    # the root keyroot swept last: its row n, column of T2's root
+    root = node_col[m - 1]
+    return int(fd[n, root] + K[root]) + n, rows * (W - len(lay.keyroots))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ schedules in tick lockstep, so each ``np.minimum.accumulate`` / gather
 touches every active pair at once.
 
 Mechanics (everything else, including each pair's choice of the left or
-mirrored decomposition path, is inherited from the per-pair kernel):
+mirrored decomposition path, is inherited from the per-pair kernel; twin
+keyroots are not skipped here):
 
 * **Schedules** — each pair linearises its keyroot-1 loop into a flat list
   of DP rows ``(keyroot, di)``; tick ``t`` executes row ``t`` of every
@@ -151,9 +152,7 @@ def _nw_bundle(group: list[_PairPlan]) -> _Bundle:
     b.off = np.concatenate([p.off_g for p in group])
     b.widths = np.asarray([p.layout.W for p in group], dtype=np.int64)
     shift = np.cumsum(b.widths) - b.widths
-    b.djn_pos = np.concatenate(
-        [p.layout.djn_cols + s for p, s in zip(group, shift.tolist())]
-    )
+    b.djn_pos = np.concatenate([p.djn_cols + s for p, s in zip(group, shift.tolist())])
     b.left_djn = np.concatenate([p.left_djn_g for p in group])
     b.j1_djn = np.concatenate([p.j1_djn for p in group])
     b.djn_w = np.asarray([len(p.j1_djn) for p in group], dtype=np.int64)
@@ -200,9 +199,10 @@ def _run_group(plans: list[_PairPlan], results: list) -> None:
         L = p.layout
         p.off_g = (np.int64(total_segs) - (L.col_seg + p.rank0)) * _BIG
         p.cols_g = np.arange(p.woff, p.woff + L.W, dtype=np.int64)
-        p.left_djn_g = L.col_left[L.djn_cols] + p.woff
-        p.j1_djn = L.col_j1[L.djn_cols]
-        p.waves = [_WaveCols(p, cols) for cols in L.wave_cols]
+        p.djn_cols = np.nonzero(L.col_dj > 0)[0]
+        p.left_djn_g = L.col_left[p.djn_cols] + p.woff
+        p.j1_djn = L.col_j1[p.djn_cols]
+        p.waves = [_WaveCols(p, np.arange(s, e)) for s, e in L.wave_bounds]
         p.td_base = td_total
         td_total += p.n * p.m
 
@@ -316,6 +316,8 @@ def zhang_shasha_cross(pairs: list[tuple]) -> list[int]:
         obs.add("zs.dp_cells", sum(p.dp_cells for p in plans))
         obs.add("zs.cells_left", sum(p.cells_left for p in plans))
         obs.add("zs.cells_right", sum(p.cells_right for p in plans))
+        # no twin skipping here: every DP cell is swept
+        obs.add("zs.swept_cells", sum(p.dp_cells for p in plans))
     group: list[_PairPlan] = []
     gw = 0
     gisz = 0

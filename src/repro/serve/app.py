@@ -330,7 +330,7 @@ class ServeApp:
         are the batcher's dedupe handles; the engine needs none).
 
         ``divergence_prepare`` rides along so a coalesced wave's TED pairs
-        are cascade-pruned and cross-pair batched exactly like a batch-CLI
+        are cross-pair batched exactly like a batch-CLI
         chunk — the serve warm path and the CLI share one kernel schedule.
 
         ``fail_value=WAVE_FAILED``: a task whose chunk exhausted retries

@@ -137,8 +137,8 @@ def divergence_prepare(tasks: Sequence[tuple]) -> None:
 
     Accepts the same ``(a, b, spec)`` task tuples as :func:`divergence_task`.
     Tree-metric tasks contribute their matched unit-tree pairs; everything
-    is handed to :func:`repro.distance.ted.ted_many`, which prunes via the
-    cascade and packs the small survivors into one cross-pair row sweep.
+    is handed to :func:`repro.distance.ted.ted_many`, which packs the small
+    fresh pairs into one cross-pair row sweep.
     Purely a memo warmer — the per-task evaluation recomputes anything
     missing, so results are identical with or without it.
     """

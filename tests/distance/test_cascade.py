@@ -4,7 +4,8 @@ The cascade's contract (DESIGN.md "Pruning cascade contract") is that each
 stage's lower bound never exceeds the true TED, the greedy upper bound
 never undercuts it, and a prune happens only when the two meet — which
 pins the exact distance. These tests check each clause independently on
-seeded random trees, then the end-to-end guarantee on a real corpus.
+seeded random trees. ``ted()`` no longer consults the cascade, so nothing
+here pins its place in the TED path.
 """
 
 import hypothesis.strategies as st
@@ -144,22 +145,6 @@ def test_cascade_disabled_returns_none(monkeypatch):
     assert not any(k.startswith("ted.cascade.") for k in c.counters)
 
 
-def test_stage_counters_emitted(monkeypatch):
-    from repro import obs
-
-    monkeypatch.setattr(cascade, "_MIN_CELLS", 1)
-    clear_ted_cache()
-    # same shape, same labels except sizes differ: the stats stage prunes
-    t1 = from_sexpr("(a a a)")
-    t2 = from_sexpr("(a a a a a)")
-    with obs.collect() as c:
-        r = ted(t1, t2)
-    assert r.pruned == "stats"
-    assert c.counters["ted.cascade.calls"] == 1
-    assert c.counters["ted.pruned.stats"] == 1
-    assert r.distance == zhang_shasha_distance(t1, t2)
-
-
 def test_preorder_labels_memoised():
     t = from_sexpr("(a (b c) d)")
     first = preorder_labels(t)
@@ -235,31 +220,3 @@ class TestShortcutCostGate:
         clear_ted_cache()
         t = from_sexpr("(a (b c))")
         assert ted(t, t.copy(), UnitCost()).shortcut
-
-
-# ---------------------------------------------------------------------------
-# End to end on a real corpus
-# ---------------------------------------------------------------------------
-
-
-def test_cascade_matrix_bit_identical_on_corpus(monkeypatch):
-    import numpy as np
-
-    from repro.corpus.registry import index_app
-    from repro.distance.engine import DistanceEngine
-    from repro.workflow.comparer import MetricSpec, divergence_matrix
-
-    # open the size gate so the small-fortran corpus exercises the cascade
-    monkeypatch.setattr(cascade, "_MIN_CELLS", 1)
-    cbs = list(index_app("babelstream-fortran").values())
-    spec = MetricSpec("Tsem")
-
-    prev = set_oracle(BruteForceOracle())
-    try:
-        clear_ted_cache()
-        m_off = divergence_matrix(cbs, spec, engine=DistanceEngine())
-    finally:
-        set_oracle(prev)
-    clear_ted_cache()
-    m_on = divergence_matrix(cbs, spec, engine=DistanceEngine())
-    assert np.array_equal(m_on, m_off)

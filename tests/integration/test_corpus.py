@@ -90,6 +90,12 @@ def test_unknown_app_is_a_workflow_error(lookup):
         lookup(*args)
 
 
+@pytest.mark.parametrize("lookup", [get_spec, build_fs])
+def test_unknown_model_is_a_workflow_error(lookup):
+    with pytest.raises(WorkflowError, match="unknown model 'bogus' for babelstream; have "):
+        lookup("babelstream", "bogus")
+
+
 def test_fortran_models_have_static_coverage():
     cb = index_model("babelstream-fortran", "omp", coverage=True)
     assert cb.coverage is not None

@@ -109,6 +109,23 @@ class TestTedCounters:
             assert c.counters["zs.cells_left"] == left
             assert c.counters["zs.cells_right"] == right
             assert c.counters["zs.dp_cells"] == 63
+            assert c.counters["zs.swept_cells"] == 63  # no twin keyroots
+
+        # Twin keyroots are swept once. T1's keyroots (left path) are its
+        # second and third (b c) and the root: L = 2 + 2 + 7 = 11 = R. T2's
+        # are its second (b c), both d leaves and the root: L = 2 + 1 + 1 + 7
+        # = 11 < R = 2 + 2 + 1 + 7 = 12, so the pair takes the left path. The
+        # third (b c) of T1 and the second d of T2 repeat a keyroot already
+        # swept: (2 + 7) * (2 + 1 + 7) = 90 of the 121 cells are swept.
+        clear_ted_cache()
+        with obs.collect() as c:
+            r = ted(from_sexpr("(a (b c) (b c) (b c))"), from_sexpr("(a (b c) (b c) d d)"))
+        assert r.distance == 3
+        assert c.counters["zs.keyroot_pairs"] == 3 * 4
+        assert c.counters["zs.cells_left"] == 121
+        assert c.counters["zs.cells_right"] == 132
+        assert c.counters["zs.dp_cells"] == 121
+        assert c.counters["zs.swept_cells"] == 90
 
 
 class TestLexCounters:

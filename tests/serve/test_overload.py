@@ -47,9 +47,21 @@ class TestHotTierLRU:
 class TestAdmissionControl:
     def test_shed_beyond_budget_and_queue(self):
         """max_inflight=1, max_queue=0: a second concurrent request sheds
-        with 429 + Retry-After while the first is still in flight."""
+        with 429 + Retry-After while the first is still in flight.
+
+        The holder's engine wave blocks until the test releases it, so the
+        slot stays taken however fast (or memo-warm) its compare is."""
+        engine = DistanceEngine()
+        release = threading.Event()
+        map_tasks = engine.map_tasks
+
+        def held_map_tasks(*args, **kwargs):
+            release.wait(120)
+            return map_tasks(*args, **kwargs)
+
+        engine.map_tasks = held_map_tasks
         daemon = ServeDaemon(
-            DistanceEngine(),
+            engine,
             port=0,
             warm=[APP],
             window_s=0.005,
@@ -61,7 +73,7 @@ class TestAdmissionControl:
         thread = boot(daemon)
         client = Client(daemon.port)
         try:
-            # occupy the only slot with a cold compare (real engine work)
+            # occupy the only slot with a compare whose wave waits on release
             hold_result = {}
 
             def hold():
@@ -93,12 +105,14 @@ class TestAdmissionControl:
             assert health["status"] == "overloaded"
             assert health["admission"]["shed"] >= 1
 
+            release.set()
             t.join(timeout=120)
             assert hold_result["r"][0] == 200
             # slot released: the daemon is ready again
             status, health = client.get("/healthz")
             assert status == 200 and health["state"] == "ready"
         finally:
+            release.set()
             daemon.stop()
             thread.join(timeout=30)
 
