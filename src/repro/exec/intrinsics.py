@@ -70,10 +70,6 @@ def special(name: str) -> Optional[Callable]:
     return _SPECIALS.get(_short(name))
 
 
-def member_value(struct: StructVal, member: str) -> Optional[Any]:
-    return None  # fields/payload already checked by the interpreter
-
-
 def register_function(name: str):
     def deco(fn):
         _FUNCTIONS[name] = fn

@@ -8,10 +8,19 @@ comments) so the same lexer feeds four consumers with different needs:
 * SLOC/LLOC counting (Nguyen-style whitespace/comment normalisation),
 * the preprocessor (line structure matters for directives), and
 * the parser (skips trivia).
+
+A content-keyed memo serves repeated ``(file, text)`` lexes: the
+preprocessor and the line summaries each lex every file of a unit,
+``T_src`` lexes the main file a third time, and every port includes the
+same headers. Only clean lexes are kept: a clean lex has the same tokens
+in strict and tolerant mode, while a lex that repaired anything is redone
+on every call so its diagnostics are emitted every time.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -76,6 +85,18 @@ class Token:
         return f"Token({self.type.value}, {self.text!r}, {self.file}:{self.line})"
 
 
+#: Bound of the lex memo, in characters of source text held; the least
+#: recently used entries go first. A cold index of the whole corpus lexes
+#: about 105 k distinct characters, so it never evicts; the bound caps
+#: long-lived processes (the serve daemon, the fuzz harness).
+MEMO_CHARS = 1_000_000
+
+_memo: OrderedDict[tuple[str, str], tuple[Token, ...]] = OrderedDict()
+_memo_chars = 0
+# serve may abandon an engine thread that is still lexing
+_memo_lock = threading.Lock()
+
+
 def lex(text: str, file: str = "<memory>", tolerant: bool = False) -> list[Token]:
     """Tokenise MiniC++ source; raises :class:`ParseError` on bad input.
 
@@ -83,15 +104,56 @@ def lex(text: str, file: str = "<memory>", tolerant: bool = False) -> list[Token
     unexpected characters) are repaired in place — the broken region is
     kept as the nearest sensible token, a diagnostic is emitted, and lexing
     continues. Used by the fault-tolerant indexing path.
+
+    A repeated clean ``(file, text)`` returns a fresh list of the memoised
+    (frozen) tokens; ``lex.cpp.calls`` / ``lex.cpp.tokens`` count lexing
+    actually done and ``lex.cpp.memo_hits`` the calls the memo served.
     """
-    tokens = list(_lex_iter(text, file, tolerant))
+    key = (file, text)
+    with _memo_lock:
+        hit = _memo.get(key)
+        if hit is not None:
+            _memo.move_to_end(key)
+    if hit is not None:
+        if obs.enabled():
+            obs.add("lex.cpp.memo_hits")
+        return list(hit)
+    repairs: list[str] = []
+    tokens = list(_lex_iter(text, file, tolerant, repairs))
     if obs.enabled():
         obs.add("lex.cpp.calls")
         obs.add("lex.cpp.tokens", len(tokens))
+    if not repairs:
+        _remember(key, tuple(tokens))
     return tokens
 
 
-def _lex_iter(text: str, file: str, tolerant: bool = False) -> Iterator[Token]:
+def _remember(key: tuple[str, str], tokens: tuple[Token, ...]) -> None:
+    global _memo_chars
+    size = len(key[1])
+    if size > MEMO_CHARS:
+        return
+    with _memo_lock:
+        if key in _memo:
+            return
+        _memo[key] = tokens
+        _memo_chars += size
+        while _memo_chars > MEMO_CHARS:
+            (_file, old), _tokens = _memo.popitem(last=False)
+            _memo_chars -= len(old)
+
+
+def clear_lex_memo() -> None:
+    """Forget every memoised lex (tests that count lexing work)."""
+    global _memo_chars
+    with _memo_lock:
+        _memo.clear()
+        _memo_chars = 0
+
+
+def _lex_iter(text: str, file: str, tolerant: bool, repairs: list[str]) -> Iterator[Token]:
+    """Tokens of ``text``; each repair (tolerant mode only) appends its
+    diagnostic code to ``repairs``."""
     i = 0
     n = len(text)
     line = 1
@@ -159,6 +221,7 @@ def _lex_iter(text: str, file: str, tolerant: bool = False) -> Iterator[Token]:
             if j == -1:
                 if not tolerant:
                     raise ParseError("unterminated block comment", file, start_line, start_col)
+                repairs.append("lex/unterminated-comment")
                 diag.warning(
                     "lex/unterminated-comment",
                     "unterminated block comment (treated as running to end of file)",
@@ -195,6 +258,7 @@ def _lex_iter(text: str, file: str, tolerant: bool = False) -> Iterator[Token]:
             if broken:
                 if not tolerant:
                     raise ParseError("unterminated literal", file, start_line, start_col)
+                repairs.append("lex/unterminated-literal")
                 diag.warning(
                     "lex/unterminated-literal",
                     "unterminated literal (closed at end of line)",
@@ -266,6 +330,7 @@ def _lex_iter(text: str, file: str, tolerant: bool = False) -> Iterator[Token]:
         else:
             if not tolerant:
                 raise ParseError(f"unexpected character {ch!r}", file, start_line, start_col)
+            repairs.append("lex/unexpected-char")
             diag.warning(
                 "lex/unexpected-char",
                 f"unexpected character {ch!r} (skipped)",

@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from repro import diag, obs
 from repro.analysis.cluster import cluster_codebases
@@ -78,7 +79,7 @@ from repro.viz.ascii import (
     ascii_hist_table,
     ascii_span_tree,
 )
-from repro.util.errors import ReproError
+from repro.util.errors import ReproError, WorkflowError
 from repro.artifacts import clear_namespaces, scan_namespaces
 from repro.metricindex import PairPinner
 from repro.workflow.codebasedb import save_codebase_db
@@ -155,10 +156,21 @@ def _strict(args: argparse.Namespace) -> bool:
     return getattr(args, "strict", False)
 
 
+def _write_output(path: str, write):
+    """``write(path)`` after creating ``path``'s directory, as ``figures -o``
+    does; a path that still cannot be written is a :class:`WorkflowError`
+    (``error: …``, exit status 1), not a traceback after the whole run."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return write(path)
+    except OSError as e:
+        raise WorkflowError(f"cannot write {path}: {e}") from e
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     cb = index_model(args.app, args.model, coverage=args.coverage, **_index_kwargs(args))
     out = args.output or f"{args.app}-{args.model}.svdb"
-    size = save_codebase_db(cb, out)
+    size = _write_output(out, lambda p: save_codebase_db(cb, p))
     print(f"indexed {args.app}/{args.model}: {len(cb.units)} unit(s), {size} bytes -> {out}")
     if cb.run_value is not None:
         print(f"verification run returned {cb.run_value}")
@@ -235,8 +247,6 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """Render every figure family for one app into a directory."""
-    from pathlib import Path
-
     from repro.perfport.navigation import navigation_chart_from_codebases
     from repro.perfport.pp_metric import phi_table
     from repro.viz import (
@@ -939,10 +949,10 @@ def _emit_reports(args: argparse.Namespace, collector: obs.Collector) -> None:
             print("latency percentiles:")
             print(ascii_hist_table({k: h.summary() for k, h in collector.hists.items()}))
     if getattr(args, "trace_out", None):
-        path = obs.write_chrome_trace(collector, args.trace_out)
+        path = _write_output(args.trace_out, lambda p: obs.write_chrome_trace(collector, p))
         print(f"trace written to {path}")
     if getattr(args, "metrics_out", None):
-        path = obs.write_metrics(collector, args.metrics_out)
+        path = _write_output(args.metrics_out, lambda p: obs.write_metrics(collector, p))
         print(f"metrics written to {path}")
 
 

@@ -29,7 +29,7 @@ implies fresh frontends).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro import diag, obs
 from repro.compiler import CompileOptions, bundle_to_tree, lower_unit
@@ -224,13 +224,38 @@ def _fortran_static_profile(spec: ModelSpec, units: dict[str, IndexedUnit]) -> C
 # inside the unit's persisted artifact. The codebase-level coverage profile
 # and run value are then *merged* from the covrecs — identically whether a
 # unit was freshly indexed or replayed from disk.
+#
+# A run that fails (an unlinkable call, a runtime fault such as ``1 % 0``,
+# running out of fuel) raises an InterpreterError: the unit keeps its trees
+# and its covrec records the failure, unless ``strict`` asks to fail fast.
 
 
 def _record_hits(hits) -> list[list]:
     return [[f, ln, c] for (f, ln), c in hits.items()]
 
 
-def _cpp_coverage_record(unit: IndexedUnit, spec: ModelSpec) -> Optional[dict]:
+def _coverage_run(unit: IndexedUnit, run, strict: bool) -> tuple[dict, Any]:
+    """``(covrec, result)`` of ``run()``, timed as an ``exec`` span; the
+    result is ``None`` when the run failed."""
+    rec: dict = {"attempted": True, "failed": None, "value": None, "hits": []}
+    try:
+        with obs.span("exec", path=unit.path):
+            result = run()
+    except ReproError as e:
+        if strict:
+            raise
+        # e.g. the program calls across translation units the per-TU
+        # interpreter cannot link: index without coverage rather than
+        # failing the whole step
+        rec["failed"] = f"coverage run failed: {e}"
+        return rec, None
+    obs.add("exec.steps", result.steps)
+    if isinstance(result.value, (int, float, str)):
+        rec["value"] = result.value
+    return rec, result
+
+
+def _cpp_coverage_record(unit: IndexedUnit, spec: ModelSpec, strict: bool) -> Optional[dict]:
     fe = unit.__dict__.get("_frontend")
     if not fe or spec.entry is None:
         return None
@@ -238,45 +263,32 @@ def _cpp_coverage_record(unit: IndexedUnit, spec: ModelSpec) -> Optional[dict]:
     entry_fn = sema.functions.get(spec.entry)
     if entry_fn is None or entry_fn.body is None:
         return None
-    rec: dict = {"attempted": True, "failed": None, "value": None, "hits": []}
-    try:
-        result = run_program(fe["tu"], sema, spec.entry)
-    except ReproError as e:
-        # the program may call across translation units the per-TU
-        # interpreter cannot link; index without coverage rather than
-        # failing the whole step
-        rec["failed"] = f"coverage run failed: {e}"
-        return rec
-    if isinstance(result.value, (int, float, str)):
-        rec["value"] = result.value
-    rec["hits"] = _record_hits(profile_from_run(result).hits)
+    rec, result = _coverage_run(unit, lambda: run_program(fe["tu"], sema, spec.entry), strict)
+    if result is not None:
+        rec["hits"] = _record_hits(profile_from_run(result).hits)
     return rec
 
 
-def _fortran_coverage_record(unit: IndexedUnit) -> Optional[dict]:
+def _fortran_coverage_record(unit: IndexedUnit, strict: bool) -> Optional[dict]:
     from repro.exec.ft_interpreter import run_fortran
 
     fe = unit.__dict__.get("_frontend")
     if not fe or "ftfile" not in fe:
         return None
-    rec: dict = {"attempted": True, "failed": None, "value": None, "hits": []}
-    try:
-        result = run_fortran(fe["ftfile"])
-    except ReproError as e:
-        rec["failed"] = f"coverage run failed: {e}"
-        return rec
-    if isinstance(result.value, (int, float, str)):
-        rec["value"] = result.value
-    rec["hits"] = _record_hits(result.coverage)
+    rec, result = _coverage_run(unit, lambda: run_fortran(fe["ftfile"]), strict)
+    if result is not None:
+        rec["hits"] = _record_hits(result.coverage)
     return rec
 
 
-def _unit_coverage(unit: IndexedUnit, spec: ModelSpec, run_coverage: bool) -> Optional[dict]:
+def _unit_coverage(
+    unit: IndexedUnit, spec: ModelSpec, run_coverage: bool, strict: bool
+) -> Optional[dict]:
     if not run_coverage:
         return None
     if spec.lang == "fortran":
-        return _fortran_coverage_record(unit)
-    return _cpp_coverage_record(unit, spec)
+        return _fortran_coverage_record(unit, strict)
+    return _cpp_coverage_record(unit, spec, strict)
 
 
 def _merge_coverage(cb: IndexedCodebase, spec: ModelSpec, covrecs: dict) -> None:
@@ -398,7 +410,7 @@ def _index_miss(
     with diag.capture() as sink:
         try:
             unit = _front_unit(spec, fs, options, role, path, recover=True)
-            covrec = _unit_coverage(unit, spec, run_coverage)
+            covrec = _unit_coverage(unit, spec, run_coverage, strict=False)
         except ReproError as e:
             diag.emit_exception("index/quarantined", e)
             diag.note(
@@ -473,7 +485,7 @@ def index_codebase(
                 obs.add("index.unit.miss")
             if strict:
                 unit = _front_unit(spec, fs, options, role, path, recover=False)
-                covrecs[role] = _unit_coverage(unit, spec, run_coverage)
+                covrecs[role] = _unit_coverage(unit, spec, run_coverage, strict=True)
                 unit.__dict__.pop("_frontend", None)
                 cb.units[role] = unit
                 continue

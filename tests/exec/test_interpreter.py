@@ -217,3 +217,76 @@ class TestErrors:
                 run(interp_src)
         finally:
             Interpreter.MAX_STEPS = old
+
+
+class TestRunContract:
+    """What the coverage record and the run's text can observe: record
+    placement and first-hit order, ``steps`` at every point, where an
+    error is raised, and what it says."""
+
+    def test_first_hit_order_and_counts(self):
+        src = (
+            "int g(int a) {\n"
+            "  return a + 1;\n"
+            "}\n"
+            "int main() {\n"
+            "  int s = 0;\n"
+            "  for (int i = 0; i < 2; i++) {\n"
+            "    s += g(i);\n"
+            "  }\n"
+            "  return s;\n"
+            "}\n"
+        )
+        res = run(src)
+        assert res.value == 3 and res.steps == 20
+        # function entry and its body each record; a call records at its
+        # site; keys stay in the order of their first hit
+        assert [[ln, c] for (_f, ln), c in res.coverage.items()] == [
+            [4, 2], [5, 2], [6, 5], [7, 4], [1, 4], [2, 2], [9, 1],
+        ]
+
+    def test_wtime_reads_steps_at_the_call(self):
+        src = (
+            "int main() { double t0 = omp_get_wtime(); int s = 0;"
+            " for (int i = 0; i < 3; i++) { s += i; } double t1 = omp_get_wtime();"
+            " return (int)((t1 - t0) * 1e9 + 0.5); }"
+        )
+        res = run(src)
+        assert (res.value, res.steps) == (14, 20)
+
+    def test_fuel_runs_out_at_max_steps_plus_one(self, monkeypatch):
+        from repro.exec.interpreter import Interpreter
+
+        src = "int main() { int s = 0; for (int i = 0; i < 3; i++) { s += i; } return s; }"
+        n = run(src).steps
+        monkeypatch.setattr(Interpreter, "MAX_STEPS", n)
+        assert run(src).value == 3
+        monkeypatch.setattr(Interpreter, "MAX_STEPS", n - 1)
+        with pytest.raises(InterpreterError, match="fuel exhausted"):
+            run(src)
+
+    def test_untaken_malformed_literal_is_harmless(self):
+        res = run("int main() { int x = 0; if (x) { x = 0x; } return x; }")
+        assert (res.value, res.steps) == (0, 6)
+
+    def test_untaken_unknown_name_is_harmless(self):
+        res = run("int main() { int x = 0; if (x) { return nope; } return 7; }")
+        assert (res.value, res.steps) == (7, 6)
+
+    def test_taken_malformed_literal_fails_the_run(self):
+        with pytest.raises(InterpreterError, match=r"^ValueError: invalid literal for int\(\)"):
+            run("int main() { int x = 0; x = 0x; return x; }")
+
+    def test_runtime_fault_is_an_interpreter_error(self):
+        with pytest.raises(InterpreterError, match="^ZeroDivisionError: integer modulo by zero$"):
+            run("int main() { int z = 1; z = z % (z - 1); return z; }")
+
+    def test_break_outside_a_loop_leaves_its_function(self):
+        # as in the tree walk: the break unwinds stop() and exits main's loop
+        src = (
+            "int stop() { break; return 1; }\n"
+            "int main() { int s = 0; for (int i = 0; i < 5; i++)"
+            " { s += 1; stop(); s += 10; } return s; }"
+        )
+        res = run(src)
+        assert (res.value, res.steps) == (1, 15)

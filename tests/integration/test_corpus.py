@@ -5,6 +5,10 @@ built-in verification for correctness" and "SilverVale compares the base
 model against itself; non-zero results will indicate an error".
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.corpus import APPS, app_models, build_fs, get_spec, index_model
@@ -36,6 +40,41 @@ def test_port_indexes_and_verifies(app, model):
         # verification run must have passed (exit code 0)
         assert cb.run_value == 0, f"{app}/{model} failed verification"
         assert cb.coverage is not None and cb.coverage.total_hits() > 0
+
+
+#: every port's coverage record as the tree-walking interpreter produced it
+COVERAGE_GOLDEN = json.loads((Path(__file__).parent / "coverage_golden.json").read_text())
+
+
+def coverage_record(cb) -> dict:
+    """The run value (floats as hex), the failure text, and a digest of the
+    ordered ``[[file, line, count], ...]`` hit list: first-hit order reaches
+    unit artifacts and Codebase DB bytes, so it is pinned with the counts."""
+    v = cb.run_value
+    failed = v if isinstance(v, str) and v.startswith("coverage run failed: ") else None
+    hits = None
+    if cb.coverage is not None:
+        hits = [[f, ln, c] for (f, ln), c in cb.coverage.hits.items()]
+    return {
+        "value": None if failed else (v.hex() if isinstance(v, float) else v),
+        "failed": failed,
+        "hits": None if hits is None else len(hits),
+        "hits_sha256": None
+        if hits is None
+        else hashlib.sha256(json.dumps(hits, separators=(",", ":")).encode()).hexdigest(),
+    }
+
+
+def test_coverage_golden_covers_every_port():
+    assert sorted(COVERAGE_GOLDEN) == sorted(f"{a}/{m}" for a, m in all_pairs())
+
+
+@pytest.mark.parametrize("app,model", all_pairs())
+def test_port_coverage_record_matches_golden(app, model):
+    # index_model's in-process cache serves the codebase indexed by
+    # test_port_indexes_and_verifies, so this adds no coverage runs
+    cb = index_model(app, model, coverage=True)
+    assert coverage_record(cb) == COVERAGE_GOLDEN[f"{app}/{model}"]
 
 
 @pytest.mark.parametrize("app", CPP_APPS)

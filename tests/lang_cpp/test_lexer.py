@@ -101,3 +101,108 @@ class TestLocations:
 
     def test_cuda_attr_is_keyword(self):
         assert kinds("__global__")[0][0] == TokenType.KEYWORD
+
+
+class TestMemo:
+    """Repeated clean (file, text) lexes are served from a bounded memo."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        from repro.lang.cpp.lexer import clear_lex_memo
+
+        clear_lex_memo()
+        yield
+        clear_lex_memo()
+
+    def test_hit_returns_a_fresh_list_of_the_same_tokens(self):
+        first = lex("int x = 1;\n", "m.cpp")
+        expected = list(first)
+        first.append("junk")
+        first[0] = None
+        again = lex("int x = 1;\n", "m.cpp")
+        assert again == expected
+        assert all(a is b for a, b in zip(again, expected))  # the same frozen tokens
+
+    def test_file_is_part_of_the_key(self):
+        lex("int x;", "a.cpp")
+        assert {t.file for t in lex("int x;", "b.cpp")} == {"b.cpp"}
+
+    def test_strict_and_tolerant_share_clean_lexes(self):
+        from repro import obs
+
+        lex("int y;", "m.cpp", tolerant=True)
+        with obs.collect() as c:
+            toks = lex("int y;", "m.cpp")
+        assert c.counters["lex.cpp.memo_hits"] == 1
+        assert "lex.cpp.calls" not in c.counters
+        assert toks[0].text == "int"
+
+    def test_repaired_lex_reemits_its_diagnostic_every_call(self):
+        from repro import diag
+
+        for _ in range(3):
+            with diag.capture() as sink:
+                lex("int a; /* open", "m.cpp", tolerant=True)
+            assert [d.code for d in sink.diagnostics] == ["lex/unterminated-comment"]
+
+    def test_strict_lex_still_raises_after_a_tolerant_one(self):
+        from repro import diag
+
+        with diag.capture():
+            lex('char* s = "open;\n', "m.cpp", tolerant=True)
+        with pytest.raises(ParseError, match="unterminated literal"):
+            lex('char* s = "open;\n', "m.cpp")
+
+    def test_least_recently_used_entries_are_evicted(self, monkeypatch):
+        from repro.lang.cpp import lexer
+        from repro import obs
+
+        monkeypatch.setattr(lexer, "MEMO_CHARS", 12)
+        lex("int a;", "m.cpp")  # 6 characters
+        lex("int b;", "m.cpp")  # 12: at the bound
+        lex("int a;", "m.cpp")  # a hit: "int b;" is now the oldest
+        lex("int c;", "m.cpp")  # 18 > 12: evicts "int b;"
+        with obs.collect() as c:
+            lex("int a;", "m.cpp")
+            lex("int c;", "m.cpp")
+            lex("int b;", "m.cpp")
+        assert c.counters["lex.cpp.memo_hits"] == 2
+        assert c.counters["lex.cpp.calls"] == 1
+        assert lexer._memo_chars <= 12
+
+    def test_threads_keep_the_memo_consistent(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.lang.cpp import lexer
+
+        monkeypatch.setattr(lexer, "MEMO_CHARS", 200)  # evicts constantly
+        texts = [f"int v{i} = {i};\n" for i in range(40)]
+        expected = {t: [(k.type, k.text) for k in lex(t, "m.cpp")] for t in texts}
+        lexer.clear_lex_memo()
+        errors: list = []
+
+        def worker(stride: int) -> None:
+            try:
+                for j in range(2000):
+                    text = texts[(j * stride) % len(texts)]
+                    if [(k.type, k.text) for k in lex(text, "m.cpp")] != expected[text]:
+                        errors.append(text)
+            except Exception as e:  # noqa: BLE001 — reported by the assert below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in (1, 3, 7, 11, 13, 17)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        # a lost update to the character count would break this
+        assert lexer._memo_chars == sum(len(text) for _file, text in lexer._memo)
+        assert lexer._memo_chars <= 200

@@ -130,12 +130,18 @@ class TestTedCounters:
 
 class TestLexCounters:
     def test_cpp_tokens_counted(self):
-        from repro.lang.cpp.lexer import lex
+        from repro.lang.cpp.lexer import clear_lex_memo, lex
 
+        clear_lex_memo()  # lexing work is counted, memo hits apart
         with obs.collect() as c:
             toks = lex("int x = 1;\n", "t.cpp")
         assert c.counters["lex.cpp.calls"] == 1
         assert c.counters["lex.cpp.tokens"] == len(toks)
+        assert "lex.cpp.memo_hits" not in c.counters
+        with obs.collect() as c:
+            assert lex("int x = 1;\n", "t.cpp") == toks
+        assert c.counters["lex.cpp.memo_hits"] == 1
+        assert "lex.cpp.calls" not in c.counters and "lex.cpp.tokens" not in c.counters
 
     def test_fortran_tokens_counted(self):
         from repro.lang.fortran.lexer import lex_fortran

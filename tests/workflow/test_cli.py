@@ -72,6 +72,69 @@ class TestCommands:
         assert e.value.code == 2
 
 
+class TestOutputPaths:
+    """Output files land in directories that do not exist yet; a path that
+    still cannot be written is an ``error:`` line and exit status 1."""
+
+    INDEX = ["index", "babelstream-fortran", "omp"]
+
+    def test_index_output_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "x.svdb"
+        assert main([*self.INDEX, "-o", str(out)]) == 0
+        assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize("opt", ["--trace-out", "--metrics-out"])
+    def test_profile_output_into_missing_directory(self, opt, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "new" / "dir" / "x.json"
+        assert main([*self.INDEX, "-o", str(tmp_path / "x.svdb"), opt, str(out)]) == 0
+        assert json.loads(out.read_text())
+
+    @pytest.mark.parametrize("opt", ["-o", "--trace-out", "--metrics-out"])
+    def test_unwritable_output_is_an_error(self, opt, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        blocked = str(tmp_path / "file" / "x.out")
+        args = [*self.INDEX, "-o", str(tmp_path / "x.svdb"), opt, blocked]
+        assert main(args) == 1
+        assert f"error: cannot write {blocked}: " in capsys.readouterr().err
+
+
+class TestCoverageRunFault:
+    """A runtime fault in the measured program (babelstream serial with
+    ``zz % (zz - 1)`` added to ``main``) fails its coverage run only."""
+
+    @pytest.fixture
+    def faulty_serial(self, monkeypatch):
+        from repro.corpus import babelstream
+        from repro.corpus.registry import clear_index_cache
+
+        dialect, openmp, fname, src = babelstream.MODELS["serial"]
+        fault = "int main() {\n  int zz = 1;\n  zz = zz % (zz - 1);\n"
+        src = src.replace("int main() {\n", fault, 1)
+        monkeypatch.setitem(babelstream.MODELS, "serial", (dialect, openmp, fname, src))
+        clear_index_cache()
+        yield
+        clear_index_cache()
+
+    def test_run_fails_and_the_unit_indexes(self, faulty_serial, tmp_path, capsys):
+        out = tmp_path / "x.svdb"
+        args = ["index", "babelstream", "serial", "--coverage", "--no-incremental", "-o", str(out)]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert (
+            "verification run returned coverage run failed: "
+            "ZeroDivisionError: integer modulo by zero" in captured.out
+        )
+        assert captured.err == ""
+
+    def test_strict_reports_the_fault(self, faulty_serial, tmp_path, capsys):
+        out = str(tmp_path / "x.svdb")
+        args = ["index", "babelstream", "serial", "--coverage", "--strict", "-o", out]
+        assert main(args) == 1
+        assert "error: ZeroDivisionError: integer modulo by zero" in capsys.readouterr().err
+
+
 class TestProfiling:
     """--profile / --trace-out / --metrics-out / stats (small Fortran corpus)."""
 

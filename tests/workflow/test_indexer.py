@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import diag, obs
 from repro.compiler import CompileOptions
 from repro.lang.source import VirtualFS
-from repro.util.errors import ReproError
+from repro.util.errors import InterpreterError, ReproError
 from repro.workflow.codebase import ModelSpec
 from repro.workflow.indexer import index_codebase, index_cpp_unit
 
@@ -69,6 +70,42 @@ class TestCodebaseIndexing:
         assert cb.coverage is None
         assert "coverage run failed" in str(cb.run_value)
         assert cb.units["main"].t_sem is not None  # indexing still complete
+
+    FAULTY = "int main() {\nint zz = 1;\nzz = zz % (zz - 1);\nreturn 0;\n}\n"
+
+    def test_runtime_fault_fails_the_run_not_the_unit(self):
+        spec = ModelSpec(app="t", model="m", lang="cpp", units={"main": "main.cpp"})
+        with diag.capture() as sink:
+            cb = index_codebase(spec, make_fs(**{"main.cpp": self.FAULTY}), run_coverage=True)
+        assert cb.run_value == "coverage run failed: ZeroDivisionError: integer modulo by zero"
+        assert cb.coverage is None
+        unit = cb.units["main"]
+        assert not unit.degraded
+        trees = (unit.t_src_pre, unit.t_src_post, unit.t_sem, unit.t_sem_inlined, unit.t_ir)
+        assert None not in trees
+        assert sink.diagnostics == []
+
+    def test_strict_runtime_fault_raises(self):
+        spec = ModelSpec(app="t", model="m", lang="cpp", units={"main": "main.cpp"})
+        fs = make_fs(**{"main.cpp": self.FAULTY})
+        with pytest.raises(InterpreterError, match="^ZeroDivisionError: integer modulo by zero$"):
+            index_codebase(spec, fs, run_coverage=True, strict=True)
+
+    def test_coverage_run_is_an_exec_span_with_its_steps(self):
+        from repro.exec import run_program
+        from repro.lang.cpp.parser import parse_unit
+        from repro.lang.cpp.sema import analyze
+
+        src = "int main() {\nint s = 0;\nfor (int i = 0; i < 4; i++) { s += i; }\nreturn s;\n}\n"
+        fs = make_fs(**{"main.cpp": src})
+        tu = parse_unit(fs, "main.cpp")
+        steps = run_program(tu, analyze(tu)).steps
+        spec = ModelSpec(app="t", model="m", lang="cpp", units={"main": "main.cpp"})
+        with obs.collect() as c:
+            cb = index_codebase(spec, fs, run_coverage=True)
+        assert cb.run_value == 6
+        assert c.counters["exec.steps"] == steps
+        assert [r.attrs.get("path") for r in c.spans if r.name == "exec"] == ["main.cpp"]
 
     def test_multiple_units(self):
         fs = make_fs(
