@@ -1,14 +1,20 @@
 """CI load-test harness for the ``silvervale serve`` daemon.
 
-Boots the daemon in-process against a small fixed corpus, then runs three
+Boots the daemon in-process against a small fixed corpus, then runs four
 phases:
 
-1. **cold** — one request per analysis endpoint, populating the hot tier;
+1. **concurrent cold** — on its own daemon with a two-worker engine,
+   ``COLD_REQUESTS`` identical cold ``/v1/cluster`` requests at once.
+   A worker's kernels never reach this process's TED memo, so only the
+   batcher keeps them from running every kernel once per request. Gates:
+   exactly **one** new ``engine.waves`` and at most one ``ted.zs.calls``
+   per unique model pair.
+2. **cold** — one request per analysis endpoint, populating the hot tier;
    latencies recorded but not gated (cold queries do real engine work).
-2. **identity** — the same analyses computed through the batch path
+3. **identity** — the same analyses computed through the batch path
    in-process; every serve response must be **bit-identical** (no float
    tolerance) to the batch result. This is the tentpole guarantee.
-3. **warm** — N concurrent keep-alive clients each issue a mixed stream of
+4. **warm** — N concurrent keep-alive clients each issue a mixed stream of
    warm queries. Gates:
 
    * warm p50 ≤ ``--p50-gate-ms`` and p99 ≤ ``--p99-gate-ms``,
@@ -47,6 +53,9 @@ from repro.workflow.comparer import divergence_row, parse_metric
 APP = "babelstream-fortran"
 BASELINE = "sequential"
 METRIC = "Tsem"
+
+#: identical cold cluster requests sent at once in the concurrent-cold phase
+COLD_REQUESTS = 8
 
 
 class Client:
@@ -94,6 +103,57 @@ def counters_from_stats(client: Client) -> dict:
     return payload["metrics"].get("counters", {})
 
 
+def boot(engine: DistanceEngine) -> tuple[ServeDaemon, threading.Thread]:
+    """A warm daemon on a thread, ready to serve."""
+    daemon = ServeDaemon(engine, port=0, warm=[APP], window_s=0.005, quiet=True)
+    thread = threading.Thread(target=daemon.run, daemon=True)
+    thread.start()
+    if not daemon.ready.wait(300):
+        raise SystemExit("FAIL: daemon did not become ready")
+    return daemon, thread
+
+
+def concurrent_cold(n: int) -> dict:
+    """``n`` identical cold cluster requests at once on a two-worker
+    engine; returns their statuses and the waves, kernels and wall time
+    they cost."""
+    daemon, thread = boot(DistanceEngine(jobs=2))
+    probe = Client(daemon.port)
+    before = counters_from_stats(probe)
+    statuses: list[int] = []
+    lock = threading.Lock()
+    barrier = threading.Barrier(n)
+
+    def one() -> None:
+        c = Client(daemon.port)
+        try:
+            barrier.wait()
+            status, _, _ = c.get(f"/v1/cluster?app={APP}&metric={METRIC}")
+        finally:
+            c.close()
+        with lock:
+            statuses.append(status)
+
+    clients = [threading.Thread(target=one) for _ in range(n)]
+    t0 = time.perf_counter()
+    for c in clients:
+        c.start()
+    for c in clients:
+        c.join()
+    wall = time.perf_counter() - t0
+    after = counters_from_stats(probe)
+    probe.close()
+    daemon.stop()
+    thread.join(timeout=60)
+    return {
+        "requests": n,
+        "statuses": sorted(statuses),
+        "wall_s": wall,
+        "waves": after.get("engine.waves", 0) - before.get("engine.waves", 0),
+        "kernels": after.get("ted.zs.calls", 0) - before.get("ted.zs.calls", 0),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="SERVE_pr.json", help="result JSON path")
@@ -121,19 +181,30 @@ def main() -> int:
     models = [m for m in app_models(APP) if m != BASELINE]
     failures: list[str] = []
 
+    pairs = len(app_models(APP)) * (len(app_models(APP)) - 1) // 2
+
     with obs.collect() as col:
-        daemon = ServeDaemon(
-            DistanceEngine(), port=0, warm=[APP], window_s=0.005, quiet=True
+        # -- phase 1: concurrent identical cold requests, one wave ------------
+        burst = concurrent_cold(COLD_REQUESTS)
+        print(
+            f"concurrent cold: {burst['requests']} identical cluster requests, "
+            f"{burst['waves']:g} wave(s), {burst['kernels']:g} kernels "
+            f"for {pairs} pairs in {burst['wall_s']:.2f}s (2 workers)"
         )
-        thread = threading.Thread(target=daemon.run, daemon=True)
-        thread.start()
-        if not daemon.ready.wait(300):
-            print("FAIL: daemon did not become ready", file=sys.stderr)
-            return 1
+        if burst["statuses"] != [200] * burst["requests"]:
+            failures.append(f"concurrent cold statuses {burst['statuses']}")
+        if burst["waves"] != 1:
+            failures.append(f"concurrent cold ran {burst['waves']:g} engine waves (want 1)")
+        if burst["kernels"] > pairs:
+            failures.append(
+                f"concurrent cold ran {burst['kernels']:g} kernels for {pairs} pairs"
+            )
+
+        daemon, thread = boot(DistanceEngine())
         client = Client(daemon.port)
         print(f"daemon ready on port {daemon.port} (warm corpus: {APP})")
 
-        # -- phase 1: cold queries populate the hot tier ---------------------
+        # -- phase 2: cold queries populate the hot tier ---------------------
         cold: dict[str, float] = {}
         cold_payloads: dict[str, dict] = {}
         cold_paths = {
@@ -150,7 +221,7 @@ def main() -> int:
             cold[name], cold_payloads[name] = dt, payload
             print(f"cold {name:8s} {dt * 1e3:9.1f} ms")
 
-        # -- phase 2: bit-identity against the batch path --------------------
+        # -- phase 3: bit-identity against the batch path --------------------
         spec = parse_metric(METRIC)
         cbs = index_app(APP, coverage=spec.coverage)
         expected_cmp = divergence_row(cbs[BASELINE], [cbs[models[0]]], spec)[models[0]]
@@ -172,7 +243,7 @@ def main() -> int:
         if not failures:
             print("identity: serve responses bit-identical to the batch path")
 
-        # -- phase 3: concurrent warm load ------------------------------------
+        # -- phase 4: concurrent warm load ------------------------------------
         zs_before = counters_from_stats(client).get("ted.zs.calls", 0)
         mix = list(cold_paths.values()) + [
             f"/v1/compare?app={APP}&model={m}&baseline={BASELINE}&metric={METRIC}"
@@ -266,6 +337,7 @@ def main() -> int:
             "clients": args.clients,
             "queries_per_client": args.queries,
         },
+        "concurrent_cold": burst,
         "cold_latency_s": cold,
         "warm": {
             "requests": total,
@@ -275,6 +347,8 @@ def main() -> int:
             "zs_calls": zs_delta,
         },
         "gates": {
+            "concurrent_cold_waves": 1,
+            "concurrent_cold_kernels": pairs,
             "p50_ms": args.p50_gate_ms,
             "p99_ms": args.p99_gate_ms,
             "zs_calls": 0,
@@ -293,7 +367,8 @@ def main() -> int:
         print(f"FAIL: {f}", file=sys.stderr)
     if not failures:
         print(
-            f"PASS: {total} warm queries, p50 {p50 * 1e3:.2f} ms / "
+            f"PASS: {burst['requests']} concurrent cold requests in one wave, "
+            f"{total} warm queries, p50 {p50 * 1e3:.2f} ms / "
             f"p99 {p99 * 1e3:.2f} ms, bit-identical to batch, 0 ZS calls"
         )
     return 1 if failures else 0

@@ -900,11 +900,12 @@ class Interpreter:
 
         if isinstance(e.operand, IdentExpr):
             name = e.operand.parts[-1]
+            undefined = f"undefined identifier {e.operand.name!r}"
 
             def step_var(env):
                 c = env.lookup(name)
                 if c is None:
-                    c = env.define(name, 0)
+                    raise InterpreterError(undefined)
                 cur = c.value
                 c.value = nxt = step(cur)
                 return nxt if prefix else cur
@@ -926,11 +927,12 @@ class Interpreter:
         combine = None if e.op == "=" else _combine(e.op)
         if isinstance(e.lhs, IdentExpr):
             name = e.lhs.parts[-1]
+            undefined = f"undefined identifier {e.lhs.name!r}"
 
             def assign_var(env):
                 c = env.lookup(name)
                 if c is None:
-                    c = env.define(name, 0)
+                    raise InterpreterError(undefined)
                 if combine is None:
                     val = rhs(env)
                 else:
@@ -1045,11 +1047,12 @@ class Interpreter:
     def _build_lvalue(self, e: Optional[Expr]) -> Code:
         if isinstance(e, IdentExpr):
             name = e.parts[-1]
+            undefined = f"undefined identifier {e.name!r}"
 
             def var_slot(env):
                 c = env.lookup(name)
                 if c is None:
-                    c = env.define(name, 0)
+                    raise InterpreterError(undefined)
                 return ("cell", c)
 
             return var_slot

@@ -93,7 +93,7 @@ MEMO_CHARS = 1_000_000
 
 _memo: OrderedDict[tuple[str, str], tuple[Token, ...]] = OrderedDict()
 _memo_chars = 0
-# serve may abandon an engine thread that is still lexing
+# the memo is process-wide, and a library caller may lex from several threads
 _memo_lock = threading.Lock()
 
 

@@ -250,13 +250,12 @@ def sigterm_as_interrupt():
 class PoolResult:
     """Outcome of one :meth:`ChunkedPool.run` call."""
 
-    __slots__ = ("values", "degraded", "parallel")
+    __slots__ = ("values", "parallel")
 
-    def __init__(self, values: list[Any], degraded: list[int], parallel: bool):
-        #: per-task results, in submission order
+    def __init__(self, values: list[Any], parallel: bool):
+        #: per-task results, in submission order; a task whose chunk failed
+        #: holds ``fail_value``
         self.values = values
-        #: task indices filled with ``fail_value`` after retry exhaustion
-        self.degraded = degraded
         #: True when a fork pool actually ran (vs the inline serial path)
         self.parallel = parallel
 
@@ -264,11 +263,10 @@ class PoolResult:
 class _PoolRun:
     """Mutable bookkeeping for one ``run`` call."""
 
-    __slots__ = ("values", "degraded", "fail_value", "collector", "pool_span")
+    __slots__ = ("values", "fail_value", "collector", "pool_span")
 
     def __init__(self, n_tasks, fail_value):
         self.values: list[Any] = [None] * n_tasks
-        self.degraded: list[int] = []
         self.fail_value = fail_value
         self.collector = obs.current_collector()
         #: record index of the parent-side pool span; adopted worker chunk
@@ -393,7 +391,7 @@ class ChunkedPool:
         tasks = list(tasks)
         run = _PoolRun(len(tasks), fail_value)
         if not tasks:
-            return PoolResult(run.values, run.degraded, False)
+            return PoolResult(run.values, False)
         # one wave = one scheduling pass over a task list; the serve layer's
         # request coalescing asserts its batching on exactly this counter
         obs.add("engine.waves")
@@ -403,9 +401,9 @@ class ChunkedPool:
         # count is still clamped — one task never gets two processes.
         if self.jobs == 1 or "fork" not in multiprocessing.get_all_start_methods():
             self._run_serial(fn, tasks, run, prepare)
-            return PoolResult(run.values, run.degraded, False)
+            return PoolResult(run.values, False)
         self._run_parallel(fn, tasks, run, min(self.jobs, len(tasks)), prepare)
-        return PoolResult(run.values, run.degraded, True)
+        return PoolResult(run.values, True)
 
     # -- serial ------------------------------------------------------------
 
@@ -533,9 +531,7 @@ class ChunkedPool:
                 f"tasks {lo}:{hi} degraded to fail_value: wave exceeded "
                 f"wave_timeout={self.wave_timeout}s",
             )
-            for i in range(lo, hi):
-                run.values[i] = run.fail_value
-                run.degraded.append(i)
+            run.values[lo:hi] = [run.fail_value] * (hi - lo)
 
     def _register_failure(self, chunk, now, err, run: "_PoolRun") -> bool:
         """Handle one failed attempt: reschedule with backoff, or degrade.
@@ -563,9 +559,7 @@ class ChunkedPool:
             f"tasks {lo}:{hi} degraded to fail_value after {chunk.attempts} "
             f"attempt(s): {err}",
         )
-        for i in range(lo, hi):
-            run.values[i] = run.fail_value
-            run.degraded.append(i)
+        run.values[lo:hi] = [run.fail_value] * (hi - lo)
         return True
 
 

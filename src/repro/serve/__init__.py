@@ -10,20 +10,3 @@ the batching window):
 * :mod:`repro.serve.batcher` — demand coalescing into single engine waves
 * :mod:`repro.serve.daemon` — server lifecycle, engine thread, shutdown
 """
-
-from repro.serve.app import ServeApp
-from repro.serve.batcher import WaveBatcher
-from repro.serve.daemon import ServeDaemon
-from repro.serve.http import HttpError, Request, read_request, response_bytes
-from repro.serve.state import ServeState
-
-__all__ = [
-    "HttpError",
-    "Request",
-    "ServeApp",
-    "ServeDaemon",
-    "ServeState",
-    "WaveBatcher",
-    "read_request",
-    "response_bytes",
-]

@@ -40,7 +40,6 @@ from repro.metricindex import PairPinner
 from repro.serve.batcher import WAVE_FAILED
 from repro.serve.http import HttpError, Request
 from repro.serve.state import ServeState
-from repro.util.errors import ReproError
 from repro.workflow.comparer import (
     MetricSpec,
     codebase_fingerprint,
@@ -343,9 +342,3 @@ class ServeApp:
         return self.state.engine.map_tasks(
             divergence_task, tasks, fail_value=WAVE_FAILED, prepare=divergence_prepare
         )
-
-
-def bad_request_from(e: ReproError) -> HttpError:
-    """Map a workflow-layer error (unknown app/model, strict failure) to a
-    client error; the daemon emits the matching ``serve/bad-request`` diag."""
-    return HttpError(400, str(e))

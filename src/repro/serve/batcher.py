@@ -24,29 +24,28 @@ requests — and with the batch CLI — sound.
 
 Failure isolation (pinned in DESIGN.md §"Overload and failure contract"):
 a wave is a *shared* vehicle, so one request's poisonous demand must not
-fail its neighbours. Two layers, narrowest first:
+fail its neighbours. The wave runner substitutes the :data:`WAVE_FAILED`
+sentinel for any task whose chunk exhausted retries or outlived the
+pool's wave budget (the pool's ``fail_value`` path); only the joiners of
+that key get a :class:`WaveKeyError` (``serve.batch.failed_keys``),
+siblings get values. An exception escaping the engine call itself (a
+setup error, a strict abort) reaches every joiner of the wave.
 
-* **per-key routing** — the wave runner substitutes the :data:`WAVE_FAILED`
-  sentinel for any task whose chunk exhausted retries (the pool's
-  ``fail_value`` path); only the joiners of that key get a
-  :class:`WaveKeyError` (``serve.batch.failed_keys``), siblings get values.
-  An exception escaping the engine call itself (a setup error, a strict
-  abort) reaches every joiner of the wave;
-* **wave watchdog** — ``wave_timeout_s`` bounds the wave's engine call;
-  on expiry the joiners get :class:`WavePoisonedError`
-  (``serve.batch.poisoned``) and ``on_poisoned`` fires so the daemon can
-  replace the wedged engine thread. The abandoned call's future is
-  shielded, so a late result is discarded, not delivered.
+Nothing here times a wave out: the daemon has one engine thread and
+Python cannot interrupt it, so a timeout could only abandon work that
+keeps running. A serial wave always ends; with ``--jobs N`` the pool's
+``--wave-timeout-s`` terminates its workers.
 
-Deadline interaction: a request-side ``asyncio.wait_for`` cancels the
-*handler*, but the wave futures are shared across requests, so
-``demand_many`` awaits shielded views and never propagates its own
-cancellation into the batch.
+Cancellation: shutdown cancels connections still open after ``--grace``,
+but the wave futures are shared across requests, so ``demand_many``
+awaits shielded views and never propagates its own cancellation into the
+batch.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 from typing import Any, Callable, Optional, Sequence
 
 from repro import obs
@@ -60,18 +59,9 @@ WAVE_FAILED = object()
 class WaveKeyError(Exception):
     """One coalesced demand failed; only its joiners see this."""
 
-    def __init__(self, key: str, reason: str = "task failed in engine wave"):
-        super().__init__(f"{reason} (key {key})")
+    def __init__(self, key: str):
+        super().__init__(f"task failed in engine wave (key {key})")
         self.key = key
-        self.reason = reason
-
-
-class WavePoisonedError(WaveKeyError):
-    """A wave's engine call wedged past the wave watchdog."""
-
-    def __init__(self, key: str, timeout_s: float):
-        super().__init__(key, f"engine wave exceeded {timeout_s:g}s watchdog")
-        self.timeout_s = timeout_s
 
 
 class _Pending:
@@ -98,31 +88,22 @@ class WaveBatcher:
     ``runner(tasks, keys)`` evaluates one wave synchronously and is
     invoked on ``executor`` (the daemon's engine thread); it must return one
     value per task, in order, substituting :data:`WAVE_FAILED` for tasks
-    that failed individually. ``executor`` may also be a zero-arg callable
-    returning the current executor, so the daemon can swap in a fresh
-    engine thread after a poisoned wave. ``window_s = 0`` still coalesces
-    demands that arrive in the same event-loop iteration.
+    that failed individually. ``window_s = 0`` still coalesces demands that
+    arrive in the same event-loop iteration.
     """
 
     def __init__(
         self,
         runner: Callable[[list, list], list],
-        executor,
+        executor: concurrent.futures.Executor,
         window_s: float = 0.005,
-        wave_timeout_s: Optional[float] = None,
-        on_poisoned: Optional[Callable[[], None]] = None,
     ):
         self.runner = runner
         self.executor = executor
         self.window_s = window_s
-        self.wave_timeout_s = wave_timeout_s
-        self.on_poisoned = on_poisoned
         self._pending: dict[str, _Pending] = {}
         self._inflight: dict[str, "asyncio.Future[Any]"] = {}
         self._flush_handle: Optional[asyncio.TimerHandle] = None
-
-    def _executor_now(self):
-        return self.executor() if callable(self.executor) else self.executor
 
     # -- demand side (event-loop thread) ------------------------------------
 
@@ -154,9 +135,9 @@ class WaveBatcher:
             if self._flush_handle is None:
                 self._flush_handle = loop.call_later(self.window_s, self._start_flush)
         # gather over *shielded* views: the futures are shared across
-        # requests, so this request's deadline cancellation must not cancel
-        # the batch (and gather — not sequential awaits — so one failed
-        # wave can't leave sibling futures unretrieved)
+        # requests, so shutdown cancelling this request's connection must
+        # not cancel the batch (and gather — not sequential awaits — so one
+        # failed wave can't leave sibling futures unretrieved)
         return list(await asyncio.gather(*(asyncio.shield(f) for f in futures)))
 
     async def drain(self) -> None:
@@ -188,37 +169,10 @@ class WaveBatcher:
 
     async def _run_wave(self, batch: dict[str, _Pending]) -> None:
         """Evaluate one flushed batch in a single engine call."""
-        try:
-            await self._run_call(batch)
-        finally:
-            for key in batch:
-                self._inflight.pop(key, None)
-
-    async def _run_call(self, batch: dict[str, _Pending]) -> None:
         loop = asyncio.get_running_loop()
         tasks = [p.task for p in batch.values()]
-        call = loop.run_in_executor(self._executor_now(), self.runner, tasks, list(batch))
         try:
-            if self.wave_timeout_s:
-                # shield: on timeout the engine thread is abandoned (and
-                # restarted via on_poisoned), so a late result must be
-                # discarded rather than cancelled mid-set
-                values = await asyncio.wait_for(
-                    asyncio.shield(call), self.wave_timeout_s
-                )
-            else:
-                values = await call
-        except asyncio.TimeoutError:
-            obs.add("serve.batch.poisoned")
-            call.add_done_callback(_consume)
-            for key, p in batch.items():
-                if not p.future.done():
-                    p.future.set_exception(
-                        WavePoisonedError(key, self.wave_timeout_s)
-                    )
-            if self.on_poisoned is not None:
-                self.on_poisoned()
-            return
+            values = await loop.run_in_executor(self.executor, self.runner, tasks, list(batch))
         except Exception as e:
             # the engine call failing outright (setup error, strict abort)
             # fails every joiner of the wave
@@ -226,6 +180,9 @@ class WaveBatcher:
                 if not p.future.done():
                     p.future.set_exception(e)
             return
+        finally:
+            for key in batch:
+                self._inflight.pop(key, None)
         for (key, p), value in zip(batch.items(), values):
             if p.future.done():
                 continue

@@ -10,9 +10,10 @@ Threading model (the whole story, because it is the subtle part):
   (``--jobs``), the engine's memo/caches and the registry's index cache
   assume single-writer, and serialising waves is exactly what makes
   "N concurrent requests → one wave per unique demand set" true.
-  The thread is *replaceable*: when the batcher's wave watchdog declares a
-  wave poisoned, the daemon abandons the wedged thread and swaps in a
-  fresh one (``serve.engine.restarts``) instead of wedging forever.
+  The thread lives as long as the daemon, and nothing times its work
+  out: Python cannot interrupt a running thread, so a timeout could only
+  abandon work that keeps running. A serial wave always ends; with
+  ``--jobs N`` the pool's ``--wave-timeout-s`` terminates its workers.
 * Engine work runs under a **copy of the daemon's base context** —
   captured at startup inside the CLI's session collector — so spans,
   counters and session-level diagnostics land in the same collector the
@@ -29,9 +30,6 @@ Overload discipline (DESIGN.md §"Overload and failure contract"):
   ``serve/overloaded`` diagnostic (``serve.shed.*`` counters). ``/healthz``,
   ``/v1/stats`` and ``POST /v1/shutdown`` bypass admission so the daemon
   stays observable and stoppable while saturated.
-* **deadlines** — every admitted request runs under ``request_timeout_s``
-  (clients may *lower* it per-request via ``X-Timeout-Ms``, never raise
-  it); expiry is a ``504`` with a ``serve/deadline`` diagnostic.
 * **slow-client protection** — header/body reads and response writes are
   bounded by ``io_timeout_s``; a started-then-stalled request gets a
   ``408``, an idle keep-alive connection is closed silently.
@@ -68,48 +66,14 @@ from repro.util.errors import ReproError
 _ADMISSION_EXEMPT = {"/healthz", "/v1/stats", "/v1/shutdown"}
 
 
-class _EngineExecutor:
-    """The daemon's single engine thread, replaceable after a poisoned wave.
-
-    ``current()`` is the live executor; ``restart()`` abandons it
-    (``shutdown(wait=False)`` — the wedged thread is left to die on its
-    own) and installs a fresh one so subsequent waves run on a clean
-    thread.
-    """
-
-    def __init__(self):
-        self.restarts = 0
-        self._gen = 0
-        self._ex = self._fresh()
-
-    def _fresh(self) -> concurrent.futures.ThreadPoolExecutor:
-        self._gen += 1
-        return concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"serve-engine-{self._gen}"
-        )
-
-    def current(self) -> concurrent.futures.ThreadPoolExecutor:
-        return self._ex
-
-    def restart(self) -> None:
-        old = self._ex
-        self._ex = self._fresh()
-        old.shutdown(wait=False)
-        self.restarts += 1
-        obs.add("serve.engine.restarts")
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._ex.shutdown(wait=wait)
-
-
 class ServeDaemon:
     """One serve session: state, batcher, app and server lifecycle.
 
     Construct, then :meth:`run` (blocking; typically from the CLI) or run
     it on a thread and wait on :attr:`ready` — :attr:`port` holds the bound
     port (for ``--port 0``) once ready is set. :meth:`stop` is thread-safe.
-    ``max_inflight``/``max_queue``/``request_timeout_s``/``io_timeout_s``
-    of ``0`` disable the respective limit.
+    ``max_inflight``/``max_queue``/``io_timeout_s`` of ``0`` disable the
+    respective limit.
     """
 
     def __init__(
@@ -126,10 +90,7 @@ class ServeDaemon:
         quiet: bool = False,
         max_inflight: int = 64,
         max_queue: int = 128,
-        request_timeout_s: float = 300.0,
         io_timeout_s: float = 30.0,
-        wave_timeout_s: Optional[float] = None,
-        hot_max_entries: int = 0,
     ):
         self.host = host
         self.port = port
@@ -140,12 +101,8 @@ class ServeDaemon:
         self.quiet = quiet
         self.max_inflight = int(max_inflight)
         self.max_queue = int(max_queue)
-        self.request_timeout_s = float(request_timeout_s)
         self.io_timeout_s = float(io_timeout_s)
-        self.wave_timeout_s = wave_timeout_s
-        self.state = ServeState(
-            engine, artifacts=artifacts, strict=strict, max_entries=hot_max_entries
-        )
+        self.state = ServeState(engine, artifacts=artifacts, strict=strict)
         self.ready = threading.Event()
         self.app: Optional[ServeApp] = None
         #: serve-lifetime summary, populated during drain; the CLI merges it
@@ -154,7 +111,6 @@ class ServeDaemon:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
         self._sem: Optional[asyncio.Semaphore] = None
-        self._engine_exec: Optional[_EngineExecutor] = None
         self._conn_tasks: set["asyncio.Task[Any]"] = set()
         self._request_seq = 0
         self._inflight = 0
@@ -186,12 +142,12 @@ class ServeDaemon:
         # the context every engine-thread job runs under: whatever collector
         # and session-level sink the CLI installed around run()
         base_ctx = contextvars.copy_context()
-        self._engine_exec = _EngineExecutor()
+        engine_thread = concurrent.futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-engine"
+        )
 
         async def run_engine(fn):
-            return await self._loop.run_in_executor(
-                self._engine_exec.current(), base_ctx.copy().run, fn
-            )
+            return await self._loop.run_in_executor(engine_thread, base_ctx.copy().run, fn)
 
         app = ServeApp(
             self.state,
@@ -204,17 +160,7 @@ class ServeDaemon:
         def ctx_runner(tasks: list, keys: list) -> list:
             return base_ctx.copy().run(app.wave_runner, tasks, keys)
 
-        def on_poisoned() -> None:
-            self._say("wave poisoned; restarting engine thread")
-            self._engine_exec.restart()
-
-        app.batcher = WaveBatcher(
-            ctx_runner,
-            self._engine_exec.current,
-            window_s=self.window_s,
-            wave_timeout_s=self.wave_timeout_s,
-            on_poisoned=on_poisoned,
-        )
+        app.batcher = WaveBatcher(ctx_runner, engine_thread, window_s=self.window_s)
         self.app = app
 
         server = await asyncio.start_server(self._on_connection, self.host, self.port)
@@ -246,12 +192,11 @@ class ServeDaemon:
                 "requests": self._request_seq,
                 "shed": self._shed,
                 "failed_keys": int(obs.get("serve.batch.failed_keys")),
-                "engine_restarts": self._engine_exec.restarts,
             }
         finally:
             self._remove_port_file()
             server.close()
-            self._engine_exec.shutdown(wait=True)
+            engine_thread.shutdown(wait=True)
         self._say("bye")
 
     def _install_signal_handlers(self) -> None:
@@ -320,20 +265,7 @@ class ServeDaemon:
                 )
             self._queued += 1
             try:
-                wait = self.request_timeout_s or None
-                if wait is None:
-                    await self._sem.acquire()
-                else:
-                    await asyncio.wait_for(self._sem.acquire(), wait)
-            except asyncio.TimeoutError:
-                self._shed += 1
-                obs.add("serve.shed.requests")
-                obs.add("serve.shed.queue_timeout")
-                raise HttpError(
-                    429,
-                    "timed out queued for an admission slot",
-                    headers={"Retry-After": "1"},
-                ) from None
+                await self._sem.acquire()
             finally:
                 self._queued -= 1
         else:
@@ -344,21 +276,6 @@ class ServeDaemon:
         self._inflight -= 1
         if self._sem is not None:
             self._sem.release()
-
-    def _deadline_for(self, req) -> Optional[float]:
-        """Effective request deadline: the server cap, lowered (never
-        raised) by a well-formed ``X-Timeout-Ms`` header."""
-        timeout = self.request_timeout_s or None
-        raw = req.headers.get("x-timeout-ms")
-        if raw:
-            try:
-                ms = int(raw)
-            except ValueError:
-                ms = 0  # malformed header: ignore, keep the server cap
-            if ms > 0:
-                client = ms / 1000.0
-                timeout = client if timeout is None else min(timeout, client)
-        return timeout
 
     # -- connection handling -------------------------------------------------
 
@@ -432,14 +349,13 @@ class ServeDaemon:
     async def _dispatch(self, req) -> tuple[int, dict, dict]:
         """Run one request under its own diagnostic sink; map errors.
 
-        Returns ``(status, payload, extra_headers)``. Admission and the
-        request deadline apply to everything except the exempt paths
-        (health/stats/shutdown), which must answer under overload.
+        Returns ``(status, payload, extra_headers)``. Admission applies to
+        everything except the exempt paths (health/stats/shutdown), which
+        must answer under overload.
         """
         obs.add("serve.requests")
         headers: dict[str, str] = {}
         exempt = req.path in _ADMISSION_EXEMPT
-        timeout: Optional[float] = None
         admitted = False
         with diag.capture_local() as sink:
             with obs.span("serve.request", method=req.method, path=req.path):
@@ -447,26 +363,11 @@ class ServeDaemon:
                     if not exempt:
                         await self._admit()
                         admitted = True
-                        timeout = self._deadline_for(req)
-                    call = self.app.handle(req)
-                    if timeout:
-                        result = await asyncio.wait_for(call, timeout)
-                    else:
-                        result = await call
+                    result = await self.app.handle(req)
                     if isinstance(result, tuple):
                         status, payload = result
                     else:
                         status, payload = 200, result
-                except asyncio.TimeoutError:
-                    obs.add("serve.deadline.expired")
-                    diag.warning(
-                        "serve/deadline",
-                        f"request exceeded its {timeout:g}s deadline",
-                    )
-                    status, payload = 504, {
-                        "error": f"deadline of {timeout:g}s exceeded"
-                    }
-                    obs.add("serve.errors")
                 except HttpError as e:
                     code = "serve/overloaded" if e.status == 429 else "serve/bad-request"
                     diag.warning(code, e.message)

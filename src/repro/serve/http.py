@@ -46,7 +46,6 @@ _REASONS = {
     500: "Internal Server Error",
     501: "Not Implemented",
     503: "Service Unavailable",
-    504: "Gateway Timeout",
 }
 
 

@@ -29,13 +29,13 @@ fingerprints, so stale reads are impossible — a changed corpus produces
 after an in-place corpus edit during development; it drops every tier
 including the process-wide registry and TED memos.
 
-Bounding: the memo is LRU-capped (``max_entries``; 0 or ``None`` =
-unbounded). Under varied traffic the least-recently-used entry is evicted
-at the cap (``serve.hot.evicted.memo``) so the always-on daemon's resident
-set cannot grow without bound; an evicted value is only a latency cost,
-never a correctness one, because the TED disk memo replays it on the next
-miss. The indexed codebases need no cap: the registry holds at most one
-per corpus port and mode.
+Bounding: the memo is LRU-capped at :data:`MEMO_MAX_ENTRIES`. Under
+varied traffic the least-recently-used entry is evicted at the cap
+(``serve.hot.evicted.memo``) so the always-on daemon's resident set cannot
+grow without bound; an evicted value is only a latency cost, never a
+correctness one, because the TED disk memo replays it on the next miss.
+The indexed codebases need no cap: the registry holds at most one per
+corpus port and mode.
 """
 
 from __future__ import annotations
@@ -56,21 +56,18 @@ from repro.distance.ted import clear_ted_cache
 from repro.util.errors import ReproError
 from repro.workflow.codebase import IndexedCodebase
 
+#: LRU cap on divergence-memo entries: it bounds an always-on daemon's
+#: resident set, and an eviction costs only a recompute.
+MEMO_MAX_ENTRIES = 65536
+
 
 class ServeState:
     """The daemon's shared hot tier (see module docstring)."""
 
-    def __init__(
-        self,
-        engine,
-        artifacts=None,
-        strict: bool = False,
-        max_entries: Optional[int] = None,
-    ):
+    def __init__(self, engine, artifacts=None, strict: bool = False):
         self.engine = engine
         self.artifacts = artifacts
         self.strict = strict
-        self.max_entries = int(max_entries) if max_entries else 0
         self._lock = threading.Lock()
         self._memo: OrderedDict[str, Any] = OrderedDict()
         self._evicted_memo = 0
@@ -108,7 +105,7 @@ class ServeState:
         with self._lock:
             self._memo[key] = value
             self._memo.move_to_end(key)
-            while self.max_entries and len(self._memo) > self.max_entries:
+            while len(self._memo) > MEMO_MAX_ENTRIES:
                 self._memo.popitem(last=False)
                 self._evicted_memo += 1
                 obs.add("serve.hot.evicted.memo")
@@ -156,7 +153,7 @@ class ServeState:
             return {
                 "codebases": cached_codebases(),
                 "memo_entries": len(self._memo),
-                "max_entries": self.max_entries,
+                "max_entries": MEMO_MAX_ENTRIES,
                 "evicted": {"memo": self._evicted_memo},
                 "jobs": getattr(self.engine, "jobs", 1),
                 "strict": self.strict,

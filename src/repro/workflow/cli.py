@@ -593,10 +593,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Serves the ``compare``/``cluster``/``heatmap``/``nearest`` analyses
     (plus index/stats introspection) as JSON over HTTP, from a shared hot tier
-    with request coalescing; see ``repro/serve`` and README §"Running as a
-    service". Blocks until SIGINT/SIGTERM or ``POST /v1/shutdown``, then
-    drains gracefully and records the session's ledger snapshot like any
-    batch command.
+    with request coalescing, on one engine thread; see ``repro/serve`` and
+    README §"Running as a service". ``--wave-timeout-s`` is the distance
+    pool's wave budget, so it bounds a wave only with ``--jobs N``; a serial
+    wave runs to the end. Blocks until SIGINT/SIGTERM or
+    ``POST /v1/shutdown``, then drains gracefully and records the session's
+    ledger snapshot like any batch command.
     """
     from repro.serve.daemon import ServeDaemon
 
@@ -612,14 +614,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         grace_s=args.grace,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
-        request_timeout_s=args.request_timeout_s,
         io_timeout_s=args.io_timeout_s,
-        # batcher watchdog sits behind the pool-level wave timeout with
-        # headroom: with --jobs N the pool degrading is the normal path, the
-        # batcher poisoning + engine restart is the backstop for a wedged
-        # thread (and the only bound on a serial wave)
-        wave_timeout_s=(args.wave_timeout_s * 2) if args.wave_timeout_s else None,
-        hot_max_entries=args.hot_max_entries,
     )
     daemon.run()
     # the session collector is still open here; stash the serve-lifetime
@@ -820,15 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         "daemon sheds with 429 (default: 128; 0 sheds immediately at budget)",
     )
     ov.add_argument(
-        "--request-timeout-s",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="per-request deadline; expiry is a 504 with a serve/deadline "
-        "diagnostic. Clients may lower it per-request with X-Timeout-Ms "
-        "(default: 300; 0 disables)",
-    )
-    ov.add_argument(
         "--io-timeout-s",
         type=float,
         default=30.0,
@@ -842,18 +828,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=300.0,
         metavar="S",
-        help="engine wave wall-clock budget: with --jobs N past it the pool "
-        "degrades the wave's unfinished chunks (a serial wave runs to the "
-        "end), and at 2x the batcher declares the wave poisoned and the "
-        "daemon restarts its engine thread (default: 300; 0 disables)",
-    )
-    ov.add_argument(
-        "--hot-max-entries",
-        type=int,
-        default=65536,
-        metavar="N",
-        help="LRU cap on hot-tier divergence memo entries "
-        "(default: 65536; 0 = unbounded)",
+        help="distance-pool wave budget, applied only with --jobs N: past it "
+        "the pool terminates its workers and the wave's unfinished keys "
+        "answer 500; a serial wave (--jobs 1) runs to the end "
+        "(default: 300; 0 disables)",
     )
     psv.set_defaults(fn=cmd_serve, _always_collect=True, _ledger=True)
 

@@ -152,18 +152,6 @@ def test_preorder_labels_memoised():
     assert preorder_labels(t) is first
 
 
-@settings(max_examples=60, deadline=None)
-@given(mid_trees(), mid_trees())
-def test_ted_with_cascade_matches_kernel(t1, t2):
-    prev = cascade._MIN_CELLS
-    cascade._MIN_CELLS = 1
-    try:
-        clear_ted_cache()
-        assert ted(t1, t2).distance == zhang_shasha_distance(t1, t2)
-    finally:
-        cascade._MIN_CELLS = prev
-
-
 # ---------------------------------------------------------------------------
 # Satellite bugfix regressions
 # ---------------------------------------------------------------------------

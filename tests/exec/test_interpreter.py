@@ -202,6 +202,20 @@ class TestErrors:
         with pytest.raises(InterpreterError, match="undefined identifier"):
             run("int main() { return nope; }")
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "int main() { zz = 3; return zz; }",
+            "int main() { zz++; return 0; }",
+            # a misspelt accumulator used to define itself and return 0
+            "int main() { int s = 0; for (int i = 1; i <= 4; i++) { totl += i; } return s; }",
+        ],
+    )
+    def test_write_to_undeclared_name_fails_like_a_read(self, src):
+        name = "totl" if "totl" in src else "zz"
+        with pytest.raises(InterpreterError, match=f"^undefined identifier '{name}'$"):
+            run(src)
+
     def test_unknown_function(self):
         with pytest.raises(InterpreterError, match="unknown function"):
             run("int main() { return missing(); }")

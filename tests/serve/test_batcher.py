@@ -12,12 +12,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.serve.batcher import (
-    WAVE_FAILED,
-    WaveBatcher,
-    WaveKeyError,
-    WavePoisonedError,
-)
+from repro.serve.batcher import WAVE_FAILED, WaveBatcher, WaveKeyError
 
 
 class Runner:
@@ -35,12 +30,12 @@ class Runner:
         return [self.fn(t) for t in tasks]
 
 
-def run_with_batcher(coro_fn, runner, window_s=0.001, **kw):
+def run_with_batcher(coro_fn, runner, window_s=0.001):
     """Drive one async scenario with a fresh batcher + one-thread executor."""
 
     async def go():
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as ex:
-            batcher = WaveBatcher(runner, ex, window_s=window_s, **kw)
+            batcher = WaveBatcher(runner, ex, window_s=window_s)
             return await coro_fn(batcher)
 
     return asyncio.run(go())
@@ -145,7 +140,8 @@ class TestFailure:
         assert col.counters["serve.batch.failed_keys"] == 1
 
     def test_requester_cancellation_spares_shared_future(self):
-        """One joiner's deadline cancellation must not cancel the wave."""
+        """Shutdown cancelling one joiner's connection (after ``--grace``)
+        must not cancel the wave its siblings share."""
         release = threading.Event()
         runner = Runner(block=release)
 
@@ -154,78 +150,12 @@ class TestFailure:
             await asyncio.sleep(0.05)  # flush; runner blocks
             joiner = asyncio.ensure_future(batcher.demand("k", 1))
             await asyncio.sleep(0.05)
-            joiner.cancel()  # the request-deadline path
+            joiner.cancel()  # shutdown cutting a connection still open
             release.set()
             return await slow
 
         value = run_with_batcher(scenario, runner)
         assert value == ("val", 1)
-
-
-class TestWaveWatchdog:
-    def test_poisoned_wave_fails_joiners_and_fires_callback(self):
-        release = threading.Event()
-        runner = Runner(block=release)  # wedged until released
-        poisoned = []
-
-        async def scenario(batcher):
-            try:
-                results = await asyncio.gather(
-                    batcher.demand("a", 1),
-                    batcher.demand("b", 2),
-                    return_exceptions=True,
-                )
-            finally:
-                release.set()  # let the abandoned thread finish
-            assert batcher._inflight == {}
-            return results
-
-        with obs.collect() as col:
-            a, b = run_with_batcher(
-                scenario, runner, wave_timeout_s=0.1, on_poisoned=lambda: poisoned.append(1)
-            )
-        assert isinstance(a, WavePoisonedError)
-        assert isinstance(b, WavePoisonedError)
-        assert poisoned == [1]
-        assert col.counters["serve.batch.poisoned"] == 1
-
-    def test_next_wave_runs_on_replacement_executor(self):
-        """After a poisoned wave the batcher keeps serving via the executor
-        callable — the daemon's restart hook swaps in a fresh thread."""
-        release = threading.Event()
-        wedged = Runner(block=release)
-        executors = [concurrent.futures.ThreadPoolExecutor(max_workers=1)]
-
-        def runner(tasks, keys):
-            if not release.is_set():
-                return wedged(tasks, keys)
-            return [("ok", t) for t in tasks]
-
-        def on_poisoned():
-            old = executors[0]
-            executors.append(concurrent.futures.ThreadPoolExecutor(max_workers=1))
-            executors[0] = executors[-1]
-            old.shutdown(wait=False)
-
-        async def go():
-            batcher = WaveBatcher(
-                runner,
-                lambda: executors[0],
-                window_s=0.001,
-                wave_timeout_s=0.1,
-                on_poisoned=on_poisoned,
-            )
-            with pytest.raises(WavePoisonedError):
-                await batcher.demand("a", 1)
-            release.set()
-            value = await batcher.demand("b", 2)
-            executors[0].shutdown(wait=True)
-            return value
-
-        try:
-            assert asyncio.run(go()) == ("ok", 2)
-        finally:
-            release.set()
 
 
 class TestDrain:

@@ -1,12 +1,10 @@
-"""Overload and failure semantics: admission shedding, deadlines, the
-bounded divergence memo, and the explicit 405/501 surface.
+"""Overload and failure semantics: admission shedding, the bounded
+divergence memo, slow clients, and the explicit 405/501 surface.
 
 The daemon-level tests boot tiny cold daemons with deliberately small
 budgets; the memo LRU is unit-tested directly on :class:`ServeState`.
 """
 
-import http.client
-import json
 import socket
 import threading
 import time
@@ -15,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.distance.engine import DistanceEngine
+from repro.serve import state as serve_state
 from repro.serve.daemon import ServeDaemon
 from repro.serve.state import ServeState
 
@@ -22,8 +21,9 @@ from tests.serve.test_endpoints import APP, BASELINE, Client, boot
 
 
 class TestHotTierLRU:
-    def test_memo_evicts_least_recently_used(self):
-        state = ServeState(engine=None, max_entries=2)
+    def test_memo_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(serve_state, "MEMO_MAX_ENTRIES", 2)
+        state = ServeState(engine=None)
         with obs.collect() as col:
             state.remember("a", 1)
             state.remember("b", 2)
@@ -35,13 +35,6 @@ class TestHotTierLRU:
         stats = state.stats()
         assert stats["evicted"]["memo"] == 1
         assert stats["max_entries"] == 2
-
-    def test_unbounded_by_default(self):
-        state = ServeState(engine=None)
-        for i in range(100):
-            state.remember(str(i), i)
-        assert state.stats()["memo_entries"] == 100
-        assert state.stats()["evicted"] == {"memo": 0}
 
 
 class TestAdmissionControl:
@@ -68,7 +61,6 @@ class TestAdmissionControl:
             quiet=True,
             max_inflight=1,
             max_queue=0,
-            request_timeout_s=120.0,
         )
         thread = boot(daemon)
         client = Client(daemon.port)
@@ -127,57 +119,6 @@ class TestAdmissionControl:
                 status, payload = client.get("/v1/stats")
                 assert status == 200
                 assert payload["admission"]["max_inflight"] == 1
-        finally:
-            daemon.stop()
-            thread.join(timeout=30)
-
-
-class TestDeadlines:
-    def test_client_timeout_header_gets_504_with_diag(self):
-        daemon = ServeDaemon(
-            DistanceEngine(),
-            port=0,
-            warm=[APP],
-            window_s=0.005,
-            quiet=True,
-            request_timeout_s=120.0,
-        )
-        thread = boot(daemon)
-        try:
-            conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=60)
-            # a cold Tir compare takes well over 1ms of engine work
-            conn.request(
-                "GET",
-                f"/v1/compare?app={APP}&model=omp&baseline={BASELINE}&metric=Tir",
-                headers={"X-Timeout-Ms": "1"},
-            )
-            resp = conn.getresponse()
-            payload = json.loads(resp.read())
-            assert resp.status == 504
-            assert any("serve/deadline" in d for d in payload["diagnostics"])
-            conn.close()
-
-            # the same query without the header succeeds: the cancelled
-            # request did not poison the shared wave or the daemon
-            client = Client(daemon.port)
-            status, payload = client.get(
-                f"/v1/compare?app={APP}&model=omp&baseline={BASELINE}&metric=Tir"
-            )
-            assert status == 200
-            assert 0.0 <= payload["divergence"] <= 1.0
-        finally:
-            daemon.stop()
-            thread.join(timeout=30)
-
-    def test_malformed_timeout_header_ignored(self):
-        daemon = ServeDaemon(DistanceEngine(), port=0, quiet=True)
-        thread = boot(daemon)
-        try:
-            conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
-            conn.request("GET", "/v1/apps", headers={"X-Timeout-Ms": "soon"})
-            resp = conn.getresponse()
-            assert resp.status == 200
-            conn.close()
         finally:
             daemon.stop()
             thread.join(timeout=30)

@@ -71,6 +71,15 @@ class TestCommands:
             main(["cluster", "babelstream-fortran", *opt])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("opt", [["--request-timeout-s", "1"], ["--hot-max-entries", "5"]])
+    def test_retired_serve_options_are_gone(self, opt, capsys):
+        # a request deadline freed no engine time, and the divergence
+        # memo's cap is a constant
+        with pytest.raises(SystemExit) as e:
+            main(["serve", "--port", "0", *opt])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestOutputPaths:
     """Output files land in directories that do not exist yet; a path that
@@ -100,20 +109,35 @@ class TestOutputPaths:
         assert f"error: cannot write {blocked}: " in capsys.readouterr().err
 
 
+def _serial_with(monkeypatch, fault: str) -> None:
+    """Patch babelstream serial so ``main`` starts with ``fault``."""
+    from repro.corpus import babelstream
+    from repro.corpus.registry import clear_index_cache
+
+    dialect, openmp, fname, src = babelstream.MODELS["serial"]
+    src = src.replace("int main() {\n", "int main() {\n" + fault, 1)
+    monkeypatch.setitem(babelstream.MODELS, "serial", (dialect, openmp, fname, src))
+    clear_index_cache()
+
+
 class TestCoverageRunFault:
     """A runtime fault in the measured program (babelstream serial with
-    ``zz % (zz - 1)`` added to ``main``) fails its coverage run only."""
+    ``zz % (zz - 1)`` added to ``main``, or a write to a misspelt name)
+    fails its coverage run only."""
 
     @pytest.fixture
     def faulty_serial(self, monkeypatch):
-        from repro.corpus import babelstream
         from repro.corpus.registry import clear_index_cache
 
-        dialect, openmp, fname, src = babelstream.MODELS["serial"]
-        fault = "int main() {\n  int zz = 1;\n  zz = zz % (zz - 1);\n"
-        src = src.replace("int main() {\n", fault, 1)
-        monkeypatch.setitem(babelstream.MODELS, "serial", (dialect, openmp, fname, src))
+        _serial_with(monkeypatch, "  int zz = 1;\n  zz = zz % (zz - 1);\n")
+        yield
         clear_index_cache()
+
+    @pytest.fixture
+    def misspelt_serial(self, monkeypatch):
+        from repro.corpus.registry import clear_index_cache
+
+        _serial_with(monkeypatch, "  int total = 0;\n  totl += 1;\n")
         yield
         clear_index_cache()
 
@@ -133,6 +157,30 @@ class TestCoverageRunFault:
         args = ["index", "babelstream", "serial", "--coverage", "--strict", "-o", out]
         assert main(args) == 1
         assert "error: ZeroDivisionError: integer modulo by zero" in capsys.readouterr().err
+
+    def test_misspelt_write_fails_the_run_and_keeps_the_trees(
+        self, misspelt_serial, tmp_path, capsys
+    ):
+        from repro.workflow.codebasedb import load_codebase_db
+
+        out = tmp_path / "x.svdb"
+        args = ["index", "babelstream", "serial", "--coverage", "--no-incremental", "-o", str(out)]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert (
+            "verification run returned coverage run failed: "
+            "undefined identifier 'totl'" in captured.out
+        )
+        assert captured.err == ""
+        (unit,) = load_codebase_db(str(out)).units.values()
+        assert not unit.degraded
+        assert None not in (unit.t_src_pre, unit.t_src_post, unit.t_sem, unit.t_ir)
+
+    def test_strict_reports_the_misspelt_write(self, misspelt_serial, tmp_path, capsys):
+        out = str(tmp_path / "x.svdb")
+        args = ["index", "babelstream", "serial", "--coverage", "--strict", "-o", out]
+        assert main(args) == 1
+        assert "error: undefined identifier 'totl'" in capsys.readouterr().err
 
 
 class TestProfiling:

@@ -85,6 +85,15 @@ class TestCodebaseIndexing:
         assert None not in trees
         assert sink.diagnostics == []
 
+    def test_write_to_undeclared_name_fails_the_run_not_the_unit(self):
+        src = "int main() {\nint total = 0;\ntotl += 1;\nreturn total;\n}\n"
+        spec = ModelSpec(app="t", model="m", lang="cpp", units={"main": "main.cpp"})
+        with diag.capture() as sink:
+            cb = index_codebase(spec, make_fs(**{"main.cpp": src}), run_coverage=True)
+        assert cb.run_value == "coverage run failed: undefined identifier 'totl'"
+        assert cb.units["main"].t_sem is not None and not cb.units["main"].degraded
+        assert sink.diagnostics == []
+
     def test_strict_runtime_fault_raises(self):
         spec = ModelSpec(app="t", model="m", lang="cpp", units={"main": "main.cpp"})
         fs = make_fs(**{"main.cpp": self.FAULTY})
