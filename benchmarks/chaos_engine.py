@@ -2,14 +2,15 @@
 
 Computes the fault-free serial divergence matrix on a small fixed TeaLeaf
 workload, then recomputes it in parallel while the ``REPRO_CHAOS`` hook
-deterministically kills one worker, hangs another past the chunk timeout,
-and exception-bombs a third — all at injection points drawn from a seeded
-RNG so every CI run replays the same faults.
+deterministically kills one worker and exception-bombs another — both at
+injection points drawn from a seeded RNG so every CI run replays the same
+faults. No deadline is configured: the pool sees the killed worker on its
+pipe at once.
 
 The gate: the chaos-run matrix must be ``np.array_equal`` to the fault-free
-serial one (the determinism contract survives worker loss), every fault
-class must actually have been exercised (retries, chunk timeouts), and no
-chunk may have degraded to NaN. Results land in ``CHAOS_pr.json``.
+serial one (the determinism contract survives worker loss), each fault
+must have fired exactly once (one worker death, one retry per fault), and
+no chunk may have degraded to NaN. Results land in ``CHAOS_pr.json``.
 
 Usage: PYTHONPATH=src python benchmarks/chaos_engine.py [--seed N] [--out CHAOS_pr.json]
 """
@@ -34,17 +35,16 @@ from repro.workflow.comparer import MetricSpec, divergence_matrix
 N_MODELS = 4
 SPEC = MetricSpec("Tsem")
 
-#: Watchdog settings for the chaos run. The hang sleeps well past the chunk
-#: timeout so the watchdog (not luck) must reclaim the chunk; kills are only
-#: detectable the same way, so each of those faults costs ~one timeout.
-CHUNK_TIMEOUT_S = 4.0
-HANG_S = 60.0
+#: Extra attempts per chunk: more than the one each fault costs, so a run
+#: that degrades a chunk shows a pool fault, not a tight budget.
 RETRIES = 3
+
+#: Fault classes injected, one seeded task index each.
+FAULTS = ("kill", "exc")
 
 COUNTER_KEYS = (
     "engine.chunks",
     "engine.retries",
-    "engine.chunk_timeouts",
     "engine.worker_deaths",
     "engine.chunks_failed",
 )
@@ -82,25 +82,17 @@ def main(argv: list[str] | None = None) -> int:
 
     # one injection point per fault class, at distinct seeded task indices
     rng = random.Random(args.seed)
-    points = rng.sample(range(n_tasks), 3)
-    spec = ",".join(f"{m}@{i}" for m, i in zip(("kill", "hang", "exc"), points))
+    points = rng.sample(range(n_tasks), len(FAULTS))
+    spec = ",".join(f"{m}@{i}" for m, i in zip(FAULTS, points))
     print(f"chaos plan (seed {args.seed}): {spec}")
 
     os.environ["REPRO_CHAOS"] = spec
-    os.environ["REPRO_CHAOS_HANG_S"] = str(HANG_S)
     try:
         chaotic, counters, chaos_wall, chaos_metrics = build(
-            codebases,
-            DistanceEngine(
-                jobs=2,
-                chunk_size=1,
-                chunk_timeout=CHUNK_TIMEOUT_S,
-                retries=RETRIES,
-            ),
+            codebases, DistanceEngine(jobs=2, chunk_size=1, retries=RETRIES)
         )
     finally:
         os.environ.pop("REPRO_CHAOS", None)
-        os.environ.pop("REPRO_CHAOS_HANG_S", None)
 
     fault_counters = {k: counters.get(k, 0) for k in COUNTER_KEYS}
     print(
@@ -117,19 +109,20 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("chaos-run matrix contains NaN (a chunk degraded)")
     if fault_counters["engine.chunks_failed"]:
         failures.append(f"{fault_counters['engine.chunks_failed']:g} chunks exhausted retries")
-    if not fault_counters["engine.retries"]:
-        failures.append("no retries recorded: injected faults never fired")
-    if not fault_counters["engine.chunk_timeouts"]:
-        failures.append("no chunk timeouts recorded: kill/hang never tripped the watchdog")
-    if not fault_counters["engine.worker_deaths"]:
-        # best-effort PID probe; warn rather than fail if the platform hides it
-        print("warn: worker death not observed via PID probe", file=sys.stderr)
+    if fault_counters["engine.retries"] != len(FAULTS):
+        failures.append(
+            f"{fault_counters['engine.retries']:g} retries recorded (want {len(FAULTS)}, "
+            "one per injected fault)"
+        )
+    if fault_counters["engine.worker_deaths"] != 1:
+        failures.append(
+            f"{fault_counters['engine.worker_deaths']:g} worker deaths recorded (want 1)"
+        )
 
     report = {
         "workload": {"app": "tealeaf", "models": names, "spec": SPEC.name},
         "seed": args.seed,
         "chaos": spec,
-        "chunk_timeout_s": CHUNK_TIMEOUT_S,
         "retries": RETRIES,
         "baseline_wall_s": base_wall,
         "chaos_wall_s": chaos_wall,
@@ -147,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     if not failures:
-        print("PASS: matrix survived kill+hang+exc injection bit-identically")
+        print("PASS: matrix survived kill+exc injection bit-identically")
     return 1 if failures else 0
 
 

@@ -12,7 +12,8 @@ session (the point: faults must not leak into each other):
    body must 408 (``serve.io.timeouts``); a half-closed client that sent a
    full request still gets its response.
 3. **worker kill mid-wave** — ``REPRO_CHAOS=kill@i`` SIGKILLs a pool
-   worker inside a coalesced wave; the watchdog must recover and every
+   worker inside a coalesced wave; the pool must see the death on the
+   worker's pipe (``engine.worker_deaths``) and retry its chunk, and every
    joiner still gets a 200 with the fault-free value.
 4. **poisoned key isolation** — ``REPRO_CHAOS=exc!@i`` makes one task fail
    every attempt; exactly that key's joiner gets a 500 with a
@@ -56,10 +57,9 @@ from repro.workflow.comparer import divergence_row, parse_metric
 APP = "babelstream-fortran"
 BASELINE = "sequential"
 
-#: Engine watchdog settings: chunk_size=1 so an injected fault owns exactly
-#: one task key; the chunk timeout is how a SIGKILLed worker's chunk is
-#: recovered, so it bounds the kill phase's wall clock.
-CHUNK_TIMEOUT_S = 3.0
+#: Engine settings: chunk_size=1 so an injected fault owns exactly one task
+#: key. A SIGKILLed worker reads as end of file on its pipe, so its chunk is
+#: retried at once and no deadline bounds the kill phase.
 RETRIES = 2
 
 #: Deliberately small overload budgets so the flood phase saturates with a
@@ -121,9 +121,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with obs.collect() as col:
         daemon = ServeDaemon(
-            DistanceEngine(
-                jobs=2, chunk_size=1, chunk_timeout=CHUNK_TIMEOUT_S, retries=RETRIES
-            ),
+            DistanceEngine(jobs=2, chunk_size=1, retries=RETRIES),
             port=0,
             warm=[APP],
             window_s=0.05,
@@ -227,8 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         if kill_statuses != [200] * len(models):
             failures.append(f"kill mid-wave: want all 200, got {kill_statuses}")
         c = counters(port)
-        if not c.get("engine.chunk_timeouts"):
-            failures.append("kill mid-wave: watchdog never recovered the lost chunk")
+        if not c.get("engine.worker_deaths"):
+            failures.append("kill mid-wave: the pool never saw the worker die")
         phase_log["kill_mid_wave"] = {
             "inject": f"kill@{kill_at}",
             "statuses": kill_statuses,
@@ -409,7 +407,6 @@ def main(argv: list[str] | None = None) -> int:
             "max_inflight": MAX_INFLIGHT,
             "max_queue": MAX_QUEUE,
             "io_timeout_s": IO_TIMEOUT_S,
-            "chunk_timeout_s": CHUNK_TIMEOUT_S,
             "retries": RETRIES,
         },
         "phases": phase_log,

@@ -21,6 +21,10 @@ phases:
    * the warm phase performs **zero Zhang–Shasha evaluations**
      (``ted.zs.calls`` delta over the phase == 0 — every value comes out
      of the hot tier),
+   * the warm phase misses the divergence memo **zero times** and so runs
+     **zero engine waves** (``serve.memo.miss`` and ``engine.waves`` deltas
+     == 0): the latency gates alone cannot tell a serve without its memo
+     from one with it on every run,
    * every response with the same query returned the identical payload.
 
 Writes the ``SERVE_pr.json`` harness artifact and (with ``--ledger-dir``)
@@ -244,7 +248,7 @@ def main() -> int:
             print("identity: serve responses bit-identical to the batch path")
 
         # -- phase 4: concurrent warm load ------------------------------------
-        zs_before = counters_from_stats(client).get("ted.zs.calls", 0)
+        before = counters_from_stats(client)
         mix = list(cold_paths.values()) + [
             f"/v1/compare?app={APP}&model={m}&baseline={BASELINE}&metric={METRIC}"
             for m in models
@@ -285,7 +289,7 @@ def main() -> int:
         for w in workers:
             w.join()
         warm_wall = time.perf_counter() - t0
-        zs_after = counters_from_stats(client).get("ted.zs.calls", 0)
+        after = counters_from_stats(client)
 
         p50 = percentile(samples, 0.50)
         p99 = percentile(samples, 0.99)
@@ -310,13 +314,16 @@ def main() -> int:
             failures.append(
                 f"warm p99 {p99 * 1e3:.2f} ms over gate {args.p99_gate_ms} ms"
             )
-        zs_delta = zs_after - zs_before
-        if zs_delta != 0:
-            failures.append(
-                f"warm phase performed {zs_delta:g} Zhang-Shasha evaluations (want 0)"
-            )
-        else:
-            print("warm phase: 0 Zhang-Shasha evaluations (all hot-tier)")
+        deltas = {
+            k: after.get(k, 0) - before.get(k, 0)
+            for k in ("ted.zs.calls", "engine.waves", "serve.memo.miss")
+        }
+        zs_delta = deltas["ted.zs.calls"]
+        for name, delta in deltas.items():
+            if delta != 0:
+                failures.append(f"warm phase moved {name} by {delta:g} (want 0)")
+        if not any(deltas.values()):
+            print("warm phase: 0 Zhang-Shasha evaluations, 0 engine waves, 0 memo misses")
 
         serve_counters = {
             k: v
@@ -345,6 +352,8 @@ def main() -> int:
             "p50_ms": p50 * 1e3,
             "p99_ms": p99 * 1e3,
             "zs_calls": zs_delta,
+            "waves": deltas["engine.waves"],
+            "memo_misses": deltas["serve.memo.miss"],
         },
         "gates": {
             "concurrent_cold_waves": 1,
@@ -352,6 +361,8 @@ def main() -> int:
             "p50_ms": args.p50_gate_ms,
             "p99_ms": args.p99_gate_ms,
             "zs_calls": 0,
+            "waves": 0,
+            "memo_misses": 0,
         },
         "counters": serve_counters,
         "failures": failures,
@@ -369,7 +380,7 @@ def main() -> int:
         print(
             f"PASS: {burst['requests']} concurrent cold requests in one wave, "
             f"{total} warm queries, p50 {p50 * 1e3:.2f} ms / "
-            f"p99 {p99 * 1e3:.2f} ms, bit-identical to batch, 0 ZS calls"
+            f"p99 {p99 * 1e3:.2f} ms, bit-identical to batch, 0 ZS calls, 0 memo misses"
         )
     return 1 if failures else 0
 

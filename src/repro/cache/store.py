@@ -53,10 +53,6 @@ def pair_key(h1: str, h2: str) -> str:
     return f"{h1}:{h2}" if h1 <= h2 else f"{h2}:{h1}"
 
 
-def _shard_id(key: str) -> str:
-    return ShardMapStore.shard_of(key)
-
-
 class TedCacheStore(ShardMapStore):
     """On-disk memo of unit-cost TED distances, sharded by hash prefix."""
 

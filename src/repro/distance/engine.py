@@ -4,11 +4,12 @@ The paper's compare step is the cartesian product of all models (§V-A) —
 O(n²) divergence evaluations whose cost dominates every figure. On
 production corpora that is a multi-minute-to-multi-hour run, so this
 engine schedules the pair list *defensively* on
-:class:`repro.parallel.ChunkedPool` (serial by default, fork pool for
-``jobs > 1``, per-chunk watchdog deadlines, capped-backoff retries,
-chaos-hook fault injection — see :mod:`repro.parallel.pool` for that
-contract; the engine is the pool's one caller, so the pool reports under
-``engine.*``) and adds the distance-specific layers:
+:class:`repro.parallel.ChunkedPool` (serial by default, ``jobs`` forked
+workers with one pipe each for ``jobs > 1``, immediate retries of a chunk
+whose task raised or whose worker died, chaos-hook fault injection — see
+:mod:`repro.parallel.pool` for that contract; the engine is the pool's one
+caller, so the pool reports under ``engine.*``) and adds the
+distance-specific layers:
 
 * **a persistent TED cache** (:class:`repro.cache.TedCacheStore`) when one
   is attached: the engine installs it in the distance layer (and attaches
@@ -20,20 +21,19 @@ contract; the engine is the pool's one caller, so the pool reports under
   interrupted or not — so re-running an interrupted workload with the
   same cache recomputes only the kernels that never finished. SIGTERM is
   mapped to :class:`KeyboardInterrupt` during the run; an interrupt
-  terminates the pool, flushes the cache, emits a ``distance/interrupted``
-  diagnostic naming the cache root and the distances flushed, and
-  re-raises;
+  kills and reaps the workers, flushes the cache, emits a
+  ``distance/interrupted`` diagnostic naming the cache root and the
+  distances flushed, and re-raises;
 * **degradation semantics**: a chunk that exhausts its retries degrades to
   a ``distance/chunk-failed`` diagnostic with ``fail_value`` entries
   instead of aborting the run — unless ``strict``, which restores
   fail-fast.
 
 Counters: ``ted.pairs`` (tasks scheduled), ``engine.chunks``,
-``engine.workers``, ``engine.retries``, ``engine.chunk_timeouts``,
-``engine.worker_deaths``, ``engine.chunks_failed``, plus the
-``cache.disk.hit/miss`` pair recorded by the distance layer. Workers
-collect counters in-process and the parent merges them, so ``--profile``
-output is complete either way.
+``engine.workers``, ``engine.retries``, ``engine.worker_deaths``,
+``engine.chunks_failed``, plus the ``cache.disk.hit/miss`` pair recorded
+by the distance layer. Workers collect counters in-process and the parent
+merges them, so ``--profile`` output is complete either way.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _flush_quietly(store) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Worker hooks (staged into pool workers by fork inheritance)
+# Worker hooks (inherited by pool workers through fork)
 # ---------------------------------------------------------------------------
 
 
@@ -129,28 +129,20 @@ class DistanceEngine:
     chunk_size:
         Tasks per scheduled chunk. Default: enough chunks for ~4 rounds
         per worker, which keeps the tail balanced without drowning the
-        pipe in tiny messages.
-    chunk_timeout:
-        Per-chunk wall-clock deadline in seconds for the parallel watchdog
-        (None = no deadline). A chunk past its deadline is abandoned and
-        rescheduled; this is also how chunks lost to killed workers are
-        recovered.
+        pipes in tiny messages.
     wave_timeout:
         Whole-wave wall-clock deadline in seconds (None = no deadline);
         see :class:`repro.parallel.pool.ChunkedPool`. The serve daemon
         sets this so one wedged wave cannot pin the engine thread forever.
         It applies only with ``jobs > 1``: a serial wave runs to the end.
     retries:
-        Extra attempts per chunk after the first (timeouts and worker
-        exceptions both count). Retried submissions back off exponentially
-        (``backoff_s`` doubling, capped at 8s).
+        Extra attempts per chunk after the first; a task exception and a
+        worker death both count.
     strict:
         When True a chunk that exhausts its retries raises
         :class:`ReproError` (fail-fast). When False (default) it degrades:
         a ``distance/chunk-failed`` diagnostic plus ``fail_value`` for each
         of its tasks.
-    backoff_s:
-        First-retry backoff delay (doubles per attempt, capped).
     """
 
     def __init__(
@@ -158,33 +150,27 @@ class DistanceEngine:
         jobs: int = 1,
         cache=None,
         chunk_size: Optional[int] = None,
-        chunk_timeout: Optional[float] = None,
         wave_timeout: Optional[float] = None,
         retries: int = 2,
         strict: bool = False,
-        backoff_s: float = 0.25,
     ):
         cache_root = str(cache.root) if cache is not None else None
-        # validation (jobs/chunk_size/chunk_timeout/retries) happens here
+        # validation (jobs/chunk_size/wave_timeout/retries) happens here
         self._pool = ChunkedPool(
             jobs=jobs,
             chunk_size=chunk_size,
-            chunk_timeout=chunk_timeout,
             wave_timeout=wave_timeout,
             retries=retries,
             strict=strict,
-            backoff_s=backoff_s,
             worker_setup=_make_worker_setup(cache_root),
             worker_teardown=_worker_teardown,
         )
         self.jobs = jobs
         self.cache = cache
         self.chunk_size = chunk_size
-        self.chunk_timeout = chunk_timeout
         self.wave_timeout = wave_timeout
         self.retries = retries
         self.strict = strict
-        self.backoff_s = backoff_s
 
     @contextmanager
     def _cache_installed(self):
@@ -231,8 +217,8 @@ class DistanceEngine:
         """Apply ``fn`` to every task, preserving order.
 
         ``fn`` must be pure per task — that is what makes the parallel
-        schedule value-identical to the serial one and duplicate
-        evaluations after a watchdog reschedule harmless. ``fail_value`` is
+        schedule value-identical to the serial one and a retried chunk's
+        values identical to a first attempt's. ``fail_value`` is
         substituted for each task of a chunk that exhausts its retries in
         non-strict mode.
 

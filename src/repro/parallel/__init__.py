@@ -1,4 +1,4 @@
-"""The distance engine's fork pool (watchdog, retries, chaos hook)."""
+"""The distance engine's fork pool (one pipe per worker, retries, chaos hook)."""
 
 from repro.parallel.pool import ChaosError, ChunkedPool, PoolResult, sigterm_as_interrupt
 

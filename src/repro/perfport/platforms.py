@@ -38,11 +38,3 @@ def platform_by_abbr(abbr: str) -> Platform:
         if p.abbr == abbr:
             return p
     raise KeyError(f"unknown platform {abbr!r}")
-
-
-def cpu_platforms() -> list[Platform]:
-    return [p for p in PLATFORMS if p.kind == "cpu"]
-
-
-def gpu_platforms() -> list[Platform]:
-    return [p for p in PLATFORMS if p.kind == "gpu"]

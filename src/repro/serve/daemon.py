@@ -27,7 +27,7 @@ Overload discipline (DESIGN.md §"Overload and failure contract"):
 * **admission control** — at most ``max_inflight`` requests hold an
   engine-facing slot; up to ``max_queue`` more wait. Beyond that the
   daemon *sheds*: an immediate ``429`` with ``Retry-After`` and a
-  ``serve/overloaded`` diagnostic (``serve.shed.*`` counters). ``/healthz``,
+  ``serve/overloaded`` diagnostic (``serve.shed.requests``). ``/healthz``,
   ``/v1/stats`` and ``POST /v1/shutdown`` bypass admission so the daemon
   stays observable and stoppable while saturated.
 * **slow-client protection** — header/body reads and response writes are
@@ -257,7 +257,6 @@ class ServeDaemon:
             if self._queued >= self.max_queue:
                 self._shed += 1
                 obs.add("serve.shed.requests")
-                obs.add("serve.shed.queue_full")
                 raise HttpError(
                     429,
                     "server over capacity (in-flight budget and queue full)",

@@ -32,12 +32,12 @@ Matrix-sweeping subcommands additionally accept ``--jobs N`` (worker
 processes for the distance engine; default serial; indexing always runs
 in-process), ``--cache-dir DIR`` (persistent TED cache,
 also settable via ``REPRO_CACHE_DIR``) and ``--no-cache`` (ignore any
-configured cache for this run), plus the fault-tolerance options:
-``--chunk-timeout S`` (watchdog deadline per scheduled chunk) and
-``--retries N`` (rescheduling budget for timed-out/crashed chunks). An
-interrupted run (Ctrl-C or SIGTERM) terminates its workers, flushes the
-TED cache, names the cache root and the distances flushed on stderr, and
-exits 130; re-running with the same cache resumes it.
+configured cache for this run), plus ``--retries N`` (extra attempts for
+a chunk whose task raised or whose worker died; the pool sees a dead
+worker on its pipe at once). An interrupted run (Ctrl-C or SIGTERM)
+kills its workers, flushes the TED cache, names the cache root and the
+distances flushed on stderr, and exits 130; re-running with the same
+cache resumes it.
 
 Incremental indexing: subcommands that index (``index``, ``compare``,
 ``cluster``, ``heatmap``, ``figures``, ``stats``) persist per-unit index
@@ -139,7 +139,6 @@ def _engine_from_args(args: argparse.Namespace) -> DistanceEngine:
     return DistanceEngine(
         jobs=getattr(args, "jobs", 1),
         cache=cache,
-        chunk_timeout=getattr(args, "chunk_timeout", None),
         wave_timeout=getattr(args, "wave_timeout_s", None) or None,
         retries=getattr(args, "retries", 2),
         strict=getattr(args, "strict", False),
@@ -695,19 +694,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gf = eng.add_argument_group("fault tolerance")
     gf.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="watchdog wall-clock deadline per scheduled chunk in seconds "
-        "(default: none); timed-out chunks are rescheduled on other workers",
-    )
-    gf.add_argument(
         "--retries",
         type=int,
         default=2,
         metavar="N",
-        help="extra attempts per chunk after a timeout or worker crash "
+        help="extra attempts per chunk after a task error or worker death "
         "(default: 2); an exhausted chunk degrades to NaN cells unless --strict",
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -829,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=300.0,
         metavar="S",
         help="distance-pool wave budget, applied only with --jobs N: past it "
-        "the pool terminates its workers and the wave's unfinished keys "
+        "the pool kills its workers and the wave's unfinished keys "
         "answer 500; a serial wave (--jobs 1) runs to the end "
         "(default: 300; 0 disables)",
     )

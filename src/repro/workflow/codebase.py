@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.coverage.profile import CoverageProfile
-from repro.lang.source import VirtualFS, is_system_path
+from repro.lang.source import VirtualFS
 from repro.trees.coverage_mask import LineMask, mask_tree
 from repro.trees.node import Node
 
@@ -116,8 +116,3 @@ def match_units(
     """
     roles = sorted(set(a.units) | set(b.units))
     return [(a.units.get(r), b.units.get(r)) for r in roles]
-
-
-def user_files(unit: IndexedUnit) -> list[str]:
-    """Unit files excluding the modelled system-include tree."""
-    return [f for f in [unit.path, *unit.deps] if not is_system_path(f)]

@@ -103,10 +103,10 @@ class TestCliResolution:
         # an interrupted run resumes from the TED cache; there is no
         # second store to configure
         assert not hasattr(engine, "checkpoint") and not hasattr(engine, "resume")
-        assert engine.chunk_timeout is None and engine.retries == 2
+        assert engine.retries == 2 and engine.strict is False
 
     def test_fault_tolerance_flags_thread_through(self):
-        args = self._args(chunk_timeout=30.0, retries=5, strict=True)
+        args = self._args(retries=5, strict=True)
         engine = _engine_from_args(args)
-        assert engine.chunk_timeout == 30.0 and engine.retries == 5
+        assert engine.retries == 5
         assert engine.strict is True

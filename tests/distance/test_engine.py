@@ -1,14 +1,15 @@
 """DistanceEngine scheduling: serial/parallel equivalence, counters, the
 interrupt report, and the worker-init degrade path."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.distance.engine import DistanceEngine, _make_worker_setup
 from repro.distance.ted import get_disk_cache, set_disk_cache
-from repro.parallel import pool as pool_mod
-from repro.parallel.pool import _run_chunk, _worker_init
+from repro.parallel.pool import _Wave, _worker_init, _worker_main
 from repro.trees import from_sexpr
 
 
@@ -125,46 +126,36 @@ class TestInterrupt:
         assert "nothing was persisted" in sink.diagnostics[0].message
 
 
-def _stage(setup=None):
-    return {"fn": _square, "tasks": TASKS, "setup": setup, "teardown": None}
-
-
 class TestWorkerInitDegrade:
-    """Direct coverage of the `_worker_init` degrade path: a broken stage or
-    cache must leave the worker cache-off and flagged, never raise."""
+    """Direct coverage of the worker-init degrade path: a broken cache must
+    leave the worker cache-off and flagged, never raise."""
 
     @pytest.fixture(autouse=True)
     def _restore_state(self):
-        prev_stage = pool_mod._STAGE
         prev_cache = get_disk_cache()
         yield
-        pool_mod._STAGE = prev_stage
-        pool_mod._INIT_FAILED = False
         set_disk_cache(prev_cache)
-
-    def test_missing_stage_degrades_and_flags(self):
-        pool_mod._STAGE = None
-        _worker_init()
-        assert pool_mod._INIT_FAILED is True
 
     def test_unusable_cache_root_degrades_and_flags(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("file where the cache dir should be")
-        pool_mod._STAGE = _stage(setup=_make_worker_setup(str(blocker / "cache")))
-        _worker_init()
-        assert pool_mod._INIT_FAILED is True
+        assert _worker_init(_make_worker_setup(str(blocker / "cache"))) is False
         assert get_disk_cache() is None
 
     def test_healthy_init_without_cache(self):
-        pool_mod._STAGE = _stage(setup=_make_worker_setup(None))
-        _worker_init()
-        assert pool_mod._INIT_FAILED is False
+        assert _worker_init(_make_worker_setup(None)) is True
         assert get_disk_cache() is None
 
     def test_degraded_worker_counts_in_next_chunk(self):
-        pool_mod._STAGE = None
-        _worker_init()  # sets _INIT_FAILED
-        pool_mod._STAGE = _stage()
-        out, counters, _payload = _run_chunk(((0, 3), 0))
-        assert out == [0, 1, 4]
-        assert counters["engine.worker_init_errors"] == 1
+        # the worker entry point run in-process: its first chunk counts the
+        # degraded init, later chunks do not
+        parent, child = multiprocessing.Pipe()
+        for msg in ((0, 3, 0), (3, 5, 0), None):
+            parent.send(msg)
+        _worker_main(child, _Wave(_square, TASKS, setup=lambda: False))
+        first, second = parent.recv(), parent.recv()
+        parent.close()
+        child.close()
+        assert first[0] == [0, 1, 4] and second[0] == [9, 16]
+        assert first[1]["engine.worker_init_errors"] == 1
+        assert "engine.worker_init_errors" not in second[1]

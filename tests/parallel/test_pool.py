@@ -1,10 +1,13 @@
 """ChunkedPool behaviour independent of the distance engine's caching.
 
-The engine suite covers cache integration and the chaos harness covers
-worker deaths/hangs; these tests pin the pool contract: ordering, the
-``engine.*`` counter names, degrade-vs-strict failure handling and
-argument validation.
+The engine suite covers cache integration and worker deaths; these tests
+pin the pool contract: ordering, the ``engine.*`` counter names,
+degrade-vs-strict failure handling, argument validation and that no
+worker outlives a run.
 """
+
+import multiprocessing
+import signal
 
 import pytest
 
@@ -60,6 +63,7 @@ class TestParallel:
         serial = ChunkedPool(jobs=1).run(_square, tasks).values
         parallel = ChunkedPool(jobs=2, chunk_size=3).run(_square, tasks).values
         assert parallel == serial
+        assert multiprocessing.active_children() == []  # idle workers were stopped
 
     def test_prefix_applies_to_all_counters(self):
         with obs.collect() as col:
@@ -76,17 +80,18 @@ class TestParallel:
 
 class TestFailureHandling:
     def test_degrades_to_fail_value_with_custom_code(self):
-        pool = ChunkedPool(jobs=2, chunk_size=1, retries=1, backoff_s=0.0)
+        pool = ChunkedPool(jobs=2, chunk_size=1, retries=1)
         with diag.capture() as sink, obs.collect() as col:
             res = pool.run(_explode_on_three, [1, 2, 3, 4], fail_value=-1.0)
         # only task 2 holds fail_value
         assert res.values == [1, 4, -1.0, 16]
         assert sink.by_code().get("distance/chunk-failed") == 1
+        assert "ValueError: task three always fails" in sink.diagnostics[0].message
         assert col.counters["engine.retries"] >= 1
         assert col.counters["engine.chunks_failed"] == 1
 
     def test_strict_raises_with_label(self):
-        pool = ChunkedPool(jobs=2, chunk_size=1, retries=0, backoff_s=0.0, strict=True)
+        pool = ChunkedPool(jobs=2, chunk_size=1, retries=0, strict=True)
         with pytest.raises(ReproError, match="distance chunk 2:3 failed"):
             pool.run(_explode_on_three, [1, 2, 3, 4])
 
@@ -97,8 +102,6 @@ class TestValidation:
             ChunkedPool(jobs=0)
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             ChunkedPool(chunk_size=0)
-        with pytest.raises(ValueError, match="chunk_timeout must be > 0"):
-            ChunkedPool(chunk_timeout=0.0)
         with pytest.raises(ValueError, match="wave_timeout must be > 0"):
             ChunkedPool(wave_timeout=0.0)
         with pytest.raises(ValueError, match="retries must be >= 0"):
@@ -127,6 +130,7 @@ class TestWaveTimeout:
         assert col.counters["engine.wave_timeouts"] == 1
         assert col.counters["engine.chunks_failed"] == 2
         assert sink.by_code().get("distance/chunk-failed") == 2
+        assert multiprocessing.active_children() == []  # the sleepers were killed
 
     def test_serial_wave_runs_past_the_budget(self):
         # jobs=1 runs every task to completion: no task degrades and no
@@ -152,6 +156,38 @@ class TestWaveTimeout:
             res = ChunkedPool(jobs=2, chunk_size=1, wave_timeout=30.0).run(_square, [1, 2, 3])
         assert res.values == [1, 4, 9]
         assert "engine.wave_timeouts" not in col.counters
+
+
+def _sleepy_unless_three(x):
+    if x == 3:
+        raise ValueError("task three always fails")
+    return _sleepy(x)
+
+
+def _alarm_interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
+class TestNoWorkerOutlivesARun:
+    """Exits other than a finished run kill and reap every worker, busy or
+    idle (a finished run and a spent budget are checked above)."""
+
+    def test_strict_raise_with_a_busy_worker(self):
+        pool = ChunkedPool(jobs=2, chunk_size=1, retries=0, strict=True)
+        with pytest.raises(ReproError, match="distance chunk 0:1 failed"):
+            pool.run(_sleepy_unless_three, [3, 30.0])
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_with_a_busy_and_an_idle_worker(self):
+        prev = signal.signal(signal.SIGALRM, _alarm_interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                ChunkedPool(jobs=2, chunk_size=1).run(_sleepy, [0.0, 30.0])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, prev)
+        assert multiprocessing.active_children() == []
 
 
 class TestPrepareHook:

@@ -20,7 +20,7 @@ import pytest
 from repro import obs
 from repro.obs import chrome_trace
 from repro.parallel import pool as pool_mod
-from repro.parallel.pool import ChunkedPool, _run_chunk
+from repro.parallel.pool import ChunkedPool, _run_chunk, _Wave
 
 
 def _square(x):
@@ -146,21 +146,14 @@ class TestBoundedCapture:
 
 
 class TestDisabledPath:
-    def test_worker_returns_no_payload_without_capture(self, monkeypatch):
-        monkeypatch.setattr(
-            pool_mod, "_STAGE", {"fn": lambda x: x, "tasks": [1, 2], "capture": False}
-        )
-        out, counters, payload = _run_chunk(((0, 2), 0))
+    def test_worker_returns_no_payload_without_capture(self):
+        out, counters, payload = _run_chunk(_Wave(lambda x: x, [1, 2]), 0, 2, 0)
         assert out == [1, 2]
         assert payload is None
 
-    def test_worker_builds_payload_with_capture(self, monkeypatch):
-        monkeypatch.setattr(
-            pool_mod,
-            "_STAGE",
-            {"fn": lambda x: x, "tasks": [1, 2], "capture": True},
-        )
-        out, counters, payload = _run_chunk(((0, 2), 0))
+    def test_worker_builds_payload_with_capture(self):
+        wave = _Wave(lambda x: x, [1, 2], capture=True)
+        out, counters, payload = _run_chunk(wave, 0, 2, 0)
         assert payload is not None
         assert payload["pid"] == os.getpid()
         assert [s[0] for s in payload["spans"]] == ["engine.chunk"]

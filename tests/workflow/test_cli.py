@@ -55,7 +55,7 @@ class TestCommands:
             main(["bogus"])
 
     @pytest.mark.parametrize(
-        "opt", [["--retries", "3"], ["--chunk-timeout", "5"], ["--no-cache"], ["--jobs", "2"]]
+        "opt", [["--retries", "3"], ["--wave-timeout-s", "5"], ["--no-cache"], ["--jobs", "2"]]
     )
     def test_index_rejects_engine_only_options(self, opt, capsys):
         # index builds no distance engine, so it takes none of its options
@@ -70,6 +70,13 @@ class TestCommands:
         with pytest.raises(SystemExit) as e:
             main(["cluster", "babelstream-fortran", *opt])
         assert e.value.code == 2
+
+    def test_chunk_timeout_is_gone(self, capsys):
+        # the pool sees a dead worker on its pipe at once: no chunk deadline
+        with pytest.raises(SystemExit) as e:
+            main(["cluster", "tealeaf", "--chunk-timeout", "5"])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("opt", [["--request-timeout-s", "1"], ["--hot-max-entries", "5"]])
     def test_retired_serve_options_are_gone(self, opt, capsys):

@@ -4,6 +4,8 @@ TED cache, and leave the workload resumable from that cache.
 The subprocess tests drive a real forked pool and send it SIGINT or
 SIGTERM mid-run — the regression they pin: KeyboardInterrupt during the
 pool phase used to leave live fork workers behind and lose all progress.
+One sends SIGTERM to the whole process group, as ``timeout`` and CI
+cancellation do, while one of the two workers sits idle.
 The in-process test interrupts a serial run inside the exact TED kernel,
 where the time of a real workload goes.
 """
@@ -53,17 +55,18 @@ _SCRIPT = textwrap.dedent(
     from repro.distance.ted import ted
     from tests.workflow.test_interrupt import pairs
 
-    def slow_ted(pair):
-        time.sleep(0.1)
+    def stall_then_ted(task):
+        seconds, pair = task
+        time.sleep(seconds)
         return ted(*pair).distance
 
     eng = DistanceEngine(jobs=2, chunk_size=1, cache=TedCacheStore({root!r}))
     print("WORKERS-UP", flush=True)
     with diag.capture() as sink:
         try:
-            eng.map_tasks(slow_ted, pairs({n}))
+            eng.map_tasks(stall_then_ted, {tasks})
         except KeyboardInterrupt:
-            # the engine has already terminated the pool and flushed the
+            # the engine has already killed the workers and flushed the
             # cache before re-raising; report our own pool children
             import multiprocessing
             print("LIVE-CHILDREN %d" % len(multiprocessing.active_children()), flush=True)
@@ -80,15 +83,20 @@ def _entries(root: Path) -> int:
     return TedCacheStore(root).stats()["entries"]
 
 
-def _interrupt_mid_pool(root: Path, send) -> str:
-    """Run the script, signal it once the workers have flushed some
-    distances, check it exits 130 and return its stdout."""
-    script = _SCRIPT.format(src=str(REPO / "src"), repo=str(REPO), n=N_TASKS, root=str(root))
+def _interrupt_mid_pool(
+    root: Path, send, tasks: str = f"[(0.1, p) for p in pairs({N_TASKS})]"
+) -> str:
+    """Run the script over ``tasks`` (an expression of ``(seconds, pair)``
+    tasks), signal it once the workers have flushed some distances, check
+    it exits 130 and return its stdout. The script runs in its own session,
+    so ``send`` may signal its whole process group."""
+    script = _SCRIPT.format(src=str(REPO / "src"), repo=str(REPO), tasks=tasks, root=str(root))
     proc = subprocess.Popen(
         [sys.executable, "-c", script],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 30
@@ -101,7 +109,7 @@ def _interrupt_mid_pool(root: Path, send) -> str:
         out, err = proc.communicate(timeout=30)
     finally:
         if proc.poll() is None:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
     assert proc.returncode == 130, f"stdout={out!r} stderr={err!r}"
     return out
@@ -146,6 +154,23 @@ class TestSigintDuringPoolPhase:
         flushed = _entries(root)
         assert 0 < flushed < N_TASKS
         assert _rerun_kernels(root) == N_TASKS - flushed
+
+    def test_sigterm_to_the_process_group_with_an_idle_worker(self, tmp_path):
+        # the first worker finishes its one fast task and waits for work
+        # that never comes; the second stalls. SIGTERM then reaches the
+        # parent and both workers at once.
+        root = tmp_path / "root"
+
+        def term_group(proc):
+            time.sleep(0.5)  # let the first worker go idle
+            os.killpg(proc.pid, signal.SIGTERM)
+
+        out = _interrupt_mid_pool(root, term_group, tasks="list(zip([0, 60], pairs(2)))")
+        assert "INTERRUPTED" in out
+        assert "LIVE-CHILDREN 0" in out, out
+        note = f"DIAG distance/interrupted run interrupted; flushed 0 TED distance(s) to {root} "
+        assert note + "on exit, after every finished worker chunk flushed its own" in out, out
+        assert _entries(root) == 1  # the finished chunk's distance survives
 
 
 class TestResumeInsideKernelPhase:
