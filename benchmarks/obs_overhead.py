@@ -14,20 +14,24 @@ harness measures that promise directly:
   honest stand-in.)
 
 Both run the same fixed workload (index two TeaLeaf ports from scratch +
-one semantic divergence) several times; the best-of-N wall times are
-compared and the run fails when the instrumented path is more than
-``--threshold`` (default 5%) slower. Best-of-N is deliberate: shared CI
-runners jitter upward, never downward, so minima are the stable statistic.
+one semantic divergence). The variants alternate pass by pass: each pair
+runs one instrumented and one baseline pass (``repro.obs`` is patched just
+before the baseline pass and restored just after it), and the order flips
+every pair, so a loaded runner's slow spell falls on both variants alike.
+The run fails when the median of the per-pair ratios (instrumented /
+baseline) exceeds ``1 + --threshold`` (default 5%).
 
 Results land in ``OVERHEAD_pr.json`` (harness envelope, like the other
 benchmark artifacts).
 
-Usage: PYTHONPATH=src python benchmarks/obs_overhead.py [--repeats 5]
+Usage: PYTHONPATH=src python benchmarks/obs_overhead.py [--repeats 30]
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import statistics
 import sys
 import time
 
@@ -78,19 +82,40 @@ def workload() -> float:
     return divergence_row(cbs[0], cbs[1:], SPEC)[cbs[1].model]
 
 
-def measure(repeats: int) -> float:
-    """Best-of-``repeats`` wall time for one workload pass."""
-    best = float("inf")
-    for _ in range(repeats):
+def timed_pass(baseline: bool) -> tuple[float, float]:
+    """``(wall seconds, result)`` of one workload pass; a baseline pass
+    runs with the ``repro.obs`` entry points patched to raw no-ops."""
+    gc.collect()  # every pass starts from the same collector state
+    saved = {name: getattr(obs, name) for name in ("span", "add", "gauge", "observe")}
+    if baseline:
+        obs.span = _no_span
+        obs.add = obs.gauge = obs.observe = _no_metric
+    try:
         t0 = time.perf_counter()
-        workload()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        result = workload()
+        return time.perf_counter() - t0, result
+    finally:
+        for name, fn in saved.items():
+            setattr(obs, name, fn)
+
+
+def measure(repeats: int) -> tuple[list[tuple[float, float]], list[float]]:
+    """``repeats`` pairs of ``(instrumented, baseline)`` wall times, the
+    two passes of a pair in alternating order, and every baseline result."""
+    pairs, baseline_results = [], []
+    for k in range(repeats):
+        wall = {}
+        for baseline in (False, True) if k % 2 == 0 else (True, False):
+            wall[baseline], result = timed_pass(baseline)
+            if baseline:
+                baseline_results.append(result)
+        pairs.append((wall[False], wall[True]))
+    return pairs, baseline_results
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=5, help="passes per variant (best-of)")
+    parser.add_argument("--repeats", type=int, default=30, help="instrumented/baseline pass pairs")
     parser.add_argument(
         "--threshold",
         type=float,
@@ -109,28 +134,19 @@ def main(argv: list[str] | None = None) -> int:
     assert obs.current_collector() is None, "harness must run with no collector installed"
     expect = workload()  # warm imports and interned tables out of the timing
 
-    instrumented = measure(args.repeats)
-
-    saved = {name: getattr(obs, name) for name in ("span", "add", "gauge", "observe")}
-    obs.span = _no_span
-    obs.add = _no_metric
-    obs.gauge = _no_metric
-    obs.observe = _no_metric
-    try:
-        got = workload()
-        baseline = measure(args.repeats)
-    finally:
-        for name, fn in saved.items():
-            setattr(obs, name, fn)
-
-    overhead = (instrumented - baseline) / baseline if baseline > 0 else 0.0
+    pairs, baseline_results = measure(args.repeats)
+    ratios = [inst / base for inst, base in pairs]
+    overhead = statistics.median(ratios) - 1.0
+    instrumented = statistics.median(inst for inst, _ in pairs)
+    baseline = statistics.median(base for _, base in pairs)
     print(
-        f"baseline {baseline:.3f}s  instrumented {instrumented:.3f}s  "
-        f"overhead {overhead * 100:+.2f}% (threshold {args.threshold * 100:.0f}%)"
+        f"median baseline {baseline:.3f}s  instrumented {instrumented:.3f}s  "
+        f"overhead {overhead * 100:+.2f}% (median of {len(pairs)} pair ratios, "
+        f"threshold {args.threshold * 100:.0f}%)"
     )
 
     failures = []
-    if got != expect:
+    if any(got != expect for got in baseline_results):
         failures.append("workload result changed under patched no-ops (harness bug)")
     if overhead > args.threshold:
         failures.append(
@@ -143,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": args.repeats,
         "baseline_s": baseline,
         "instrumented_s": instrumented,
+        "pair_ratios": ratios,
         "overhead_frac": overhead,
         "threshold_frac": args.threshold,
         "failures": failures,

@@ -137,7 +137,7 @@ def test_ablation_batched_vs_classic_kernel(benchmark):
         nodes = [Node(random.choice("abcde"))]
         for _ in range(n - 1):
             node = Node(random.choice("abcde"))
-            random.choice(nodes).children.append(node)
+            random.choice(nodes).add(node)
             nodes.append(node)
         return nodes[0]
 

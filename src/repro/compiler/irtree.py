@@ -17,9 +17,9 @@ def ir_to_tree(module: IRModule) -> Node:
     """Tree of one IR module: module → functions/globals → blocks → instrs."""
     root = Node(f"module:{module.target}", "ir-module", None, None, {"name": module.name})
     for g in module.globals:
-        root.children.append(Node(f"global:{g.kind}", "ir-global", None, g.span, {"name": g.name}))
+        root.add(Node(f"global:{g.kind}", "ir-global", None, g.span, {"name": g.name}))
     for f in module.functions:
-        root.children.append(_fn_tree(f))
+        root.add(_fn_tree(f))
     return root
 
 
@@ -29,16 +29,14 @@ def _fn_tree(f: IRFunction) -> Node:
     label = "kernel" if "kernel" in f.attrs else "function"
     n = Node(label, "ir-fn", None, f.span, {"name": f.name})
     for p in f.params:
-        n.children.append(Node("arg", "ir-arg", None, f.span))
+        n.add(Node("arg", "ir-arg", None, f.span))
     for b in f.blocks:
         bn = Node("block", "ir-block", None, None)
         for ins in b.instrs:
             # operand identities are symbols/registers: dropped; only the
             # opcode and arity survive.
-            bn.children.append(
-                Node(ins.op, "ir-instr", None, ins.span, {"arity": len(ins.operands)})
-            )
-        n.children.append(bn)
+            bn.add(Node(ins.op, "ir-instr", None, ins.span, {"arity": len(ins.operands)}))
+        n.add(bn)
     return n
 
 
@@ -47,7 +45,7 @@ def bundle_to_tree(result: CompileResult) -> Node:
     if not result.is_bundle:
         return ir_to_tree(result.host)
     root = Node("offload-bundle", "ir-bundle", None, None, {"name": result.host.name})
-    root.children.append(ir_to_tree(result.host))
+    root.add(ir_to_tree(result.host))
     for dev in result.devices:
-        root.children.append(ir_to_tree(dev))
+        root.add(ir_to_tree(dev))
     return root

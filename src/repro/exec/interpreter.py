@@ -280,23 +280,23 @@ class Interpreter:
         if fn is None or fn.body is None:
             raise InterpreterError(f"no definition for entry point {entry!r}")
 
-        # global variables (including namespace-nested ones from headers)
-        def define_globals(decls) -> None:
-            for d in decls:
-                if isinstance(d, VarDecl):
-                    self.globals.define(
-                        d.name,
-                        self.eval_expr(d.init, self.globals) if d.init is not None else 0,
-                    )
-                elif isinstance(d, NamespaceDecl):
-                    define_globals(d.decls)
-
         try:
-            define_globals(self.tu.decls)
+            self._define_globals(self.tu.decls)
             value = self.call_function(fn, args or [])
         except _RUNTIME_FAULTS as e:
             raise InterpreterError(f"{type(e).__name__}: {e}") from e
         return ExecutionResult(value, self.coverage, self.stdout, self.steps)
+
+    def _define_globals(self, decls) -> None:
+        """Global variables, including namespace-nested ones from headers."""
+        for d in decls:
+            if isinstance(d, VarDecl):
+                self.globals.define(
+                    d.name,
+                    self.eval_expr(d.init, self.globals) if d.init is not None else 0,
+                )
+            elif isinstance(d, NamespaceDecl):
+                self._define_globals(d.decls)
 
     def eval_expr(self, e: Optional[Expr], env: Environment) -> Any:
         return self._expr(e)(env)
@@ -1319,4 +1319,10 @@ def run_program(
     args: Optional[list[Any]] = None,
 ) -> ExecutionResult:
     """Interpret ``entry`` (default ``main``) and return the result/profile."""
-    return Interpreter(tu, sema).run(entry, args)
+    interp = Interpreter(tu, sema)
+    try:
+        return interp.run(entry, args)
+    finally:
+        # the cached closures capture the interpreter: break that cycle, so
+        # the run is freed when it returns, not by a later full collection
+        interp._code.clear()

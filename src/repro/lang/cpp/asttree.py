@@ -77,7 +77,7 @@ def ast_to_tree(tu: TranslationUnit, sema: Optional[SemaResult] = None) -> Node:
     conv = _Converter(sema)
     root = Node("translation-unit", "tu", None, None, {"path": tu.path})
     for d in tu.decls:
-        root.children.append(conv.decl(d))
+        root.add(conv.decl(d))
     return root
 
 
@@ -110,7 +110,7 @@ class _Converter:
         if isinstance(d, NamespaceDecl):
             n = Node(d.name or "<anon>", "module", None, d.span)
             for sub in d.decls:
-                n.children.append(self.decl(sub))
+                n.add(self.decl(sub))
             return n
         if isinstance(d, VarDecl):
             return self.var(d)
@@ -119,7 +119,7 @@ class _Converter:
         if isinstance(d, TypedefDecl):
             n = Node(d.name, "type-name", None, d.span)
             if d.type is not None:
-                n.children.append(self.type(d.type))
+                n.add(self.type(d.type))
             return n
         if isinstance(d, PragmaDecl):
             return self.pragma_node(d.family, d.directives, d.clauses, None, d.span)
@@ -135,53 +135,53 @@ class _Converter:
         kind = "kernel" if d.is_kernel else "fn"
         n = Node(d.name, kind, None, d.span)
         for a in d.attrs:
-            n.children.append(Node(f"attr:{a}", "attr", None, d.span))
+            n.add(Node(f"attr:{a}", "attr", None, d.span))
         for tp in d.template_params:
-            n.children.append(Node(f"tparam:{tp.kind}", "tparam", None, tp.span))
+            n.add(Node(f"tparam:{tp.kind}", "tparam", None, tp.span))
         if d.ret is not None:
-            n.children.append(self.type(d.ret))
+            n.add(self.type(d.ret))
         for p in d.params:
-            n.children.append(self.param(p))
+            n.add(self.param(p))
         if d.body is not None:
-            n.children.append(self.stmt(d.body))
+            n.add(self.stmt(d.body))
         return n
 
     def param(self, p: ParamDecl) -> Node:
         n = Node(p.name or "param", "param", None, p.span)
         if p.type is not None:
-            n.children.append(self.type(p.type))
+            n.add(self.type(p.type))
         if p.default is not None:
-            n.children.append(Node("default-arg", "default", [self.expr(p.default)], p.span))
+            n.add(Node("default-arg", "default", [self.expr(p.default)], p.span))
         return n
 
     def klass(self, d: ClassDecl) -> Node:
         n = Node(d.name, "class", None, d.span, {"key": d.kind})
         for tp in d.template_params:
-            n.children.append(Node(f"tparam:{tp.kind}", "tparam", None, tp.span))
+            n.add(Node(f"tparam:{tp.kind}", "tparam", None, tp.span))
         for b in d.bases:
-            n.children.append(Node("base", "base", [self.type(b)], d.span))
+            n.add(Node("base", "base", [self.type(b)], d.span))
         for f in d.fields:
             if f.name == "<error>":
-                n.children.append(Node("error-node", "error", None, f.span))
+                n.add(Node("error-node", "error", None, f.span))
                 continue
             fn_ = Node(f.name, "field", None, f.span)
             if f.type is not None:
-                fn_.children.append(self.type(f.type))
+                fn_.add(self.type(f.type))
             if f.init is not None:
-                fn_.children.append(self.expr(f.init))
-            n.children.append(fn_)
+                fn_.add(self.expr(f.init))
+            n.add(fn_)
         for m in d.methods:
-            n.children.append(self.function(m))
+            n.add(self.function(m))
         return n
 
     def var(self, d: VarDecl) -> Node:
         n = Node(d.name, "var", None, d.span)
         if d.type is not None:
-            n.children.append(self.type(d.type))
+            n.add(self.type(d.type))
         if d.init is not None:
-            n.children.append(self.expr(d.init))
+            n.add(self.expr(d.init))
         for a in d.ctor_args or []:
-            n.children.append(Node("ctor-arg", "ctor-arg", [self.expr(a)], d.span))
+            n.add(Node("ctor-arg", "ctor-arg", [self.expr(a)], d.span))
         # constructing a templated (system) type adds its instantiation
         if d.type is not None and d.type.template_args and self.sema is not None:
             hit = self.sema.classes.get(d.type.base_name)
@@ -192,21 +192,21 @@ class _Converter:
                         hit = c
                         break
             if hit is not None and hit.template_params:
-                n.children.append(self._class_instantiation(hit, d))
+                n.add(self._class_instantiation(hit, d))
         return n
 
     def _class_instantiation(self, cls: ClassDecl, site: VarDecl) -> Node:
         """Signature-level expansion of a templated class at a declaration."""
         inst = Node("template-instantiation", "instantiation", None, site.span, {"of": cls.name})
         for tp in cls.template_params:
-            inst.children.append(Node(f"tparam:{tp.kind}", "tparam", None, site.span))
+            inst.add(Node(f"tparam:{tp.kind}", "tparam", None, site.span))
         for m in cls.methods[:6]:  # signature surface, not the whole class
             sig = Node(m.name, "fn", None, site.span)
             if m.ret is not None:
-                sig.children.append(_respan(self.type(m.ret), site.span))
+                sig.add(_respan(self.type(m.ret), site.span))
             for p in m.params:
-                sig.children.append(_respan(self.param(p), site.span))
-            inst.children.append(sig)
+                sig.add(_respan(self.param(p), site.span))
+            inst.add(sig)
         return inst
 
     # -- types ---------------------------------------------------------------
@@ -214,9 +214,9 @@ class _Converter:
         n = Node(t.base_name or "type", "type-name", None, t.span)
         for a in t.template_args:
             if isinstance(a, TypeRef):
-                n.children.append(self.type(a))
+                n.add(self.type(a))
             else:
-                n.children.append(self.expr(a))
+                n.add(self.expr(a))
         out = n
         for _ in range(t.pointer):
             out = Node("ptr", "type-op", [out], t.span)
@@ -291,15 +291,15 @@ class _Converter:
         for c in clauses:
             cn = Node(f"clause:{c.name}", f"{family}-clause", None, c.span)
             for a in c.arguments:
-                cn.children.append(Node(a, "clause-arg", None, c.span))
+                cn.add(Node(a, "clause-arg", None, c.span))
             if c.name == "reduction":
                 for a in c.arguments:
-                    cn.children.append(Node("reduction-init", f"{family}-implicit", None, c.span))
-                    cn.children.append(Node("reduction-combine", f"{family}-implicit", None, c.span))
+                    cn.add(Node("reduction-init", f"{family}-implicit", None, c.span))
+                    cn.add(Node("reduction-combine", f"{family}-implicit", None, c.span))
             if c.name.startswith("map") or c.name in ("copy", "copyin", "copyout", "to", "from"):
                 for a in c.arguments:
-                    cn.children.append(Node("mapper", f"{family}-implicit", None, c.span))
-            n.children.append(cn)
+                    cn.add(Node("mapper", f"{family}-implicit", None, c.span))
+            n.add(cn)
         def imp(label: str, children: Optional[list[Node]] = None) -> Node:
             return Node(label, f"{family}-implicit", children, span)
 
@@ -342,7 +342,8 @@ class _Converter:
             implicit += [imp("task-data-environment"), imp("implicit-taskgroup"), imp("omp-task-alloc")]
         if family == "acc" and ("parallel" in dirs or "kernels" in dirs):
             implicit += [imp("gang-worker-vector"), imp("data-sharing")]
-        n.children.extend(implicit)
+        for c in implicit:
+            n.add(c)
         if body is not None:
             body_tree = self.stmt(body)
             captured = Node("captured-stmt", f"{family}-captured", [body_tree], span)
@@ -356,7 +357,7 @@ class _Converter:
                         name = node.attrs.get("name", node.label)
                         seen.add(name)
                 for name in sorted(seen)[:8]:
-                    captured.children.append(
+                    captured.add(
                         Node(
                             "implicit-capture",
                             "omp-implicit",
@@ -365,7 +366,7 @@ class _Converter:
                             {"name": name},
                         )
                     )
-            n.children.append(captured)
+            n.add(captured)
         return n
 
     # -- expressions --------------------------------------------------------------
@@ -450,16 +451,16 @@ class _Converter:
             name = e.callee.member
         n = Node(name, "call", None, e.span)
         if isinstance(e.callee, MemberExpr):
-            n.children.append(self.expr(e.callee))
+            n.add(self.expr(e.callee))
         elif not isinstance(e.callee, IdentExpr):
-            n.children.append(self.expr(e.callee))
+            n.add(self.expr(e.callee))
         for ta in e.template_args:
             if isinstance(ta, TypeRef):
-                n.children.append(Node("targ", "targ", [self.type(ta)], e.span))
+                n.add(Node("targ", "targ", [self.type(ta)], e.span))
             else:
-                n.children.append(Node("targ", "targ", [self.expr(ta)], e.span))
+                n.add(Node("targ", "targ", [self.expr(ta)], e.span))
         for a in e.args:
-            n.children.append(self.expr(a))
+            n.add(self.expr(a))
         if self.sema is not None:
             r = self.sema.resolved.get(id(e))
             if r is not None:
@@ -467,7 +468,7 @@ class _Converter:
                 n.attrs["callee"] = qname
                 n.attrs["system"] = is_sys
                 if decl is not None and decl.template_params:
-                    n.children.append(self._fn_instantiation(decl, e))
+                    n.add(self._fn_instantiation(decl, e))
             else:
                 cr = self.sema.ctor_resolved.get(id(e))
                 if cr is not None and cr[1].template_params:
@@ -481,13 +482,13 @@ class _Converter:
                         {"of": cr[0]},
                     )
                     for tp in cr[1].template_params:
-                        inst.children.append(Node(f"tparam:{tp.kind}", "tparam", None, e.span))
+                        inst.add(Node(f"tparam:{tp.kind}", "tparam", None, e.span))
                     for m in cr[1].methods[:2]:
                         sig = Node(m.name, "fn", None, e.span)
                         for p in m.params:
-                            sig.children.append(_respan(self.param(p), e.span))
-                        inst.children.append(sig)
-                    n.children.append(inst)
+                            sig.add(_respan(self.param(p), e.span))
+                        inst.add(sig)
+                    n.add(inst)
         return n
 
     def _fn_instantiation(self, decl: FunctionDecl, site: CallExpr, depth: int = 0) -> Node:
@@ -498,9 +499,9 @@ class _Converter:
         if depth >= _INST_DEPTH_LIMIT:
             return inst
         for tp in decl.template_params:
-            inst.children.append(Node(f"tparam:{tp.kind}", "tparam", None, site.span))
+            inst.add(Node(f"tparam:{tp.kind}", "tparam", None, site.span))
         if decl.ret is not None:
-            inst.children.append(_respan(self.type(decl.ret), site.span))
+            inst.add(_respan(self.type(decl.ret), site.span))
         for p in decl.params:
-            inst.children.append(_respan(self.param(p), site.span))
+            inst.add(_respan(self.param(p), site.span))
         return inst

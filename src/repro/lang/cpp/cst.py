@@ -70,12 +70,15 @@ def _directive_node(tok: Token) -> Node:
     rest = body[len(name) :].strip()
     if rest:
         try:
-            children = []
-            for t in lex(rest, tok.file):
-                if t.is_trivia or t.type is TokenType.EOF:
-                    continue
-                children.append(_token_node(Token(t.type, t.text, tok.file, tok.line, t.col)))
-            node.children.extend(children)
+            # lex the whole body before adding any child: a body that does
+            # not lex leaves the directive without partial children
+            children = [
+                _token_node(Token(t.type, t.text, tok.file, tok.line, t.col))
+                for t in lex(rest, tok.file)
+                if not t.is_trivia and t.type is not TokenType.EOF
+            ]
+            for child in children:
+                node.add(child)
         except ParseError as e:
             # The directive body does not lex as C++ (e.g. an include path
             # with a stray quote). Keep the raw text — word per node — so
@@ -86,7 +89,7 @@ def _directive_node(tok: Token) -> Node:
                 tok.file, tok.line, tok.col,
             )
             for word in rest.split():
-                node.children.append(Node(word, "tok", None, span))
+                node.add(Node(word, "tok", None, span))
     return node
 
 
@@ -101,7 +104,7 @@ def build_cst(tokens: list[Token], path: str = "<memory>") -> Node:
             group = Node(
                 _GROUP_LABEL[tok.text], "group", None, SourceSpan(tok.file, tok.line)
             )
-            stack[-1].children.append(group)
+            stack[-1].add(group)
             stack.append(group)
             continue
         if tok.text in _CLOSE and tok.type is TokenType.PUNCT:
@@ -112,7 +115,7 @@ def build_cst(tokens: list[Token], path: str = "<memory>") -> Node:
                         top.span.file, top.span.line_start, max(tok.line, top.span.line_start)
                     )
             continue
-        stack[-1].children.append(_token_node(tok))
+        stack[-1].add(_token_node(tok))
     return root
 
 

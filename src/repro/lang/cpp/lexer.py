@@ -67,7 +67,7 @@ _PUNCTS = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One lexical token with its original source location."""
 

@@ -49,21 +49,21 @@ from repro.trees.node import Node
 def fortran_to_tree(f: FtFile) -> Node:
     root = Node("ft-file", "tu", None, None, {"path": f.path})
     for u in f.units:
-        root.children.append(_unit(u))
+        root.add(_unit(u))
     return root
 
 
 def _unit(u: FtUnit) -> Node:
     n = Node(u.name, "fn" if u.kind in ("subroutine", "function") else "module", None, u.span, {"unit_kind": u.kind})
-    n.children.append(Node(f"ft-{u.kind}", "unit-kind", None, u.span))
+    n.add(Node(f"ft-{u.kind}", "unit-kind", None, u.span))
     for p in u.params:
-        n.children.append(Node(p, "param", None, u.span))
+        n.add(Node(p, "param", None, u.span))
     if u.result:
-        n.children.append(Node("ft-result", "result", [Node(u.result, "var", None, u.span)], u.span))
+        n.add(Node("ft-result", "result", [Node(u.result, "var", None, u.span)], u.span))
     body = Node("ft-body", "stmt", [_stmt(s) for s in u.body], u.span)
-    n.children.append(body)
+    n.add(body)
     for sub in u.contains:
-        n.children.append(_unit(sub))
+        n.add(_unit(sub))
     return n
 
 
@@ -75,13 +75,13 @@ def _stmt(s: FtStmt) -> Node:
     if isinstance(s, FtDecl):
         n = Node(f"ft-decl:{s.base_type}", "stmt", None, s.span, {"kind": s.kind or ""})
         for a in s.attrs:
-            n.children.append(Node(f"ft-attr:{a.name}", "decl-attr", None, s.span))
+            n.add(Node(f"ft-attr:{a.name}", "decl-attr", None, s.span))
         for name, dims, init in s.entities:
             kids = [_expr(d) for d in dims]
             if init is not None:
                 kids.append(Node("ft-init", "init", [_expr(init)], s.span))
             en = Node(name, "var", kids, s.span)
-            n.children.append(en)
+            n.add(en)
         return n
     if isinstance(s, FtImplicitNone):
         return Node("ft-implicit-none", "stmt", None, s.span)
@@ -147,12 +147,12 @@ def _stmt(s: FtStmt) -> Node:
         for cname, args in s.clauses:
             cn = Node(f"clause:{cname}", f"{s.family}-clause", None, s.span)
             for a in args:
-                cn.children.append(Node(a, "clause-arg", None, s.span))
+                cn.add(Node(a, "clause-arg", None, s.span))
             if cname == "reduction":
                 for a in args:
-                    cn.children.append(Node("reduction-init", f"{s.family}-implicit", None, s.span))
-                    cn.children.append(Node("reduction-combine", f"{s.family}-implicit", None, s.span))
-            n.children.append(cn)
+                    cn.add(Node("reduction-init", f"{s.family}-implicit", None, s.span))
+                    cn.add(Node("reduction-combine", f"{s.family}-implicit", None, s.span))
+            n.add(cn)
         # Implicit semantics: GCC's GIMPLE carries OpenMP tokens too (§V-C);
         # OpenACC under GCC adds almost nothing (the §V-B QoI finding), so
         # acc directives contribute only their surface nodes.
@@ -171,10 +171,10 @@ def _stmt(s: FtStmt) -> Node:
             if "task" in dirs or "taskloop" in dirs:
                 implicit += ["task-data-environment", "implicit-taskgroup"]
         for name in implicit:
-            n.children.append(Node(name, f"{s.family}-implicit", None, s.span))
+            n.add(Node(name, f"{s.family}-implicit", None, s.span))
         if s.body:
             captured = Node("captured-stmt", f"{s.family}-captured", [_stmt(b) for b in s.body], s.span)
-            n.children.append(captured)
+            n.add(captured)
         return n
     return Node(type(s).__name__, "stmt", None, s.span)
 

@@ -48,7 +48,7 @@ def _directive_node(tok: FtToken) -> Node:
     for w in words[1:]:
         if w in "(),:":
             continue
-        node.children.append(Node(w.lower(), "kw", None, span))
+        node.add(Node(w.lower(), "kw", None, span))
     return node
 
 
@@ -72,14 +72,14 @@ def fortran_cst(text: str, path: str = "<memory>", tolerant: bool = False) -> No
         for nd, tk in zip(line, line_first):
             if tk.text == "(" and tk.type is FtTokenType.PUNCT:
                 g = Node("paren-group", "group", None, SourceSpan(tk.file, tk.line))
-                gstack[-1].children.append(g)
+                gstack[-1].add(g)
                 gstack.append(g)
                 continue
             if tk.text == ")" and tk.type is FtTokenType.PUNCT:
                 if len(gstack) > 1:
                     gstack.pop()
                 continue
-            gstack[-1].children.append(nd)
+            gstack[-1].add(nd)
         # block structure
         head = line_first[0]
         head_word = head.text if head.type is FtTokenType.KEYWORD else ""
@@ -87,13 +87,13 @@ def fortran_cst(text: str, path: str = "<memory>", tolerant: bool = False) -> No
         if head_word == "end" or head_word in ("enddo", "endif"):
             if len(stack) > 1:
                 stack.pop()
-            stack[-1].children.append(stmt)
+            stack[-1].add(stmt)
         elif head_word in _BLOCK_OPENERS and ("then" in words or head_word != "if"):
             block = Node(f"{head_word}-block", "block", [stmt], stmt.span)
-            stack[-1].children.append(block)
+            stack[-1].add(block)
             stack.append(block)
         else:
-            stack[-1].children.append(stmt)
+            stack[-1].add(stmt)
         line = []
         line_first = []
 

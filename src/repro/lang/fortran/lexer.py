@@ -47,7 +47,7 @@ _PUNCTS = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FtToken:
     type: FtTokenType
     text: str

@@ -43,7 +43,7 @@ def from_sexpr(text: str, kind: str = "node") -> Node:
             node = Node(tokens[pos], kind)
             pos += 1
             while pos < len(tokens) and tokens[pos] != ")":
-                node.children.append(parse())
+                node.add(parse())
             if pos >= len(tokens):
                 raise ReproError("unbalanced s-expression: missing ')'")
             pos += 1

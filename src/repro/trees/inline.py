@@ -10,6 +10,7 @@ large amounts of foreign code into the tree, while compiler-directive models
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Mapping, Optional
 
 from repro.trees.node import Node
@@ -25,7 +26,14 @@ def inline_calls(
     is_local: Optional[Callable[[Node], bool]] = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> Node:
-    """Return a copy of ``root`` with local call sites expanded in place.
+    """``root`` with each local call site's callee body inlined beneath it.
+
+    ``root`` is left unchanged, and the result shares its unchanged parts:
+    every subtree of ``root`` that holds no inlined call is returned as is,
+    while the result's root, each ancestor of an inlined call and every
+    inlined body are fresh nodes. So the result is never ``root`` itself,
+    and no node appears twice within it (an id-keyed walk of the result
+    stays correct); DESIGN.md, "Tree object economy".
 
     Parameters
     ----------
@@ -47,25 +55,31 @@ def inline_calls(
         def is_local(node: Node) -> bool:
             return not node.attrs.get("system", False)
 
-    def expand(node: Node, depth: int, active: frozenset[str]) -> Node:
-        new_children = [expand(c, depth, active) for c in node.children]
-        clone = Node(node.label, node.kind, new_children, node.span, dict(node.attrs))
-        callee = clone.attrs.get("callee")
-        if (
-            clone.kind == "call"
+    def expand(node: Node, depth: int, active: frozenset[str], share: bool) -> Node:
+        """``node`` with its local calls expanded: ``node`` itself when
+        ``share`` holds and nothing below it changed, else a fresh node.
+        Inlined bodies expand with ``share`` off, so they are copies."""
+        new_children = [expand(c, depth, active, share) for c in node.children]
+        callee = node.attrs.get("callee")
+        inline = (
+            node.kind == "call"
             and callee is not None
             and callee in definitions
             and callee not in active
             and depth < max_depth
-            and is_local(clone)
-        ):
-            body = expand(definitions[callee].copy(), depth + 1, active | {callee})
-            inlined = Node("inlined-body", "inline", [body], clone.span, {"callee": callee})
-            clone.children.append(inlined)
+            and is_local(node)
+        )
+        if share and not inline and all(map(operator.is_, new_children, node.children)):
+            return node
+        clone = Node(node.label, node.kind, new_children, node.span, dict(node.attrs))
+        if inline:
+            body = expand(definitions[callee], depth + 1, active | {callee}, False)
+            clone.add(Node("inlined-body", "inline", [body], clone.span, {"callee": callee}))
             clone.attrs["inlined"] = True
         return clone
 
-    return expand(root, 0, frozenset())
+    out = expand(root, 0, frozenset(), True)
+    return root.copy(deep=False) if out is root else out
 
 
 def collect_definitions(root: Node) -> dict[str, Node]:

@@ -6,11 +6,24 @@ Nodes are deliberately small (``__slots__``) because TED working sets are
 dominated by tree storage; the paper's future-work section calls out TED
 memory pressure explicitly, so we keep per-node overhead minimal and convert
 to flat postorder arrays inside the distance kernels.
+
+An index keeps every tree of every port alive, and each CPython full
+collection rescans every container object it holds, so trees also keep
+their collector-tracked objects few (DESIGN.md, "Tree object economy"): a
+leaf's ``children`` is the shared empty tuple, and equal spans are one
+interned :class:`SourceSpan`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
+
+#: Bound of the span table: when it holds this many spans it is emptied.
+#: Spans compare by value, so one built before a clear equals one built
+#: after. A cold index of the whole corpus builds 3,679 distinct spans.
+SPAN_TABLE_MAX = 1 << 16
+
+_spans: dict[tuple[str, int, int], "SourceSpan"] = {}
 
 
 class SourceSpan:
@@ -18,18 +31,34 @@ class SourceSpan:
 
     ``line_start``/``line_end`` are 1-based and inclusive, matching compiler
     diagnostics and GCov line records.
+
+    Spans are immutable and interned: building one returns the process-wide
+    object for its ``(file, line_start, line_end)`` from a table bounded by
+    :data:`SPAN_TABLE_MAX`. Compare spans by value, never by identity.
     """
 
     __slots__ = ("file", "line_start", "line_end")
 
-    def __init__(self, file: str, line_start: int, line_end: Optional[int] = None):
-        if line_end is None:
-            line_end = line_start
-        if line_end < line_start:
-            raise ValueError(f"span end {line_end} before start {line_start}")
-        self.file = file
-        self.line_start = line_start
-        self.line_end = line_end
+    def __new__(cls, file: str, line_start: int, line_end: Optional[int] = None) -> "SourceSpan":
+        key = (file, line_start, line_start if line_end is None else line_end)
+        span = _spans.get(key)
+        if span is None:
+            if key[2] < line_start:
+                raise ValueError(f"span end {key[2]} before start {line_start}")
+            span = object.__new__(cls)
+            object.__setattr__(span, "file", file)
+            object.__setattr__(span, "line_start", line_start)
+            object.__setattr__(span, "line_end", key[2])
+            if len(_spans) >= SPAN_TABLE_MAX:
+                _spans.clear()
+            _spans[key] = span
+        return span
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("SourceSpan is immutable")
+
+    def __reduce__(self):
+        return SourceSpan, (self.file, self.line_start, self.line_end)
 
     def __repr__(self) -> str:
         return f"SourceSpan({self.file!r}, {self.line_start}, {self.line_end})"
@@ -72,9 +101,12 @@ class Node:
         Coarse category ("decl", "stmt", "expr", "tok", "instr", ...); kept
         separate from label so analyses can filter without string parsing.
     children:
-        Ordered children (TED is an ordered-tree distance).
+        Ordered children (TED is an ordered-tree distance). A leaf holds the
+        shared empty tuple ``()``; :meth:`add` is the only way to grow a
+        node, and gives a leaf a list of its own on its first child.
     span:
-        Optional :class:`SourceSpan` back-reference.
+        Optional :class:`SourceSpan` back-reference (interned, so many
+        nodes share one).
     attrs:
         Free-form metadata (symbol names before normalisation, callee links
         for inlining, semantic flags). Not consulted by distance kernels.
@@ -92,14 +124,18 @@ class Node:
     ):
         self.label = label
         self.kind = kind
-        self.children: list[Node] = list(children) if children else []
+        self.children: Union[list[Node], tuple[()]] = (list(children) or ()) if children else ()
         self.span = span
         self.attrs: dict[str, Any] = attrs or {}
 
     # -- construction -----------------------------------------------------
     def add(self, child: "Node") -> "Node":
-        """Append ``child`` and return ``self`` (builder chaining)."""
-        self.children.append(child)
+        """Append ``child`` and return ``self`` (builder chaining); a leaf
+        trades the shared empty tuple for a list of its own."""
+        if self.children:
+            self.children.append(child)
+        else:
+            self.children = [child]
         return self
 
     def copy(self, deep: bool = True) -> "Node":

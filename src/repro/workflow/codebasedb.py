@@ -138,21 +138,16 @@ def decode_tree(obj: Any) -> Node:
         raise ValueError("tree span ends before it starts")
     attr_columns = _attr_columns(attrs, n)
 
-    shared: dict[tuple[int, int, int], SourceSpan] = {}
-    spans: list[Any] = []
-    for f, first, last in zip(files, firsts, lasts):
-        if f < 0:
-            spans.append(None)
-            continue
-        span = shared.get((f, first, last))
-        if span is None:
-            span = shared[(f, first, last)] = SourceSpan(strings[f], first, last)
-        spans.append(span)
+    spans = [
+        None if f < 0 else SourceSpan(strings[f], first, last)
+        for f, first, last in zip(files, firsts, lasts)
+    ]
     nodes = list(
         map(Node, [strings[i] for i in labels], [strings[i] for i in kinds], [None] * n, spans)
     )
     # preorder with child counts: each node is the next child of the
-    # innermost parent that still has children to take
+    # innermost parent that still has children to take; only a row with
+    # children gets a list (a leaf keeps the shared empty tuple)
     open_parents: list[list] = []
     for node, count in zip(nodes, counts):
         if open_parents:
@@ -162,7 +157,8 @@ def decode_tree(obj: Any) -> Node:
             if not slot[1]:
                 open_parents.pop()
         if count:
-            open_parents.append([node.children, count])
+            node.children = kids = []
+            open_parents.append([kids, count])
     for key, index, values in attr_columns:
         for i, value in zip(index, values):
             nodes[i].attrs[key] = value

@@ -26,7 +26,7 @@ def small_trees(draw, max_nodes=9):
     for _ in range(n - 1):
         parent = draw(st.integers(min_value=0, max_value=len(nodes) - 1))
         child = Node(draw(st.sampled_from(_LABELS)))
-        nodes[parent].children.append(child)
+        nodes[parent].add(child)
         nodes.append(child)
     return nodes[0]
 
@@ -38,7 +38,7 @@ def mid_trees(draw, max_nodes=40):
     for _ in range(n - 1):
         parent = draw(st.integers(min_value=0, max_value=len(nodes) - 1))
         child = Node(draw(st.sampled_from(_LABELS)))
-        nodes[parent].children.append(child)
+        nodes[parent].add(child)
         nodes.append(child)
     return nodes[0]
 
@@ -58,7 +58,7 @@ def grafted_trees(draw, max_nodes=9):
             src = nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
             if len(nodes) + src.size() <= target:
                 child = src.copy()
-        parent.children.append(child)
+        parent.add(child)
         nodes.extend(child.postorder())
     return nodes[0]
 

@@ -34,7 +34,7 @@ def rand_trees(draw, max_nodes=25):
     for _ in range(n - 1):
         parent = draw(st.integers(min_value=0, max_value=len(nodes) - 1))
         child = Node(draw(st.sampled_from(_LABELS)))
-        nodes[parent].children.append(child)
+        nodes[parent].add(child)
         nodes.append(child)
     return nodes[0]
 
@@ -43,14 +43,15 @@ def _chain(n, label="a"):
     root = node = Node(label)
     for _ in range(n - 1):
         child = Node(label)
-        node.children.append(child)
+        node.add(child)
         node = child
     return root
 
 
 def _star(n, label="a"):
     root = Node(label)
-    root.children.extend(Node(label) for _ in range(n - 1))
+    for _ in range(n - 1):
+        root.add(Node(label))
     return root
 
 

@@ -1,5 +1,8 @@
 """MiniC++ interpreter: language core semantics."""
 
+import gc
+import types
+
 import pytest
 
 from repro.exec import run_program
@@ -304,3 +307,51 @@ class TestRunContract:
         )
         res = run(src)
         assert (res.value, res.steps) == (1, 15)
+
+
+class TestRunLifetime:
+    """A finished run leaves no reference cycle for the collector: the
+    closures a run builds capture its interpreter, and the interpreter's
+    closure cache holds them."""
+
+    def _run_and_collect(self, src):
+        """``(whether the run failed, functions of this module that only a
+        collection of cyclic garbage would free)``."""
+        fs = VirtualFS()
+        fs.add("main.cpp", src)
+        tu = parse_unit(fs, "main.cpp")
+        sema = analyze(tu)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            try:
+                run_program(tu, sema)
+                failed = False
+            except InterpreterError:
+                failed = True
+            gc.collect()
+            return failed, [
+                o
+                for o in gc.garbage
+                if isinstance(o, types.FunctionType) and o.__module__ == "repro.exec.interpreter"
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+
+    def test_finished_run_frees_its_closures(self):
+        src = (
+            "int add(int a, int b) { return a + b; }\n"
+            "int main() { int s = 0; for (int i = 0; i < 3; i++) { s = add(s, i); }"
+            " auto f = [&](int x) { return x + s; }; return f(1); }"
+        )
+        assert self._run_and_collect(src) == (False, [])
+
+    def test_failed_run_frees_its_closures(self):
+        src = "int main() { int z = 1; for (int i = 0; i < 2; i++) { z = z % (z - 1); } return z; }"
+        assert self._run_and_collect(src) == (True, [])

@@ -62,6 +62,48 @@ class TestInlineCalls:
         assert c.attrs.get("inlined") is True
 
 
+class TestSharing:
+    """T_sem+i reuses T_sem's unchanged subtrees; everything else is fresh."""
+
+    def _tu(self):
+        body = tree("body", leaf("work"))
+        helper = Node("fn", "fn", [body], None, {"name": "helper"})
+        quiet = tree("quiet", tree("stmt", leaf("a")))
+        caller = tree("caller", quiet, tree("expr-stmt", call("helper")))
+        return tree("tu", helper, caller), body
+
+    def test_unchanged_subtrees_are_shared(self):
+        root, body = self._tu()
+        helper, caller = root.children
+        out = inline_calls(root, {"helper": body})
+        assert out.children[0] is helper
+        assert out.children[1] is not caller
+        assert out.children[1].children[0] is caller.children[0]
+
+    def test_root_and_inlined_body_are_fresh(self):
+        root, body = self._tu()
+        out = inline_calls(root, {"helper": body})
+        assert out is not root
+        inlined = out.find_labels("inlined-body")[0].children[0]
+        assert inlined == body and inlined is not body
+        assert all(a is not b for a, b in zip(inlined.preorder(), body.preorder()))
+
+    def test_root_fresh_when_nothing_inlines(self):
+        root = tree("fn", call("missing"))
+        out = inline_calls(root, {})
+        assert out is not root
+        assert out.children[0] is root.children[0]
+
+    def test_no_node_twice_and_input_unchanged(self):
+        root, body = self._tu()
+        before = root.pretty()
+        out = inline_calls(root, {"helper": body})
+        ids = [id(n) for n in out.preorder()]
+        assert len(ids) == len(set(ids))
+        assert root.pretty() == before
+        assert not root.find_labels("inlined-body")
+
+
 class TestCollectDefinitions:
     def test_collects_fn_bodies(self):
         fn = Node("fn", "fn", [leaf("param"), tree("body", leaf("stmt"))], None, {"name": "myfn"})

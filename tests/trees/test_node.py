@@ -1,9 +1,16 @@
 """Unit tests for the tree core (Node, SourceSpan)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.trees import Node, SourceSpan, from_sexpr, leaf
+from repro.trees import node as node_module
 from repro.workflow.codebasedb import decode_tree, encode_tree
+
+#: what every childless node holds as ``children``
+EMPTY = ()
 
 
 class TestSourceSpan:
@@ -37,6 +44,33 @@ class TestSourceSpan:
         assert hash(SourceSpan("f", 1, 2)) == hash(SourceSpan("f", 1, 2))
         assert SourceSpan("f", 1, 2) != SourceSpan("f", 1, 3)
 
+    def test_equal_spans_are_one_object(self):
+        assert SourceSpan("f", 4) is SourceSpan("f", 4, 4)
+        assert SourceSpan("f", 4, 5) is not SourceSpan("f", 4, 6)
+
+    def test_immutable(self):
+        s = SourceSpan("f", 1, 2)
+        with pytest.raises(AttributeError):
+            s.line_end = 9
+        assert SourceSpan("f", 1, 2).line_end == 2
+
+    def test_copy_and_pickle_keep_the_value(self):
+        s = SourceSpan("f", 3, 8)
+        assert copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) == s
+
+    def test_table_bound_clears_and_values_still_compare(self, monkeypatch):
+        monkeypatch.setattr(node_module, "SPAN_TABLE_MAX", 4)
+        node_module._spans.clear()
+        before = SourceSpan("bound.cpp", 1)
+        for line in range(2, 10):
+            SourceSpan("bound.cpp", line)
+            assert len(node_module._spans) <= 4
+        after = SourceSpan("bound.cpp", 1)
+        assert after is not before  # the table was cleared in between
+        assert after == before and hash(after) == hash(before)
+        assert {before: "x"}[after] == "x"
+
 
 class TestNodeBasics:
     def test_size_and_depth(self):
@@ -53,6 +87,19 @@ class TestNodeBasics:
     def test_add_chaining(self):
         n = Node("root").add(leaf("a")).add(leaf("b"))
         assert [c.label for c in n.children] == ["a", "b"]
+
+    def test_leaves_share_the_empty_tuple(self):
+        assert leaf("x").children is EMPTY
+        assert Node("y", children=[]).children is EMPTY
+        assert from_sexpr("(a b)").children[0].children is EMPTY
+
+    def test_add_on_a_leaf_gives_it_its_own_list(self):
+        a, b = leaf("a"), leaf("b")
+        a.add(leaf("c"))
+        assert type(a.children) is list and [c.label for c in a.children] == ["c"]
+        assert b.children is EMPTY
+        a.add(leaf("d"))
+        assert [c.label for c in a.children] == ["c", "d"]
 
     def test_preorder_order(self):
         t = from_sexpr("(a (b c) (d e))")
@@ -73,7 +120,7 @@ class TestNodeBasics:
         cur = root
         for i in range(10_000):
             nxt = Node(str(i + 1))
-            cur.children.append(nxt)
+            cur.add(nxt)
             cur = nxt
         assert root.size() == 10_001
         assert root.depth() == 10_001

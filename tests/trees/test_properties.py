@@ -40,7 +40,7 @@ def trees(draw, max_nodes=20):
             None,
             SourceSpan("f.cpp", draw(st.integers(min_value=1, max_value=30))),
         )
-        nodes[parent].children.append(child)
+        nodes[parent].add(child)
         nodes.append(child)
     return nodes[0]
 
@@ -127,7 +127,7 @@ def annotated_trees(draw, max_nodes=20):
     nodes = [node()]
     for _ in range(draw(st.integers(min_value=0, max_value=max_nodes - 1))):
         child = node()
-        nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))].children.append(child)
+        nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))].add(child)
         nodes.append(child)
     return nodes[0]
 

@@ -67,6 +67,6 @@ class TestStructuralHash:
         cur = root
         for i in range(5000):
             nxt = Node("n")
-            cur.children.append(nxt)
+            cur.add(nxt)
             cur = nxt
         assert len(structural_hash(root)) == 64

@@ -166,13 +166,13 @@ class TestTreeEncoding:
     def test_single_node(self):
         back = decode_tree(encode_tree(Node("", "ü")))
         assert (back.label, back.kind, back.span, back.attrs) == ("", "ü", None, {})
-        assert back.children == []
+        assert back.children == ()
 
     def test_deep_chain_is_iterative(self):
         root = Node("n0")
         cur = root
         for i in range(1, 10_000):
-            cur.children.append(Node(f"n{i % 7}", span=SourceSpan("f.cpp", i)))
+            cur.add(Node(f"n{i % 7}", span=SourceSpan("f.cpp", i)))
             cur = cur.children[0]
         enc = encode_tree(root)
         back = decode_tree(enc)
