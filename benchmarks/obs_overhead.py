@@ -13,11 +13,13 @@ harness measures that promise directly:
   the module attribute at call time, which is what makes the patch an
   honest stand-in.)
 
-Both run the same fixed workload (index two TeaLeaf ports from scratch +
-one semantic divergence). The variants alternate pass by pass: each pair
-runs one instrumented and one baseline pass (``repro.obs`` is patched just
-before the baseline pass and restored just after it), and the order flips
-every pair, so a loaded runner's slow spell falls on both variants alike.
+Both run the same fixed workload: index all ten TeaLeaf ports from scratch
+and compute the serial port's semantic divergence from each of the other
+nine, about 1 s per pass on a 2-vCPU host. The variants alternate pass by
+pass: each pair runs one instrumented and one baseline pass
+(``repro.obs`` is patched just before the baseline pass and restored just
+after it), and the order flips every pair, so a loaded runner's slow spell
+falls on both variants alike.
 The run fails when the median of the per-pair ratios (instrumented /
 baseline) exceeds ``1 + --threshold`` (default 5%).
 
@@ -42,7 +44,8 @@ from repro.distance.ted import clear_ted_cache
 from repro.workflow.comparer import MetricSpec, divergence_row
 from repro.workflow.indexer import index_codebase
 
-N_MODELS = 2
+#: TeaLeaf ports indexed per pass (all ten)
+N_MODELS = 10
 SPEC = MetricSpec("Tsem")
 
 
@@ -72,17 +75,18 @@ def _no_metric(name, value=1.0):
     return None
 
 
-def workload() -> float:
-    """One fixed cold pass: index N models, compute one divergence."""
+def workload() -> dict[str, float]:
+    """One fixed cold pass: index N models, then the first model's
+    divergence from each of the others."""
     clear_ted_cache()
     models = app_models("tealeaf")[:N_MODELS]
     cbs = []
     for model in models:
         cbs.append(index_codebase(get_spec("tealeaf", model), build_fs("tealeaf", model)))
-    return divergence_row(cbs[0], cbs[1:], SPEC)[cbs[1].model]
+    return divergence_row(cbs[0], cbs[1:], SPEC)
 
 
-def timed_pass(baseline: bool) -> tuple[float, float]:
+def timed_pass(baseline: bool) -> tuple[float, dict[str, float]]:
     """``(wall seconds, result)`` of one workload pass; a baseline pass
     runs with the ``repro.obs`` entry points patched to raw no-ops."""
     gc.collect()  # every pass starts from the same collector state
@@ -99,7 +103,7 @@ def timed_pass(baseline: bool) -> tuple[float, float]:
             setattr(obs, name, fn)
 
 
-def measure(repeats: int) -> tuple[list[tuple[float, float]], list[float]]:
+def measure(repeats: int) -> tuple[list[tuple[float, float]], list[dict[str, float]]]:
     """``repeats`` pairs of ``(instrumented, baseline)`` wall times, the
     two passes of a pair in alternating order, and every baseline result."""
     pairs, baseline_results = [], []

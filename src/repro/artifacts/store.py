@@ -259,11 +259,6 @@ class ShardMapStore(ArtifactStore):
             total += len(keys)
         return total
 
-    def iter_entries(self) -> Iterator[tuple[str, Any]]:
-        """All (key, value) pairs currently on disk (lenient)."""
-        for shard in self._shard_ids_on_disk():
-            yield from self._load(shard).items()
-
     def stats(self) -> dict:
         """Store summary for the CLI (strict per shard: unreadable shards
         are reported, not hidden)."""

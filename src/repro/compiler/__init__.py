@@ -11,7 +11,6 @@ finding that "T_ir seems to misbehave for offload models".
 from repro.compiler.ir import IRModule, IRFunction, IRBlock, IRInstr, IRGlobal
 from repro.compiler.lower import lower_unit, CompileOptions, CompileResult
 from repro.compiler.irtree import ir_to_tree, bundle_to_tree
-from repro.compiler.passes import fold_constants, eliminate_dead_instrs, run_default_pipeline
 
 __all__ = [
     "IRModule",
@@ -24,7 +23,4 @@ __all__ = [
     "CompileResult",
     "ir_to_tree",
     "bundle_to_tree",
-    "fold_constants",
-    "eliminate_dead_instrs",
-    "run_default_pipeline",
 ]

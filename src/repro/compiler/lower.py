@@ -113,9 +113,6 @@ class CompileResult:
     def is_bundle(self) -> bool:
         return bool(self.devices)
 
-    def all_modules(self) -> list[IRModule]:
-        return [self.host, *self.devices]
-
 
 def lower_unit(
     tu: TranslationUnit, sema: SemaResult, options: Optional[CompileOptions] = None

@@ -2,10 +2,11 @@
 
 Pipeline (mirrors Fig. 3 of the paper):
 
-``lexer`` → raw token stream (trivia preserved, for the pre-preprocessor
-CST and SLOC) → ``preprocessor`` (includes, macros, conditionals; OpenMP
-pragmas survive) → ``parser`` → AST → ``sema`` (symbol resolution, template
-instantiation, implicit nodes) → ``T_sem`` via :func:`ast_to_tree`.
+``lexer`` → raw token stream (trivia preserved, for SLOC; ``T_src`` pre
+via :func:`src_tree`) → ``preprocessor`` (includes, macros, conditionals;
+OpenMP pragmas survive; ``T_src`` post) → ``parser`` → AST → ``sema``
+(symbol resolution, template instantiation, implicit nodes) → ``T_sem`` via
+:func:`ast_to_tree`.
 
 The supported subset covers everything the mini-app corpus uses: functions,
 classes/structs with methods, namespaces, templates (declarations plus
@@ -17,7 +18,7 @@ OpenMP/OpenACC pragmas as first-class statements, and the CUDA/HIP dialect
 from repro.lang.cpp.lexer import lex, Token, TokenType
 from repro.lang.cpp.preprocessor import preprocess, PreprocessResult
 from repro.lang.cpp.parser import parse_tokens, parse_unit
-from repro.lang.cpp.cst import build_cst, normalized_src_tree
+from repro.lang.cpp.cst import src_tree
 from repro.lang.cpp.sema import analyze, SemaResult
 from repro.lang.cpp.asttree import ast_to_tree
 
@@ -29,8 +30,7 @@ __all__ = [
     "PreprocessResult",
     "parse_tokens",
     "parse_unit",
-    "build_cst",
-    "normalized_src_tree",
+    "src_tree",
     "analyze",
     "SemaResult",
     "ast_to_tree",

@@ -1,16 +1,20 @@
-"""Concrete syntax trees and the normalised ``T_src`` (paper §III-A, §IV-C).
+"""``T_src``: the bracket-structured token tree (paper §III-A, §IV-C).
 
 The paper obtains CSTs from tree-sitter because compiler plugin APIs expose
-no parse tree. Our from-scratch analogue builds a lossless bracket-structure
-tree over the full token stream (every token kept, trivia included), then
-``normalized_src_tree`` filters it the way the paper filters tree-sitter
-output: whitespace, comments and "anonymous" control tokens (punctuation)
-are dropped, leaving the tokenised view a syntax highlighter would show.
+no parse tree, and keeps what a syntax highlighter shows: whitespace,
+comments and "anonymous" control tokens (punctuation) are dropped. Our
+from-scratch analogue builds that view straight from the token stream:
+brackets become group nodes that carry the nesting, every keyword,
+identifier, literal and directive token becomes a node, and trivia and
+other punctuation make no node at all. No lossless CST is built first.
+Identifiers keep their text: T_src holds no node kind that name
+normalisation renames (DESIGN.md §1).
 
-Two CST flavours exist per unit, matching "languages that include a
+Two T_src flavours exist per unit, matching "languages that include a
 preprocessing phase will yield two T_src": ``pre`` (the raw file, with
 directives as nodes) and ``post`` (the preprocessed token stream, where
-included headers and macro expansions are visible).
+included headers and macro expansions are visible); the indexer builds
+both with :func:`src_tree`.
 """
 
 from __future__ import annotations
@@ -19,40 +23,38 @@ from typing import Optional
 
 from repro import diag
 from repro.lang.cpp.lexer import Token, TokenType, lex
-from repro.lang.cpp.preprocessor import preprocess
-from repro.lang.source import VirtualFS
 from repro.trees.node import Node, SourceSpan
 from repro.util.errors import ParseError
 
-_OPEN = {"(": ")", "[": "]", "{": "}"}
-_CLOSE = {")", "]", "}"}
-
 #: Group labels by their opening bracket.
 _GROUP_LABEL = {"(": "paren-group", "[": "bracket-group", "{": "brace-group"}
+_CLOSE = {")", "]", "}"}
+
+#: ``(kind, label)`` of the T_src leaf of each token class that makes one;
+#: a ``None`` label keeps the token's text. Trivia and punctuation make none.
+_LEAVES = {
+    TokenType.KEYWORD: ("kw", None),
+    TokenType.IDENT: ("ident", None),
+    TokenType.INT: ("lit", "int-lit"),
+    TokenType.FLOAT: ("lit", "float-lit"),
+    TokenType.STRING: ("lit", "str-lit"),
+    TokenType.CHAR: ("lit", "char-lit"),
+}
 
 
-def _token_node(tok: Token) -> Node:
-    """One CST leaf per token, labelled by lexical class."""
-    span = SourceSpan(tok.file, tok.line)
-    if tok.type is TokenType.KEYWORD:
-        return Node(tok.text, "kw", None, span)
-    if tok.type is TokenType.IDENT:
-        return Node(tok.text, "ident", None, span)
-    if tok.type is TokenType.INT:
-        return Node("int-lit", "lit", None, span, {"text": tok.text})
-    if tok.type is TokenType.FLOAT:
-        return Node("float-lit", "lit", None, span, {"text": tok.text})
-    if tok.type is TokenType.STRING:
-        return Node("str-lit", "lit", None, span, {"text": tok.text})
-    if tok.type is TokenType.CHAR:
-        return Node("char-lit", "lit", None, span, {"text": tok.text})
-    if tok.type is TokenType.COMMENT:
-        return Node("comment", "trivia", None, span)
-    if tok.type in (TokenType.WHITESPACE, TokenType.NEWLINE):
-        return Node("ws", "trivia", None, span)
+def _token_node(tok: Token) -> Optional[Node]:
+    """The T_src node of one token, labelled by lexical class; ``None`` for
+    trivia and punctuation."""
     if tok.type is TokenType.DIRECTIVE:
         return _directive_node(tok)
-    return Node(tok.text, "punct", None, span)
+    leaf = _LEAVES.get(tok.type)
+    if leaf is None:
+        return None
+    kind, label = leaf
+    span = SourceSpan(tok.file, tok.line)
+    if label is None:
+        return Node(tok.text, kind, None, span)
+    return Node(label, kind, None, span, {"text": tok.text})
 
 
 def _directive_node(tok: Token) -> Node:
@@ -75,10 +77,10 @@ def _directive_node(tok: Token) -> Node:
             children = [
                 _token_node(Token(t.type, t.text, tok.file, tok.line, t.col))
                 for t in lex(rest, tok.file)
-                if not t.is_trivia and t.type is not TokenType.EOF
             ]
             for child in children:
-                node.add(child)
+                if child is not None:
+                    node.add(child)
         except ParseError as e:
             # The directive body does not lex as C++ (e.g. an include path
             # with a stray quote). Keep the raw text — word per node — so
@@ -93,66 +95,28 @@ def _directive_node(tok: Token) -> Node:
     return node
 
 
-def build_cst(tokens: list[Token], path: str = "<memory>") -> Node:
-    """Lossless bracket-structure CST over a token stream."""
+def src_tree(tokens: list[Token], path: str = "<memory>") -> Node:
+    """``T_src`` of a token stream: bracket groups nest, and a group's span
+    runs to its closing bracket's line when that is in the same file."""
     root = Node("file", "cst", None, None, {"path": path})
     stack = [root]
     for tok in tokens:
-        if tok.type is TokenType.EOF:
-            continue
-        if tok.text in _OPEN and tok.type is TokenType.PUNCT:
-            group = Node(
-                _GROUP_LABEL[tok.text], "group", None, SourceSpan(tok.file, tok.line)
-            )
-            stack[-1].add(group)
-            stack.append(group)
-            continue
-        if tok.text in _CLOSE and tok.type is TokenType.PUNCT:
-            if len(stack) > 1:
-                top = stack.pop()
-                if top.span is not None and tok.file == top.span.file:
-                    top.span = SourceSpan(
-                        top.span.file, top.span.line_start, max(tok.line, top.span.line_start)
-                    )
-            continue
-        stack[-1].add(_token_node(tok))
+        if tok.type is TokenType.PUNCT:
+            label = _GROUP_LABEL.get(tok.text)
+            if label is not None:
+                group = Node(label, "group", None, SourceSpan(tok.file, tok.line))
+                stack[-1].add(group)
+                stack.append(group)
+                continue
+            if tok.text in _CLOSE:
+                if len(stack) > 1:
+                    top = stack.pop()
+                    if top.span is not None and tok.file == top.span.file:
+                        top.span = SourceSpan(
+                            top.span.file, top.span.line_start, max(tok.line, top.span.line_start)
+                        )
+                continue
+        node = _token_node(tok)
+        if node is not None:
+            stack[-1].add(node)
     return root
-
-
-def cst_pre(fs: VirtualFS, path: str) -> Node:
-    """Pre-preprocessor CST of one file (directives visible as nodes)."""
-    return build_cst(lex(fs.get(path).text, path), path)
-
-
-def cst_post(fs: VirtualFS, path: str, defines: Optional[dict[str, str]] = None) -> Node:
-    """Post-preprocessor CST of a unit (headers/macros expanded in)."""
-    pp = preprocess(fs, path, defines)
-    return build_cst(pp.tokens, path)
-
-
-#: Labels of CST nodes removed by T_src normalisation.
-_ANON_KINDS = frozenset({"trivia", "punct"})
-
-
-def normalized_src_tree(cst: Node) -> Node:
-    """``T_src``: drop trivia and anonymous punctuation, keep the rest.
-
-    Group nodes survive (they carry nesting structure, as tree-sitter's
-    named nodes do); keyword, identifier, literal and directive nodes
-    survive. Identifier *names* are erased later by the shared TED name
-    normalisation.
-    """
-
-    def rebuild(node: Node) -> Optional[Node]:
-        if node.kind in _ANON_KINDS:
-            return None
-        kept = []
-        for c in node.children:
-            rc = rebuild(c)
-            if rc is not None:
-                kept.append(rc)
-        return Node(node.label, node.kind, kept, node.span, dict(node.attrs))
-
-    out = rebuild(cst)
-    assert out is not None
-    return out

@@ -178,14 +178,6 @@ class Parser:
             return
         raise ParseError(f"expected '>', got {t.text!r}", t.file, t.line, t.col)
 
-    def _span_from(self, start: Token, end_off: int = -1) -> SourceSpan:
-        endt = self._peek(end_off) or start
-        lo = min(start.line, endt.line)
-        hi = max(start.line, endt.line)
-        if endt.file != start.file:
-            hi = start.line
-        return SourceSpan(start.file, lo, hi)
-
     # ------------------------------------------------------------------
     # panic-mode error recovery
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ Two behaviours the paper depends on are modelled explicitly:
   semantic AST nodes ("OpenMP pragmas are identified and retained even
   after preprocessing and normalisation steps", §III-C).
 * **Expansion bookkeeping** — every emitted token keeps its *original*
-  file/line, so the post-preprocessor CST attributes included/expanded
+  file/line, so the post-preprocessor T_src attributes included/expanded
   code to the header it came from. This is what makes the SYCL
   ``Source+pp`` blow-up (§V-C) measurable: the 20 MB ``<CL/sycl.hpp>``
   analogue lands in the unit.

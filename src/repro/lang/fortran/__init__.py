@@ -16,7 +16,7 @@ GIMPLE and ClangAST cannot be meaningfully compared across compilers.
 from repro.lang.fortran.lexer import lex_fortran, FtToken, FtTokenType
 from repro.lang.fortran.parser import parse_fortran
 from repro.lang.fortran.asttree import fortran_to_tree
-from repro.lang.fortran.cst import fortran_cst, fortran_src_tree
+from repro.lang.fortran.cst import fortran_src_tree
 from repro.lang.fortran.lower import lower_fortran
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "FtTokenType",
     "parse_fortran",
     "fortran_to_tree",
-    "fortran_cst",
     "fortran_src_tree",
     "lower_fortran",
 ]

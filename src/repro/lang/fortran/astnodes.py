@@ -109,19 +109,6 @@ class FtAssign(FtStmt):
     lhs: Optional[FtExpr] = None
     rhs: Optional[FtExpr] = None
 
-    @property
-    def is_array_op(self) -> bool:
-        """Whole-array or section assignment (vectorised semantics)."""
-
-        def arrayish(e: Optional[FtExpr]) -> bool:
-            if isinstance(e, FtCallOrIndex):
-                return e.is_index is True and any(isinstance(a, FtRange) for a in e.args)
-            if isinstance(e, FtIdent):
-                return False  # resolved later by sema flag in attrs
-            return False
-
-        return arrayish(self.lhs)
-
 
 @dataclass
 class FtCallStmt(FtStmt):

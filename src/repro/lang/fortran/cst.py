@@ -1,9 +1,11 @@
-"""MiniFortran CST and normalised ``T_src``.
+"""MiniFortran ``T_src``: the statement-structured token tree.
 
-tree-sitter-fortran analogue: a lossless token tree with paren grouping and
-block nesting (``do``/``if``/``program`` regions), from which ``T_src``
-drops comments and punctuation. Directives stay, with their semantic words
-visible — identically to the C++ side.
+tree-sitter-fortran analogue: one statement node per token line, paren
+grouping within it and block nesting (``do``/``if``/``program`` regions),
+built straight from the tokens. Comments and punctuation make no node, as
+in the C++ T_src; a line of nothing else still gets its (empty) statement.
+Directives stay, with their semantic words visible — identically to the
+C++ side.
 """
 
 from __future__ import annotations
@@ -16,27 +18,32 @@ from repro.trees.node import Node, SourceSpan
 _BLOCK_OPENERS = frozenset({"program", "module", "subroutine", "function", "do", "if"})
 
 
-def _token_node(tok: FtToken) -> Node:
-    span = SourceSpan(tok.file, tok.line)
-    if tok.type is FtTokenType.KEYWORD:
-        return Node(tok.text, "kw", None, span)
-    if tok.type is FtTokenType.IDENT:
-        return Node(tok.text, "ident", None, span)
-    if tok.type is FtTokenType.INT:
-        return Node("int-lit", "lit", None, span, {"text": tok.text})
-    if tok.type is FtTokenType.REAL:
-        return Node("real-lit", "lit", None, span, {"text": tok.text})
-    if tok.type is FtTokenType.STRING:
-        return Node("str-lit", "lit", None, span, {"text": tok.text})
-    if tok.type is FtTokenType.LOGICAL:
-        return Node("logical-lit", "lit", None, span, {"text": tok.text})
-    if tok.type is FtTokenType.DOTOP:
-        return Node(tok.text, "kw", None, span)
-    if tok.type is FtTokenType.COMMENT:
-        return Node("comment", "trivia", None, span)
+#: ``(kind, label)`` of the T_src leaf of each token class that makes one;
+#: a ``None`` label keeps the token's text. Comments and punctuation make
+#: none.
+_LEAVES = {
+    FtTokenType.KEYWORD: ("kw", None),
+    FtTokenType.IDENT: ("ident", None),
+    FtTokenType.INT: ("lit", "int-lit"),
+    FtTokenType.REAL: ("lit", "real-lit"),
+    FtTokenType.STRING: ("lit", "str-lit"),
+    FtTokenType.LOGICAL: ("lit", "logical-lit"),
+    FtTokenType.DOTOP: ("kw", None),
+}
+
+
+def _token_node(tok: FtToken) -> Optional[Node]:
+    """The T_src node of one token; ``None`` for comments and punctuation."""
     if tok.type is FtTokenType.DIRECTIVE:
         return _directive_node(tok)
-    return Node(tok.text, "punct", None, span)
+    leaf = _LEAVES.get(tok.type)
+    if leaf is None:
+        return None
+    kind, label = leaf
+    span = SourceSpan(tok.file, tok.line)
+    if label is None:
+        return Node(tok.text, kind, None, span)
+    return Node(label, kind, None, span, {"text": tok.text})
 
 
 def _directive_node(tok: FtToken) -> Node:
@@ -52,77 +59,55 @@ def _directive_node(tok: FtToken) -> Node:
     return node
 
 
-def fortran_cst(text: str, path: str = "<memory>", tolerant: bool = False) -> Node:
-    """Lossless-ish CST: file → statements/blocks → token leaves."""
-    toks = lex_fortran(text, path, tolerant=tolerant)
-    root = Node("file", "cst", None, None, {"path": path})
-    # stack of (container node, kind) for block nesting
-    stack: list[Node] = [root]
-    line: list[Node] = []
-    line_first: list[FtToken] = []
-
-    def flush() -> None:
-        nonlocal line, line_first
-        if not line:
-            return
-        first = line_first[0] if line_first else None
-        stmt = Node("stmt", "cst-stmt", None, SourceSpan(first.file, first.line) if first else None)
-        # paren grouping within the statement
-        gstack = [stmt]
-        for nd, tk in zip(line, line_first):
-            if tk.text == "(" and tk.type is FtTokenType.PUNCT:
+def _statement(line: list[FtToken]) -> Node:
+    """The statement node of one token line, with its paren groups."""
+    first = line[0]
+    stmt = Node("stmt", "cst-stmt", None, SourceSpan(first.file, first.line))
+    gstack = [stmt]
+    for tk in line:
+        if tk.type is FtTokenType.PUNCT:
+            if tk.text == "(":
                 g = Node("paren-group", "group", None, SourceSpan(tk.file, tk.line))
                 gstack[-1].add(g)
                 gstack.append(g)
                 continue
-            if tk.text == ")" and tk.type is FtTokenType.PUNCT:
+            if tk.text == ")":
                 if len(gstack) > 1:
                     gstack.pop()
                 continue
+        nd = _token_node(tk)
+        if nd is not None:
             gstack[-1].add(nd)
-        # block structure
-        head = line_first[0]
+    return stmt
+
+
+def fortran_src_tree(text: str, path: str = "<memory>", tolerant: bool = False) -> Node:
+    """``T_src`` of one Fortran file: file → statements/blocks → tokens."""
+    root = Node("file", "cst", None, None, {"path": path})
+    # open blocks, innermost last
+    stack: list[Node] = [root]
+    line: list[FtToken] = []
+    for tok in lex_fortran(text, path, tolerant=tolerant):
+        if tok.type not in (FtTokenType.NEWLINE, FtTokenType.EOF):
+            line.append(tok)
+            continue
+        if not line:
+            continue
+        stmt = _statement(line)
+        head = line[0]
         head_word = head.text if head.type is FtTokenType.KEYWORD else ""
-        words = [t.text for t in line_first if t.type is FtTokenType.KEYWORD]
         if head_word == "end" or head_word in ("enddo", "endif"):
             if len(stack) > 1:
                 stack.pop()
             stack[-1].add(stmt)
-        elif head_word in _BLOCK_OPENERS and ("then" in words or head_word != "if"):
+        elif head_word in _BLOCK_OPENERS and (
+            head_word != "if"
+            or any(t.text == "then" for t in line if t.type is FtTokenType.KEYWORD)
+        ):
             block = Node(f"{head_word}-block", "block", [stmt], stmt.span)
             stack[-1].add(block)
             stack.append(block)
         else:
             stack[-1].add(stmt)
         line = []
-        line_first = []
-
-    for tok in toks:
-        if tok.type in (FtTokenType.NEWLINE, FtTokenType.EOF):
-            flush()
-            continue
-        line.append(_token_node(tok))
-        line_first.append(tok)
-    flush()
     return root
-
-
-_ANON_KINDS = frozenset({"trivia", "punct"})
-
-
-def fortran_src_tree(cst: Node) -> Node:
-    """``T_src``: drop trivia and anonymous punctuation."""
-
-    def rebuild(node: Node) -> Optional[Node]:
-        if node.kind in _ANON_KINDS:
-            return None
-        kept = []
-        for c in node.children:
-            rc = rebuild(c)
-            if rc is not None:
-                kept.append(rc)
-        return Node(node.label, node.kind, kept, node.span, dict(node.attrs))
-
-    out = rebuild(cst)
-    assert out is not None
-    return out

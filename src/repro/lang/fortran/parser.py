@@ -789,50 +789,51 @@ def _attach_directives(stmts: list[FtStmt]) -> None:
 
 def _resolve_indexing(unit: FtUnit, array_names: set[str]) -> None:
     """Mark FtCallOrIndex nodes as array indexing vs function calls."""
-
-    def walk_expr(e):
-        if isinstance(e, FtCallOrIndex):
-            if e.is_index is None:
-                low = e.name.lower()
-                e.is_index = low in array_names and low not in INTRINSICS
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, FtBinOp):
-            walk_expr(e.lhs)
-            walk_expr(e.rhs)
-        elif isinstance(e, FtUnOp):
-            walk_expr(e.operand)
-        elif isinstance(e, FtRange):
-            for x in (e.lo, e.hi, e.step):
-                if x is not None:
-                    walk_expr(x)
-
-    def walk_stmt(s):
-        for attr in ("lhs", "rhs", "cond", "lo", "hi", "step", "code"):
-            v = getattr(s, attr, None)
-            if isinstance(v, FtExpr):
-                walk_expr(v)
-        for attr in ("args", "items"):
-            v = getattr(s, attr, None)
-            if isinstance(v, list):
-                for x in v:
-                    if isinstance(x, FtExpr):
-                        walk_expr(x)
-        for attr in ("body", "then", "other"):
-            v = getattr(s, attr, None)
-            if isinstance(v, list):
-                for x in v:
-                    walk_stmt(x)
-        if isinstance(s, FtIf):
-            for c, blk in s.elifs:
-                walk_expr(c)
-                for x in blk:
-                    walk_stmt(x)
-
     for st in unit.decls + unit.body:
-        walk_stmt(st)
+        _resolve_stmt(st, array_names)
     for sub in unit.contains:
         _resolve_indexing(sub, array_names)
+
+
+def _resolve_expr(e, array_names: set[str]) -> None:
+    if isinstance(e, FtCallOrIndex):
+        if e.is_index is None:
+            low = e.name.lower()
+            e.is_index = low in array_names and low not in INTRINSICS
+        for a in e.args:
+            _resolve_expr(a, array_names)
+    elif isinstance(e, FtBinOp):
+        _resolve_expr(e.lhs, array_names)
+        _resolve_expr(e.rhs, array_names)
+    elif isinstance(e, FtUnOp):
+        _resolve_expr(e.operand, array_names)
+    elif isinstance(e, FtRange):
+        for x in (e.lo, e.hi, e.step):
+            if x is not None:
+                _resolve_expr(x, array_names)
+
+
+def _resolve_stmt(s, array_names: set[str]) -> None:
+    for attr in ("lhs", "rhs", "cond", "lo", "hi", "step", "code"):
+        v = getattr(s, attr, None)
+        if isinstance(v, FtExpr):
+            _resolve_expr(v, array_names)
+    for attr in ("args", "items"):
+        v = getattr(s, attr, None)
+        if isinstance(v, list):
+            for x in v:
+                if isinstance(x, FtExpr):
+                    _resolve_expr(x, array_names)
+    for attr in ("body", "then", "other"):
+        v = getattr(s, attr, None)
+        if isinstance(v, list):
+            for x in v:
+                _resolve_stmt(x, array_names)
+    if isinstance(s, FtIf):
+        for c, blk in s.elifs:
+            _resolve_expr(c, array_names)
+            for x in blk:
+                _resolve_stmt(x, array_names)
 
 
 def parse_fortran(text: str, path: str = "<memory>", recover: bool = False) -> FtFile:

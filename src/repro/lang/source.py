@@ -10,7 +10,7 @@ those out, and ``T_sem+i`` refuses to inline code that comes from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.util.errors import WorkflowError
 
@@ -78,13 +78,3 @@ class VirtualFS:
     def paths(self) -> list[str]:
         return sorted(self.files)
 
-    def user_paths(self) -> list[str]:
-        """Paths excluding the system-include tree."""
-        return [p for p in self.paths() if not is_system_path(p)]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "VirtualFS":
-        fs = cls()
-        for path, text in pairs:
-            fs.add(path, text)
-        return fs

@@ -13,7 +13,7 @@ from repro.metrics.lloc import lloc
 from repro.metrics.source_dist import source_distance
 from repro.metrics.treemetrics import tree_distance, unit_trees
 from repro.metrics.tbmd import tbmd, TbmdResult
-from repro.metrics.registry import METRIC_TABLE, MetricInfo, all_metric_names
+from repro.metrics.registry import METRIC_TABLE, MetricInfo
 from repro.metrics.coupling import module_coupling, dependency_graph
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "TbmdResult",
     "METRIC_TABLE",
     "MetricInfo",
-    "all_metric_names",
     "module_coupling",
     "dependency_graph",
 ]

@@ -3,7 +3,7 @@
 A logical line is a statement (semicolon-terminated in C++, a statement
 line in Fortran) or a control construct header counted once regardless of
 line breaks; the counts come from the lexical summaries the indexer builds
-from the CST-level token stream.
+from the token streams.
 """
 
 from __future__ import annotations

@@ -31,14 +31,3 @@ METRIC_TABLE: tuple[MetricInfo, ...] = (
     MetricInfo("Performance", "Relative (P)", "Runtime", ()),
 )
 
-
-def all_metric_names(include_variants: bool = False) -> list[str]:
-    """Names of all metrics, optionally with their variant spellings."""
-    out: list[str] = []
-    for m in METRIC_TABLE:
-        out.append(m.name)
-        if include_variants:
-            for v in m.variants:
-                suffix = {"+preprocessor": "+pp", "+coverage": "+cov", "+inlining": "+i"}[v]
-                out.append(m.name + suffix)
-    return out

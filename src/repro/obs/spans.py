@@ -176,12 +176,6 @@ class Collector:
     def roots(self) -> list[SpanRecord]:
         return [r for r in self.spans if r.parent < 0]
 
-    def children_of(self, index: int) -> list[SpanRecord]:
-        return [r for r in self.spans if r.parent == index]
-
-    def total_time(self) -> float:
-        return sum(r.duration for r in self.roots())
-
 
 # ---------------------------------------------------------------------------
 # Collector installation

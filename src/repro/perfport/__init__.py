@@ -11,7 +11,7 @@ shapes are exactly the artefacts the paper reports.
 
 from repro.perfport.platforms import Platform, PLATFORMS, platform_by_abbr
 from repro.perfport.perfmodel import PerfModel, EfficiencyMatrix
-from repro.perfport.pp_metric import phi, app_efficiency
+from repro.perfport.pp_metric import phi
 from repro.perfport.cascade import CascadeData, cascade
 from repro.perfport.navigation import NavigationChart, NavPoint, navigation_chart
 
@@ -22,7 +22,6 @@ __all__ = [
     "PerfModel",
     "EfficiencyMatrix",
     "phi",
-    "app_efficiency",
     "CascadeData",
     "cascade",
     "NavigationChart",

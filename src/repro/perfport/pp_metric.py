@@ -22,11 +22,6 @@ def phi(efficiencies: Iterable[float]) -> float:
     return len(effs) / sum(1.0 / e for e in effs)
 
 
-def app_efficiency(perf: float, best: float) -> float:
-    """Application efficiency: achieved / best-observed on the platform."""
-    return perf / best if best > 0 else 0.0
-
-
 def phi_table(matrix: EfficiencyMatrix) -> dict[str, float]:
     """Φ per model over the full platform set of the matrix."""
     with obs.span("phi", app=matrix.app, models=len(matrix.models)):

@@ -10,7 +10,7 @@ requires.
 
 from repro.trees.node import Node, SourceSpan
 from repro.trees.builders import leaf, tree, from_sexpr, to_sexpr
-from repro.trees.normalize import normalize_names, strip_non_semantic
+from repro.trees.normalize import normalize_names
 from repro.trees.inline import inline_calls
 from repro.trees.coverage_mask import mask_tree
 from repro.trees.stats import TreeStats, tree_stats, label_histogram
@@ -24,7 +24,6 @@ __all__ = [
     "from_sexpr",
     "to_sexpr",
     "normalize_names",
-    "strip_non_semantic",
     "inline_calls",
     "mask_tree",
     "TreeStats",

@@ -72,17 +72,13 @@ def mask_tree(root: Node, mask: LineMask) -> Optional[Node]:
     covered code are always retained so the tree stays connected.
     """
 
-    def prune(node: Node) -> Optional[Node]:
-        kept_children = []
-        for c in node.children:
-            pc = prune(c)
-            if pc is not None:
-                kept_children.append(pc)
-        self_covered = node.span is None or mask.covered_span(
-            node.span.file, node.span.line_start, node.span.line_end
-        )
-        if not self_covered and not kept_children:
-            return None
-        return Node(node.label, node.kind, kept_children, node.span, dict(node.attrs))
-
-    return prune(root)
+    kept_children = []
+    for c in root.children:
+        pc = mask_tree(c, mask)
+        if pc is not None:
+            kept_children.append(pc)
+    span = root.span
+    self_covered = span is None or mask.covered_span(span.file, span.line_start, span.line_end)
+    if not self_covered and not kept_children:
+        return None
+    return Node(root.label, root.kind, kept_children, span, dict(root.attrs))

@@ -51,35 +51,52 @@ def inline_calls(
         Inlining fuel; bounds recursive expansion.
     """
     if is_local is None:
-
-        def is_local(node: Node) -> bool:
-            return not node.attrs.get("system", False)
-
-    def expand(node: Node, depth: int, active: frozenset[str], share: bool) -> Node:
-        """``node`` with its local calls expanded: ``node`` itself when
-        ``share`` holds and nothing below it changed, else a fresh node.
-        Inlined bodies expand with ``share`` off, so they are copies."""
-        new_children = [expand(c, depth, active, share) for c in node.children]
-        callee = node.attrs.get("callee")
-        inline = (
-            node.kind == "call"
-            and callee is not None
-            and callee in definitions
-            and callee not in active
-            and depth < max_depth
-            and is_local(node)
-        )
-        if share and not inline and all(map(operator.is_, new_children, node.children)):
-            return node
-        clone = Node(node.label, node.kind, new_children, node.span, dict(node.attrs))
-        if inline:
-            body = expand(definitions[callee], depth + 1, active | {callee}, False)
-            clone.add(Node("inlined-body", "inline", [body], clone.span, {"callee": callee}))
-            clone.attrs["inlined"] = True
-        return clone
-
-    out = expand(root, 0, frozenset(), True)
+        is_local = _not_system
+    out = _expand(root, 0, frozenset(), True, definitions, is_local, max_depth)
     return root.copy(deep=False) if out is root else out
+
+
+def _not_system(node: Node) -> bool:
+    """The default ``is_local``: the call is not marked ``attrs["system"]``."""
+    return not node.attrs.get("system", False)
+
+
+def _expand(
+    node: Node,
+    depth: int,
+    active: frozenset[str],
+    share: bool,
+    definitions: Mapping[str, Node],
+    is_local: Callable[[Node], bool],
+    max_depth: int,
+) -> Node:
+    """``node`` with its local calls expanded: ``node`` itself when ``share``
+    holds and nothing below it changed, else a fresh node. Inlined bodies
+    expand with ``share`` off, so they are copies."""
+    new_children = [
+        _expand(c, depth, active, share, definitions, is_local, max_depth)
+        for c in node.children
+    ]
+    callee = node.attrs.get("callee")
+    inline = (
+        node.kind == "call"
+        and callee is not None
+        and callee in definitions
+        and callee not in active
+        and depth < max_depth
+        and is_local(node)
+    )
+    if share and not inline and all(map(operator.is_, new_children, node.children)):
+        return node
+    clone = Node(node.label, node.kind, new_children, node.span, dict(node.attrs))
+    if inline:
+        body = _expand(
+            definitions[callee], depth + 1, active | {callee}, False,
+            definitions, is_local, max_depth,
+        )
+        clone.add(Node("inlined-body", "inline", [body], clone.span, {"callee": callee}))
+        clone.attrs["inlined"] = True
+    return clone
 
 
 def collect_definitions(root: Node) -> dict[str, Node]:

@@ -1,10 +1,14 @@
-"""Name normalisation and non-semantic-node stripping (paper §III-B, §IV-A).
+"""Name normalisation of ``T_sem`` (paper §III-B, §IV-A).
 
 The paper normalises programmer-introduced names to their token *type* so
 that TED "preserv[es] the overall semantic structure and control flow graph";
-a subtree with the closest structure then has the minimal distance. It also
-discards non-semantic ClangAST noise (implicit casts, value-category nodes)
-when forming ``T_sem``.
+a subtree with the closest structure then has the minimal distance.
+
+The paper also discards non-semantic ClangAST noise (implicit casts,
+value-category nodes) when forming ``T_sem``. Our frontends emit no such
+node, so there is nothing to discard and no pass for it. T_src is not
+renamed either: none of its node kinds is a :data:`NAMED_KINDS` kind, so
+its identifiers keep their text (DESIGN.md §1).
 """
 
 from __future__ import annotations
@@ -31,18 +35,6 @@ NAMED_KINDS = frozenset(
     }
 )
 
-#: Labels of nodes the frontend emits for C++ nuance but that carry no
-#: semantics of their own (ClangAST's implicit casts et al.).
-NON_SEMANTIC_LABELS = frozenset(
-    {
-        "implicit-cast",
-        "lvalue-to-rvalue",
-        "paren",
-        "exprstmt-cleanup",
-        "materialize-temporary",
-    }
-)
-
 
 def normalize_names(root: Node) -> Node:
     """Return a copy of ``root`` with programmer names erased.
@@ -60,23 +52,3 @@ def normalize_names(root: Node) -> Node:
 
     return root.map_nodes(fix)
 
-
-def strip_non_semantic(root: Node) -> Node:
-    """Return a copy of ``root`` with non-semantic wrapper nodes spliced out.
-
-    A non-semantic node is replaced by its children (hoisted into the
-    parent), mirroring how the paper discards implicit/value-category casts
-    when generating ``T_sem``. The root is never spliced.
-    """
-
-    def rebuild(node: Node) -> Node:
-        new_children: list[Node] = []
-        for c in node.children:
-            rc = rebuild(c)
-            if rc.label in NON_SEMANTIC_LABELS:
-                new_children.extend(rc.children)
-            else:
-                new_children.append(rc)
-        return Node(node.label, node.kind, new_children, node.span, dict(node.attrs))
-
-    return rebuild(root)

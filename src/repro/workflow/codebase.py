@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.coverage.profile import CoverageProfile
 from repro.lang.source import VirtualFS
-from repro.trees.coverage_mask import LineMask, mask_tree
+from repro.trees.coverage_mask import LineMask
 from repro.trees.node import Node
 
 
@@ -74,10 +74,6 @@ class IndexedUnit:
             "sem+i": self.t_sem_inlined,
             "ir": self.t_ir,
         }[which]
-
-    def masked_tree(self, which: str, mask: LineMask) -> Optional[Node]:
-        t = self.tree(which)
-        return mask_tree(t, mask) if t is not None else None
 
 
 @dataclass

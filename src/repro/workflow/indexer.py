@@ -10,6 +10,12 @@ For every translation unit this extracts (Fig. 3 of the paper):
 and optionally executes the unit's verification run in the interpreter to
 obtain the coverage profile.
 
+No tree is copied unless the copy changes it: ``T_src`` is built straight
+from the token streams (identifiers keep their text), ``T_sem`` is the
+frontend's tree with programmer names normalised, and ``T_sem+i`` shares
+every ``T_sem`` subtree that inlines nothing (DESIGN.md §"T_src and T_sem
+passes").
+
 Fault tolerance: by default each unit is indexed with recovering frontends
 (tolerant lexing + panic-mode parsing), and a unit whose frontend still
 fails is *quarantined* — it degrades to raw-text SLOC metrics with no
@@ -36,19 +42,19 @@ from repro.compiler import CompileOptions, bundle_to_tree, lower_unit
 from repro.coverage.profile import CoverageProfile, profile_from_run
 from repro.exec.interpreter import run_program
 from repro.lang.cpp.asttree import ast_to_tree
-from repro.lang.cpp.cst import build_cst, normalized_src_tree
+from repro.lang.cpp.cst import src_tree
 from repro.lang.cpp.lexer import Token, TokenType, lex
 from repro.lang.cpp.parser import parse_tokens
 from repro.lang.cpp.preprocessor import preprocess
 from repro.lang.cpp.sema import analyze
-from repro.lang.fortran.cst import fortran_cst, fortran_src_tree
+from repro.lang.fortran.cst import fortran_src_tree
 from repro.lang.fortran.lexer import FtTokenType, lex_fortran
 from repro.lang.fortran.parser import parse_fortran
 from repro.lang.fortran.asttree import fortran_to_tree
 from repro.lang.fortran.lower import lower_fortran
 from repro.lang.source import VirtualFS
 from repro.trees.inline import collect_definitions, inline_calls
-from repro.trees.normalize import normalize_names, strip_non_semantic
+from repro.trees.normalize import normalize_names
 from repro.util.errors import ReproError
 from repro.workflow.codebase import IndexedCodebase, IndexedUnit, ModelSpec
 from repro.workflow.linesummary import LineSummary
@@ -128,20 +134,16 @@ def index_cpp_unit(
 
     # trees
     with obs.span("trees.src", path=path):
-        unit.t_src_pre = normalize_names(
-            normalized_src_tree(build_cst(lex(fs.get(path).text, path, tolerant=recover), path))
-        )
-        unit.t_src_post = normalize_names(normalized_src_tree(build_cst(pp.tokens, path)))
+        unit.t_src_pre = src_tree(lex(fs.get(path).text, path, tolerant=recover), path)
+        unit.t_src_post = src_tree(pp.tokens, path)
     with obs.span("parse", path=path):
         tu = parse_tokens(pp.tokens, path, recover=recover)
     with obs.span("sema", path=path):
         sema = analyze(tu)
     with obs.span("trees.sem", path=path):
-        sem_raw = strip_non_semantic(ast_to_tree(tu, sema))
-        sem_named = normalize_names(sem_raw)
-        unit.t_sem = sem_named
-        defs = collect_definitions(sem_named)
-        unit.t_sem_inlined = inline_calls(sem_named, defs)
+        sem = normalize_names(ast_to_tree(tu, sema))
+        unit.t_sem = sem
+        unit.t_sem_inlined = inline_calls(sem, collect_definitions(sem))
     with obs.span("lower", path=path):
         bundle = lower_unit(tu, sema, options)
         unit.t_ir = bundle_to_tree(bundle)
@@ -186,8 +188,7 @@ def index_fortran_unit(fs: VirtualFS, role: str, path: str, recover: bool = Fals
     unit.source_tags_post = list(ls.tags)
 
     with obs.span("trees.src", path=path):
-        cst = fortran_cst(text, path, tolerant=recover)
-        unit.t_src_pre = normalize_names(fortran_src_tree(cst))
+        unit.t_src_pre = fortran_src_tree(text, path, tolerant=recover)
         unit.t_src_post = unit.t_src_pre
     with obs.span("parse", path=path):
         ftfile = parse_fortran(text, path, recover=recover)

@@ -32,7 +32,7 @@ from repro.workflow.codebase import IndexedUnit, ModelSpec
 from repro.workflow.codebasedb import _unit_from_obj, _unit_to_obj
 
 SCHEMA = "repro.index/v1"
-KEY_SPEC = "unit:frontend:v3"
+KEY_SPEC = "unit:frontend:v4"
 
 
 def _text_hash(text: str) -> str:

@@ -196,3 +196,10 @@ class TestBundleTree:
         t = bundle_to_tree(res)
         spanned = [n for n in t.preorder() if n.span is not None]
         assert spanned
+
+
+class TestRender:
+    def test_render_smoke(self):
+        m = lower("int f() { return 1; }").host
+        text = m.render()
+        assert "define @f()" in text and "ret" in text

@@ -13,7 +13,10 @@ import pytest
 
 from repro.corpus import APPS, app_models, build_fs, get_spec, index_model
 from repro.metrics import sloc
+from repro.serde.msgpack import pack
+from repro.trees.hashing import structural_hash
 from repro.util.errors import WorkflowError
+from repro.workflow.codebasedb import encode_tree
 from repro.workflow.comparer import MetricSpec, divergence
 
 # the fast representative subset used for per-model checks
@@ -77,6 +80,40 @@ def test_port_coverage_record_matches_golden(app, model):
     assert coverage_record(cb) == COVERAGE_GOLDEN[f"{app}/{model}"]
 
 
+#: every port's five trees per unit, written while T_src was still a
+#: filtered lossless CST: building it straight from the tokens changes none
+TREE_GOLDEN = json.loads((Path(__file__).parent / "tree_golden.json").read_text())
+
+TREE_FIELDS = ("t_src_pre", "t_src_post", "t_sem", "t_sem_inlined", "t_ir")
+
+
+def tree_identity(cb) -> dict:
+    """Per unit and tree: the structural hash (labels, kinds, shape; as in
+    ``bench_e2e/reference.json``) and a digest of the flat encoding, which
+    also pins spans and attributes."""
+    out = {}
+    for role, u in sorted(cb.units.items()):
+        out[role] = {}
+        for name in TREE_FIELDS:
+            t = getattr(u, name)
+            out[role][name] = None if t is None else [
+                structural_hash(t),
+                hashlib.sha256(pack(encode_tree(t))).hexdigest()[:16],
+            ]
+    return out
+
+
+def test_tree_golden_covers_every_port():
+    assert sorted(TREE_GOLDEN) == sorted(f"{a}/{m}" for a, m in all_pairs())
+
+
+@pytest.mark.parametrize("app,model", all_pairs())
+def test_port_trees_match_golden(app, model):
+    # served by index_model's in-process cache, like the coverage golden
+    cb = index_model(app, model, coverage=True)
+    assert tree_identity(cb) == TREE_GOLDEN[f"{app}/{model}"]
+
+
 @pytest.mark.parametrize("app", CPP_APPS)
 def test_self_divergence_is_zero(app):
     """The built-in self-check: base model vs itself must be exactly zero."""
@@ -99,8 +136,7 @@ def test_every_model_diverges_from_serial(app):
 def test_shared_header_contributes_zero():
     """'any boilerplate code shared between all models will not have any
     impact on the metric' — shared headers hash identically."""
-    from repro.trees.hashing import structural_hash
-    from repro.lang.cpp.cst import build_cst
+    from repro.lang.cpp.cst import src_tree
     from repro.lang.cpp.lexer import lex
 
     fs_a = build_fs("babelstream", "serial")
@@ -108,8 +144,8 @@ def test_shared_header_contributes_zero():
     header_a = fs_a.get("stream_common.h").text
     header_b = fs_b.get("stream_common.h").text
     assert header_a == header_b
-    ha = structural_hash(build_cst(lex(header_a, "h"), "h"))
-    hb = structural_hash(build_cst(lex(header_b, "h"), "h"))
+    ha = structural_hash(src_tree(lex(header_a, "h"), "h"))
+    hb = structural_hash(src_tree(lex(header_b, "h"), "h"))
     assert ha == hb
 
 

@@ -108,13 +108,13 @@ class TestOmpSemantics:
 
     def test_tsem_exceeds_tsrc_for_omp(self):
         """The §V-C finding: directives carry more semantics than source."""
-        from repro.lang.cpp.cst import build_cst, normalized_src_tree
+        from repro.lang.cpp.cst import src_tree
         from repro.lang.cpp.lexer import lex
 
         t_sem = sem_tree(self.CODE)
         pragma_sem = t_sem.find_labels("omp-parallel-for")[0]
-        cst = normalized_src_tree(build_cst(lex(self.CODE, "m"), "m"))
-        pragma_src = [n for n in cst.preorder() if n.label.startswith("directive")][0]
+        t_src = src_tree(lex(self.CODE, "m"), "m")
+        pragma_src = [n for n in t_src.preorder() if n.label.startswith("directive")][0]
         # the semantic subtree is strictly richer than the source tokens
         assert pragma_sem.size() > pragma_src.size()
 

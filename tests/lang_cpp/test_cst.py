@@ -1,8 +1,10 @@
-"""CST construction and T_src normalisation."""
+"""T_src construction: the bracket-structured token tree."""
 
-from repro.lang.cpp.cst import build_cst, cst_post, cst_pre, normalized_src_tree
+from repro.compiler import CompileOptions
+from repro.lang.cpp.cst import src_tree
 from repro.lang.cpp.lexer import lex
 from repro.lang.source import VirtualFS
+from repro.workflow.indexer import index_cpp_unit
 
 
 def fs_with(text, **files):
@@ -13,79 +15,85 @@ def fs_with(text, **files):
     return fs
 
 
+def t_src(text):
+    return src_tree(lex(text, "m"), "m")
+
+
 class TestBuildCst:
     def test_bracket_grouping(self):
-        cst = build_cst(lex("int f(int a) { return a; }", "m"), "m")
-        groups = [n.label for n in cst.preorder() if n.kind == "group"]
+        t = t_src("int f(int a) { return a; }")
+        groups = [n.label for n in t.preorder() if n.kind == "group"]
         assert "paren-group" in groups and "brace-group" in groups
 
     def test_nesting(self):
-        cst = build_cst(lex("f(g(x));", "m"), "m")
-        outer = cst.find_labels("paren-group")[0]
+        t = t_src("f(g(x));")
+        outer = t.find_labels("paren-group")[0]
         assert outer.find_labels("paren-group")  # inner group nested
 
-    def test_all_tokens_kept(self):
-        text = "int x = 1; // comment"
-        cst = build_cst(lex(text, "m"), "m")
-        kinds = {n.kind for n in cst.preorder()}
-        assert "trivia" in kinds and "punct" in kinds and "kw" in kinds
-
     def test_literal_classification(self):
-        cst = build_cst(lex('x = 1 + 2.5 + "s";', "m"), "m")
-        labels = [n.label for n in cst.preorder()]
+        t = t_src('x = 1 + 2.5 + "s";')
+        labels = [n.label for n in t.preorder()]
         assert "int-lit" in labels and "float-lit" in labels and "str-lit" in labels
 
     def test_spans_recorded(self):
-        cst = build_cst(lex("int a;\nint b;", "m"), "m")
-        b = [n for n in cst.preorder() if n.label == "b"][0]
+        t = t_src("int a;\nint b;")
+        b = [n for n in t.preorder() if n.label == "b"][0]
         assert b.span.line_start == 2
+
+    def test_group_span_runs_to_closing_bracket(self):
+        t = t_src("int f() {\n  return 1;\n}")
+        brace = t.find_labels("brace-group")[0]
+        assert (brace.span.line_start, brace.span.line_end) == (1, 3)
 
 
 class TestNormalizedSrcTree:
     def test_trivia_and_punct_dropped(self):
-        cst = build_cst(lex("int x = 1; // note", "m"), "m")
-        t = normalized_src_tree(cst)
-        kinds = {n.kind for n in t.preorder()}
-        assert "trivia" not in kinds and "punct" not in kinds
+        t = t_src("int x = 1; // note")
+        assert [(n.label, n.kind) for n in t.preorder()] == [
+            ("file", "cst"), ("int", "kw"), ("x", "ident"), ("int-lit", "lit"),
+        ]
 
     def test_keywords_and_idents_kept(self):
-        cst = build_cst(lex("for (int i = 0; i < n; i++) {}", "m"), "m")
-        t = normalized_src_tree(cst)
+        t = t_src("for (int i = 0; i < n; i++) {}")
         labels = [n.label for n in t.preorder()]
         assert "for" in labels and "i" in labels
 
     def test_groups_preserve_nesting(self):
-        cst = build_cst(lex("{ { x } }", "m"), "m")
-        t = normalized_src_tree(cst)
+        t = t_src("{ { x } }")
         outer = t.find_labels("brace-group")[0]
         assert outer.find_labels("brace-group")
 
     def test_directive_words_survive(self):
         # "OpenMP pragmas are identified and retained even after ...
         # normalisation steps" (§III-C)
-        cst = build_cst(lex("#pragma omp parallel for\nint x;", "m"), "m")
-        t = normalized_src_tree(cst)
-        labels = [n.label for n in t.preorder()]
-        assert "directive:pragma" in labels
-        assert "parallel" in labels and "omp" in labels
+        t = t_src("#pragma omp parallel for reduction(+:s)\nint x;")
+        directive = t.find_labels("directive:pragma")[0]
+        assert [n.label for n in directive.children] == [
+            "omp", "parallel", "for", "reduction", "s",
+        ]
 
 
 class TestPrePostVariants:
+    """The indexer's two T_src of a C++ unit: ``pre`` over the raw file,
+    ``post`` over the preprocessed token stream."""
+
+    @staticmethod
+    def unit(fs):
+        return index_cpp_unit(fs, "main", "main.cpp", CompileOptions())
+
     def test_pre_shows_directives(self):
         fs = fs_with('#include "h.h"\nint x;', **{"h.h": "int hidden;"})
-        pre = cst_pre(fs, "main.cpp")
-        labels = [n.label for n in pre.preorder()]
+        labels = [n.label for n in self.unit(fs).t_src_pre.preorder()]
         assert any(lab.startswith("directive:include") for lab in labels)
         assert "hidden" not in labels
 
     def test_post_shows_header_content(self):
         fs = fs_with('#include "h.h"\nint x;', **{"h.h": "int hidden;"})
-        post = cst_post(fs, "main.cpp")
-        labels = [n.label for n in post.preorder()]
+        labels = [n.label for n in self.unit(fs).t_src_post.preorder()]
         assert "hidden" in labels
 
     def test_post_expands_macros(self):
         fs = fs_with("#define N 64\nint a[N];")
-        post = cst_post(fs, "main.cpp")
+        post = self.unit(fs).t_src_post
         lits = [n.attrs.get("text") for n in post.preorder() if n.kind == "lit"]
         assert "64" in lits

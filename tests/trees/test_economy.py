@@ -4,15 +4,20 @@ Cold-indexes one C++ and one Fortran port (coverage on, no artifact store)
 and checks, over each unit's five trees, what keeps the collector-tracked
 objects of an index few: leaves share the empty tuple, equal spans are one
 object, and T_sem+i shares T_sem's unchanged subtrees without any node
-appearing twice in one tree.
+appearing twice in one tree. Indexing and coverage masking leave no
+reference cycle behind: their recursive helpers are module-level functions,
+not closures that refer to themselves.
 """
 
+import gc
 import sys
 
 import pytest
 
-from repro.corpus.registry import build_fs, get_spec
+from repro.corpus import registry
+from repro.corpus.registry import build_fs, get_spec, index_model
 from repro.trees import node as node_module
+from repro.trees.coverage_mask import mask_tree
 from repro.workflow.indexer import index_codebase
 
 #: what every childless node holds as ``children``
@@ -85,3 +90,36 @@ def test_sem_inlined_shares_unchanged_subtrees(port):
             assert u.t_sem_inlined.size() > got  # the rest is T_sem's own nodes
         else:  # the GCC pipeline has no T_sem+i: it is T_sem itself
             assert u.t_sem_inlined is u.t_sem
+
+
+def _cyclic_garbage(fn) -> list:
+    """What only a collection of cyclic garbage would free after ``fn()``."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.garbage.clear()
+    try:
+        fn()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("app,model", [("tealeaf", "omp"), ("babelstream-fortran", "omp")])
+def test_indexing_leaves_no_reference_cycle(app, model, monkeypatch):
+    # an empty registry cache, so index_model indexes afresh
+    monkeypatch.setattr(registry, "_INDEX_CACHE", {})
+    assert _cyclic_garbage(lambda: index_model(app, model)) == []
+
+
+def test_coverage_mask_leaves_no_reference_cycle(indexed):
+    cb = indexed[("babelstream", "omp")]
+    t_sem, mask = cb.units["main"].t_sem, cb.mask()
+    masked = []
+    assert _cyclic_garbage(lambda: masked.append(mask_tree(t_sem, mask))) == []
+    assert 0 < masked[0].size() < t_sem.size()

@@ -1,6 +1,6 @@
-"""Name normalisation and non-semantic stripping (§III-B behaviours)."""
+"""Name normalisation (§III-B behaviours)."""
 
-from repro.trees import Node, from_sexpr, normalize_names, strip_non_semantic, tree, leaf
+from repro.trees import Node, normalize_names, tree
 
 
 class TestNormalizeNames:
@@ -38,23 +38,3 @@ class TestNormalizeNames:
         twice = normalize_names(once)
         assert once == twice
 
-
-class TestStripNonSemantic:
-    def test_wrapper_spliced(self):
-        t = tree("expr-stmt", tree("implicit-cast", leaf("x")))
-        out = strip_non_semantic(t)
-        assert [n.label for n in out.preorder()] == ["expr-stmt", "x"]
-
-    def test_nested_wrappers_spliced(self):
-        t = tree("root", tree("implicit-cast", tree("lvalue-to-rvalue", leaf("v"))))
-        out = strip_non_semantic(t)
-        assert [n.label for n in out.preorder()] == ["root", "v"]
-
-    def test_root_never_spliced(self):
-        t = tree("implicit-cast", leaf("x"))
-        out = strip_non_semantic(t)
-        assert out.label == "implicit-cast"
-
-    def test_semantic_nodes_untouched(self):
-        t = from_sexpr("(if cond (then a) (else b))")
-        assert strip_non_semantic(t) == t

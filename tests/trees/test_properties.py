@@ -8,7 +8,6 @@ from repro.trees import (
     SourceSpan,
     mask_tree,
     normalize_names,
-    strip_non_semantic,
     structural_hash,
     tree_stats,
 )
@@ -67,12 +66,6 @@ def test_normalize_erases_named_kinds(t):
     for n in out.preorder():
         if n.kind in NAMED_KINDS:
             assert n.label == n.kind
-
-
-@settings(max_examples=80, deadline=None)
-@given(trees())
-def test_strip_non_semantic_never_grows(t):
-    assert strip_non_semantic(t).size() <= t.size()
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from repro import diag, obs
 from repro.compiler import CompileOptions
 from repro.lang.source import VirtualFS
+from repro.trees.hashing import structural_hash
 from repro.util.errors import InterpreterError, ReproError
 from repro.workflow.codebase import ModelSpec
 from repro.workflow.indexer import index_codebase, index_cpp_unit
@@ -54,6 +55,24 @@ class TestCppUnit:
         unit = index_cpp_unit(fs, "main", "main.cpp", CompileOptions())
         labels = {n.label for n in unit.t_sem.preorder()}
         assert "my_special_var" not in labels
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "int NAME(int x) { return x + 1; }\nint main() { return NAME(1); }\n",
+            "int NAME = 0;\nint main() { NAME = 2; return NAME - 2; }\n",
+        ],
+        ids=["function", "global"],
+    )
+    def test_names_cannot_move_semantic_trees(self, template):
+        # T_sem and T_sem+i erase programmer names, so no name changes
+        # either tree, not even one spelt like ClangAST's "paren" wrapper
+        def sem_hashes(name):
+            fs = make_fs(**{"main.cpp": template.replace("NAME", name)})
+            unit = index_cpp_unit(fs, "main", "main.cpp", CompileOptions())
+            return structural_hash(unit.t_sem), structural_hash(unit.t_sem_inlined)
+
+        assert sem_hashes("paren") == sem_hashes("parens")
 
 
 class TestCodebaseIndexing:
