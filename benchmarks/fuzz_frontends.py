@@ -16,10 +16,12 @@ damaged text. The contract under test:
   error-node TED contract is exercised too.
 
 Fully deterministic for a given ``--seed``: CI runs
-``fuzz_frontends.py --iterations 200 --seed 1`` and archives the JSON
-summary (``--out``) as a job artifact. Every crash this harness has found
-is fixed and pinned by a named regression test in
-``tests/integration/test_fuzz_regressions.py``.
+``fuzz_frontends.py --iterations 200 --seed 1``, archives the JSON
+summary (``--out``) as a job artifact and fails when its ``clean``,
+``handled_errors``, ``ted_checks`` or ``diagnostics_by_code`` differ from
+``benchmarks/fuzz_seed1.json``; a change that moves them commits the new
+values there. Every crash this harness has found is fixed and pinned by
+a named regression test in ``tests/integration/test_fuzz_regressions.py``.
 """
 
 from __future__ import annotations

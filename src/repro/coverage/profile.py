@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.trees.coverage_mask import LineMask
 
@@ -18,15 +17,12 @@ class CoverageProfile:
     def record(self, file: str, line: int, count: int = 1) -> None:
         self.hits[(file, line)] += count
 
-    def line_mask(self, unknown_covered: bool = False) -> LineMask:
+    def line_mask(self) -> LineMask:
         per_file: dict[str, set[int]] = {}
         for (f, line), c in self.hits.items():
             if c > 0:
                 per_file.setdefault(f, set()).add(line)
-        return LineMask(per_file, unknown_covered=unknown_covered)
-
-    def files(self) -> list[str]:
-        return sorted({f for f, _ in self.hits})
+        return LineMask(per_file)
 
     def covered_lines(self, file: str) -> set[int]:
         return {ln for (f, ln), c in self.hits.items() if f == file and c > 0}
@@ -41,11 +37,3 @@ def profile_from_run(result) -> CoverageProfile:
     for key, c in result.coverage.items():
         p.hits[key] += c
     return p
-
-
-def merge_profiles(profiles: Iterable[CoverageProfile]) -> CoverageProfile:
-    """Union of several runs (e.g. multiple input decks)."""
-    out = CoverageProfile()
-    for p in profiles:
-        out.hits.update(p.hits)
-    return out

@@ -72,14 +72,6 @@ class FtExecutionResult:
     stdout: list[str] = field(default_factory=list)
     steps: int = 0
 
-    def line_mask(self):
-        from repro.trees.coverage_mask import LineMask
-
-        per_file: dict[str, set[int]] = {}
-        for (f, line), _c in self.coverage.items():
-            per_file.setdefault(f, set()).add(line)
-        return LineMask(per_file, unknown_covered=False)
-
 
 class _Array:
     """A 1-based Fortran array (the corpus uses rank-1 arrays)."""

@@ -8,9 +8,9 @@ Serial reference semantics for everything, including the parallel dialects:
   intrinsics registry (:mod:`repro.exec.intrinsics`).
 
 Every executed statement, variable declaration, function entry, call and
-kernel launch records its source line; :meth:`ExecutionResult.line_mask`
-converts the profile into the tree mask used by the ``+coverage`` metric
-variants.
+kernel launch records its source line;
+:func:`repro.coverage.profile_from_run` turns those records into the profile
+whose line mask the ``+coverage`` metric variants apply.
 
 Closure form: each statement, expression and function is translated into
 a Python closure the first time a run reaches it, and the closures are
@@ -69,7 +69,6 @@ from repro.lang.cpp.astnodes import (
     WhileStmt,
 )
 from repro.lang.cpp.sema import SemaResult
-from repro.trees.coverage_mask import LineMask
 from repro.util.errors import InterpreterError
 
 from repro.exec.values import Buffer, Cell, Environment, Lambda, Pointer, StructVal
@@ -105,13 +104,6 @@ class ExecutionResult:
     coverage: Counter  # (file, line) -> hits
     stdout: list[str] = field(default_factory=list)
     steps: int = 0
-
-    def line_mask(self) -> LineMask:
-        """Coverage profile as a tree mask (GCov-style line records)."""
-        per_file: dict[str, set[int]] = {}
-        for (f, line), _count in self.coverage.items():
-            per_file.setdefault(f, set()).add(line)
-        return LineMask(per_file, unknown_covered=False)
 
     def hits(self, file: str, line: int) -> int:
         return self.coverage.get((file, line), 0)

@@ -2,9 +2,10 @@
 
 Pipeline (mirrors Fig. 3 of the paper):
 
-``lexer`` → raw token stream (trivia preserved, for SLOC; ``T_src`` pre
-via :func:`src_tree`) → ``preprocessor`` (includes, macros, conditionals;
-OpenMP pragmas survive; ``T_src`` post) → ``parser`` → AST → ``sema``
+``preprocessor`` (lexes each file once with ``lexer`` and returns every
+file's raw token stream, trivia preserved, for SLOC and ``T_src`` pre via
+:func:`src_tree`; includes, macros, conditionals; OpenMP pragmas survive;
+``T_src`` post) → ``parser`` → AST → ``sema``
 (symbol resolution, template instantiation, implicit nodes) → ``T_sem`` via
 :func:`ast_to_tree`.
 

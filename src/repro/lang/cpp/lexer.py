@@ -1,20 +1,18 @@
 """MiniC++ lexer.
 
 Produces the *complete* token stream including trivia (whitespace and
-comments) so the same lexer feeds four consumers with different needs:
+comments). The preprocessor lexes each file of a unit once and hands the
+full stream on, so one lex feeds every consumer: the preprocessor itself
+(line structure matters for directives), SLOC/LLOC counting
+(Nguyen-style whitespace/comment normalisation), ``T_src`` pre (which
+drops trivia and punctuation) and, through the preprocessed stream,
+``T_src`` post and the parser.
 
-* the pre/post-preprocessor CSTs (``T_src`` wants comments and control
-  tokens identified so normalisation can strip them),
-* SLOC/LLOC counting (Nguyen-style whitespace/comment normalisation),
-* the preprocessor (line structure matters for directives), and
-* the parser (skips trivia).
-
-A content-keyed memo serves repeated ``(file, text)`` lexes: the
-preprocessor and the line summaries each lex every file of a unit,
-``T_src`` lexes the main file a third time, and every port includes the
-same headers. Only clean lexes are kept: a clean lex has the same tokens
-in strict and tolerant mode, while a lex that repaired anything is redone
-on every call so its diagnostics are emitted every time.
+A content-keyed memo serves repeated ``(file, text)`` lexes: every port of
+an app includes the same headers. Only clean lexes are kept: a clean lex
+has the same tokens in strict and tolerant mode, while a lex that
+repaired anything is redone on every call so its diagnostics are emitted
+every time.
 """
 
 from __future__ import annotations

@@ -1382,6 +1382,6 @@ def parse_unit(
     recover: bool = False,
 ) -> TranslationUnit:
     """Preprocess + parse one translation unit from a virtual filesystem."""
-    pp = preprocess(fs, path, defines)
+    pp = preprocess(fs, path, defines, recover=recover)
     tu = parse_tokens(pp.tokens, path, recover=recover)
     return tu

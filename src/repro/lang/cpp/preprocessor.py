@@ -18,10 +18,16 @@ Two behaviours the paper depends on are modelled explicitly:
   ``Source+pp`` blow-up (§V-C) measurable: the 20 MB ``<CL/sycl.hpp>``
   analogue lands in the unit.
 
-Simplification (documented): all headers behave as if they start with
-``#pragma once`` — repeated inclusion of the same path is a no-op. Every
-header in the corpus uses include guards anyway, so this is behaviour-
-preserving while keeping the conditional stack simpler.
+Each file is lexed once, in the caller's mode: ``recover=True`` repairs
+lexical damage in every file, ``#define`` body and ``#if`` expression it
+lexes (:func:`~repro.lang.cpp.lexer.lex` with ``tolerant=True``), and the
+result hands each file's full token list on, so the indexer's line
+summaries and ``T_src`` pre need no lex of their own.
+
+Simplification (documented): all files behave as if they start with
+``#pragma once`` — including a file already read, the main file too, is a
+no-op. Every header in the corpus uses include guards anyway, so this is
+behaviour-preserving while keeping the conditional stack simpler.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.lang.cpp.lexer import Token, TokenType, lex
+from repro.lang.cpp.lexer import Token, TokenType, lex, significant
 from repro.lang.source import VirtualFS
 from repro.util.errors import ParseError
 
@@ -47,10 +53,17 @@ class PreprocessResult:
     """Output of preprocessing one translation unit."""
 
     tokens: list[Token]  # significant tokens + retained pragma DIRECTIVEs
-    dependencies: list[str]  # every file pulled in, in first-include order
     macros: dict[str, Macro]
+    #: the full token list (trivia and directives included) of the main
+    #: file and of every dependency, in the order they were read
+    file_tokens: dict[str, list[Token]]
     #: (file, line) pairs of lines removed by failed conditionals
     skipped_lines: list[tuple[str, int]] = field(default_factory=list)
+
+    @property
+    def dependencies(self) -> list[str]:
+        """Every file pulled in, in first-include order."""
+        return list(self.file_tokens)[1:]
 
 
 _PRAGMA_KEEP_PREFIXES = ("omp", "acc")
@@ -60,31 +73,37 @@ def preprocess(
     fs: VirtualFS,
     path: str,
     defines: Optional[dict[str, str]] = None,
+    recover: bool = False,
 ) -> PreprocessResult:
     """Run the preprocessor over ``path`` within ``fs``.
 
     ``defines`` are ``-D`` style command-line macros (value defaults "1").
+    ``recover=True`` lexes tolerantly: a lexical error becomes a ``lex/*``
+    warning and a repaired token instead of a :class:`ParseError`.
+    Directive errors (an unterminated ``#if``, a missing include) still
+    raise in either mode.
     """
-    pp = _Preprocessor(fs)
+    pp = _Preprocessor(fs, recover)
     for name, val in (defines or {}).items():
-        body = [t for t in lex(val or "1", "<cmdline>") if not t.is_trivia and t.type != TokenType.EOF]
+        body = significant(lex(val or "1", "<cmdline>", tolerant=recover))
         pp.macros[name] = Macro(name, None, body)
     tokens = pp.process_file(path)
-    return PreprocessResult(tokens, pp.dependencies, pp.macros, pp.skipped)
+    return PreprocessResult(tokens, pp.macros, pp.file_tokens, pp.skipped)
 
 
 class _Preprocessor:
-    def __init__(self, fs: VirtualFS):
+    def __init__(self, fs: VirtualFS, recover: bool):
         self.fs = fs
+        self.recover = recover
         self.macros: dict[str, Macro] = {}
-        self.dependencies: list[str] = []
-        self.included: set[str] = set()
+        #: every file read, main file first; a file is read at most once
+        self.file_tokens: dict[str, list[Token]] = {}
         self.skipped: list[tuple[str, int]] = []
 
     # -- file / line structure --------------------------------------------
     def process_file(self, path: str) -> list[Token]:
-        src = self.fs.get(path)
-        raw = lex(src.text, path)
+        raw = lex(self.fs.get(path).text, path, tolerant=self.recover)
+        self.file_tokens[path] = raw
         out: list[Token] = []
         # conditional stack: (taking, any_branch_taken)
         cond: list[tuple[bool, bool]] = []
@@ -178,8 +197,7 @@ class _Preprocessor:
         if name == "pragma":
             arg = rest.strip()
             if arg == "once":
-                self.included.add(tok.file)
-                return
+                return  # every file is read at most once anyway
             first = arg.split()[0] if arg.split() else ""
             if first in _PRAGMA_KEEP_PREFIXES:
                 # Retained pragma: pass through for the parser (expanded so
@@ -203,15 +221,12 @@ class _Preprocessor:
         resolved = self.fs.resolve_include(name, tok.file, angled)
         if resolved is None:
             raise ParseError(f"include not found: {spec}", tok.file, tok.line, tok.col)
-        if resolved in self.included:
+        if resolved in self.file_tokens:
             return
-        self.included.add(resolved)
-        if resolved not in self.dependencies:
-            self.dependencies.append(resolved)
         out.extend(self.process_file(resolved))
 
     def _define(self, rest: str, tok: Token) -> None:
-        toks = [t for t in lex(rest, tok.file) if not t.is_trivia and t.type != TokenType.EOF]
+        toks = significant(lex(rest, tok.file, tolerant=self.recover))
         if not toks:
             raise ParseError("#define needs a name", tok.file, tok.line, tok.col)
         name = toks[0].text
@@ -329,7 +344,7 @@ class _Preprocessor:
 
     # -- #if expression evaluation -------------------------------------------
     def _eval_expr(self, text: str, tok: Token) -> int:
-        toks = [t for t in lex(text, tok.file) if not t.is_trivia and t.type != TokenType.EOF]
+        toks = significant(lex(text, tok.file, tolerant=self.recover))
         # resolve defined(X) / defined X before macro expansion
         resolved: list[Token] = []
         i = 0

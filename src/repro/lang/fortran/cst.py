@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.lang.fortran.lexer import FtToken, FtTokenType, lex_fortran
+from repro.lang.fortran.lexer import FtToken, FtTokenType
 from repro.trees.node import Node, SourceSpan
 
 _BLOCK_OPENERS = frozenset({"program", "module", "subroutine", "function", "do", "if"})
@@ -81,13 +81,14 @@ def _statement(line: list[FtToken]) -> Node:
     return stmt
 
 
-def fortran_src_tree(text: str, path: str = "<memory>", tolerant: bool = False) -> Node:
-    """``T_src`` of one Fortran file: file → statements/blocks → tokens."""
+def fortran_src_tree(tokens: list[FtToken], path: str = "<memory>") -> Node:
+    """``T_src`` of one Fortran file's tokens: file → statements/blocks →
+    tokens."""
     root = Node("file", "cst", None, None, {"path": path})
     # open blocks, innermost last
     stack: list[Node] = [root]
     line: list[FtToken] = []
-    for tok in lex_fortran(text, path, tolerant=tolerant):
+    for tok in tokens:
         if tok.type not in (FtTokenType.NEWLINE, FtTokenType.EOF):
             line.append(tok)
             continue

@@ -16,36 +16,22 @@ class LineMask:
     """Executed-line sets per file.
 
     ``covered(file, line)`` is True when the line executed at least once.
-    Files absent from the mask are treated as *fully covered* by default
-    (``unknown_covered=True``) because compilers only emit coverage for
-    instrumented translation units; headers pulled in by an instrumented
-    unit inherit its records.
+    A file absent from the mask is not covered: the run executed none of
+    its lines (a header the run entered has its own records).
     """
 
-    def __init__(self, lines: Mapping[str, Set[int]], unknown_covered: bool = True):
+    def __init__(self, lines: Mapping[str, Set[int]]):
         self._lines = {f: set(ls) for f, ls in lines.items()}
-        self.unknown_covered = unknown_covered
 
     def covered(self, file: str, line: int) -> bool:
-        if file not in self._lines:
-            return self.unknown_covered
-        return line in self._lines[file]
+        return line in self._lines.get(file, ())
 
     def covered_span(self, file: str, line_start: int, line_end: int) -> bool:
         """True when *any* line of the span executed."""
-        if file not in self._lines:
-            return self.unknown_covered
-        hit = self._lines[file]
+        hit = self._lines.get(file)
+        if hit is None:
+            return False
         return any(ln in hit for ln in range(line_start, line_end + 1))
-
-    def files(self) -> list[str]:
-        return sorted(self._lines)
-
-    def union(self, other: "LineMask") -> "LineMask":
-        merged = {f: set(ls) for f, ls in self._lines.items()}
-        for f, ls in other._lines.items():
-            merged.setdefault(f, set()).update(ls)
-        return LineMask(merged, self.unknown_covered or other.unknown_covered)
 
     def digest(self) -> str:
         """Stable content hash of the mask (serve memo fingerprints:
@@ -54,7 +40,9 @@ class LineMask:
         import hashlib
 
         h = hashlib.sha256()
-        h.update(b"1" if self.unknown_covered else b"0")
+        # the leading b"0" once recorded the absent-file policy; it stays so
+        # that every digest already stored keeps its value
+        h.update(b"0")
         for f in sorted(self._lines):
             h.update(b"\x00")
             h.update(f.encode())

@@ -16,12 +16,19 @@ frontend's tree with programmer names normalised, and ``T_sem+i`` shares
 every ``T_sem`` subtree that inlines nothing (DESIGN.md §"T_src and T_sem
 passes").
 
+Each file of a unit is lexed once, in the unit's mode: the C++
+preprocessor's per-file token lists feed the line summaries and ``T_src``
+pre, and a Fortran file's tokens feed its line summary, ``T_src`` and
+the parser.
+
 Fault tolerance: by default each unit is indexed with recovering frontends
-(tolerant lexing + panic-mode parsing), and a unit whose frontend still
-fails is *quarantined* — it degrades to raw-text SLOC metrics with no
-trees, the failure is reported via :mod:`repro.diag`
-(``index/quarantined`` / ``index/internal-error``), and the rest of the
-codebase indexes normally. ``strict=True`` restores fail-fast behaviour.
+(tolerant lexing + panic-mode parsing), so lexical damage is one ``lex/*``
+warning and a repaired token. A unit whose frontend still fails (an
+unterminated ``#if``, a missing include) is *quarantined* — it degrades
+to raw-text SLOC metrics with no trees, the failure is reported via
+:mod:`repro.diag` (``index/quarantined`` / ``index/internal-error``), and
+the rest of the codebase indexes normally. ``strict=True`` restores
+fail-fast behaviour.
 
 Incremental builds: indexing is a pure function of (source content,
 frontend configuration), so each unit's output can be persisted as a
@@ -43,13 +50,13 @@ from repro.coverage.profile import CoverageProfile, profile_from_run
 from repro.exec.interpreter import run_program
 from repro.lang.cpp.asttree import ast_to_tree
 from repro.lang.cpp.cst import src_tree
-from repro.lang.cpp.lexer import Token, TokenType, lex
+from repro.lang.cpp.lexer import Token, TokenType
 from repro.lang.cpp.parser import parse_tokens
 from repro.lang.cpp.preprocessor import preprocess
 from repro.lang.cpp.sema import analyze
 from repro.lang.fortran.cst import fortran_src_tree
 from repro.lang.fortran.lexer import FtTokenType, lex_fortran
-from repro.lang.fortran.parser import parse_fortran
+from repro.lang.fortran.parser import FortranParser
 from repro.lang.fortran.asttree import fortran_to_tree
 from repro.lang.fortran.lower import lower_fortran
 from repro.lang.source import VirtualFS
@@ -107,21 +114,22 @@ def index_cpp_unit(
 ) -> IndexedUnit:
     """Index one MiniC++ translation unit.
 
-    ``recover=True`` lexes tolerantly and parses with panic-mode recovery,
-    so damaged sources yield partial trees plus diagnostics.
+    The preprocessor lexes each file of the unit once, and its per-file
+    token lists feed the pre-preprocessor line summaries, the per-file
+    LLOC and ``T_src`` pre. ``recover=True`` lexes tolerantly and parses
+    with panic-mode recovery, so damaged sources yield partial trees plus
+    diagnostics.
     """
     unit = IndexedUnit(role=role, path=path)
     with obs.span("preprocess", path=path):
-        pp = preprocess(fs, path, defines)
-    unit.deps = list(pp.dependencies)
+        pp = preprocess(fs, path, defines, recover=recover)
+    unit.deps = pp.dependencies
 
-    # pre-preprocessor: lex every file of the unit separately
-    with obs.span("lex", path=path):
-        pre_tokens: list[Token] = []
-        for f in [path, *unit.deps]:
-            toks = lex(fs.get(f).text, f, tolerant=recover)
-            pre_tokens.extend(toks)
-            unit.lloc_pre[f] = _cpp_lloc(toks)
+    # pre-preprocessor: every file of the unit as the preprocessor lexed it
+    pre_tokens: list[Token] = []
+    for f, toks in pp.file_tokens.items():
+        pre_tokens.extend(toks)
+        unit.lloc_pre[f] = _cpp_lloc(toks)
     pre = _cpp_line_summary(pre_tokens)
     unit.sig_lines_pre = pre.sig
     unit.source_lines_pre, unit.source_tags_pre = pre.lines, pre.tags
@@ -134,7 +142,7 @@ def index_cpp_unit(
 
     # trees
     with obs.span("trees.src", path=path):
-        unit.t_src_pre = src_tree(lex(fs.get(path).text, path, tolerant=recover), path)
+        unit.t_src_pre = src_tree(pp.file_tokens[path], path)
         unit.t_src_post = src_tree(pp.tokens, path)
     with obs.span("parse", path=path):
         tu = parse_tokens(pp.tokens, path, recover=recover)
@@ -162,11 +170,11 @@ def index_cpp_unit(
 @obs.traced("index.fortran")
 def index_fortran_unit(fs: VirtualFS, role: str, path: str, recover: bool = False) -> IndexedUnit:
     """Index one MiniFortran file (Fortran has no preprocessing phase here:
-    the pre/post representations coincide)."""
+    the pre/post representations coincide). The file is lexed once; the
+    line summary, ``T_src`` and the parser read the same tokens."""
     unit = IndexedUnit(role=role, path=path)
-    text = fs.get(path).text
     with obs.span("lex", path=path):
-        toks = lex_fortran(text, path, tolerant=recover)
+        toks = lex_fortran(fs.get(path).text, path, tolerant=recover)
     # explicit NEWLINE/EOF tokens delimit logical lines, so the summary
     # groups on break_line() rather than (file, line) changes
     ls = LineSummary(auto_break=False)
@@ -188,10 +196,10 @@ def index_fortran_unit(fs: VirtualFS, role: str, path: str, recover: bool = Fals
     unit.source_tags_post = list(ls.tags)
 
     with obs.span("trees.src", path=path):
-        unit.t_src_pre = fortran_src_tree(text, path, tolerant=recover)
+        unit.t_src_pre = fortran_src_tree(toks, path)
         unit.t_src_post = unit.t_src_pre
     with obs.span("parse", path=path):
-        ftfile = parse_fortran(text, path, recover=recover)
+        ftfile = FortranParser(toks, path, recover=recover).parse_file()
     with obs.span("trees.sem", path=path):
         sem = normalize_names(fortran_to_tree(ftfile))
         unit.t_sem = sem

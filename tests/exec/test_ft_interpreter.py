@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coverage import profile_from_run
 from repro.exec.ft_interpreter import run_fortran
 from repro.lang.fortran.parser import parse_fortran
 from repro.util.errors import InterpreterError
@@ -136,7 +137,7 @@ class TestDirectivesAndCoverage:
 
     def test_coverage_recorded(self):
         res = run("x = 1.0\nif (.false.) then\nx = 99.0\nend if", "real :: x")
-        mask = res.line_mask()
+        mask = profile_from_run(res).line_mask()
         assert mask.covered("t.f90", 4)  # the assignment line
         assert not mask.covered("t.f90", 6)  # the dead branch body
 

@@ -5,6 +5,7 @@ import types
 
 import pytest
 
+from repro.coverage import profile_from_run
 from repro.exec import run_program
 from repro.lang.cpp.parser import parse_unit
 from repro.lang.cpp.sema import analyze
@@ -191,7 +192,7 @@ class TestCoverage:
 
     def test_line_mask_conversion(self):
         res = run("int main() {\nreturn 0;\n}")
-        mask = res.line_mask()
+        mask = profile_from_run(res).line_mask()
         assert mask.covered("main.cpp", 2)
         assert not mask.covered("main.cpp", 999)
 

@@ -2,18 +2,19 @@
 
 import pytest
 
+from repro import diag
 from repro.lang.cpp.lexer import TokenType
 from repro.lang.cpp.preprocessor import preprocess
 from repro.lang.source import VirtualFS
 from repro.util.errors import ParseError
 
 
-def pp(main_text, files=None, defines=None):
+def pp(main_text, files=None, defines=None, recover=False):
     fs = VirtualFS()
     for path, text in (files or {}).items():
         fs.add(path, text)
     fs.add("main.cpp", main_text)
-    return preprocess(fs, "main.cpp", defines)
+    return preprocess(fs, "main.cpp", defines, recover=recover)
 
 
 def texts(result):
@@ -141,6 +142,11 @@ class TestIncludes:
         )
         assert texts(r).count("once") == 1
 
+    def test_main_file_included_again_is_a_no_op(self):
+        r = pp('#include "main.cpp"\nint m;')
+        assert texts(r).count("m") == 1
+        assert r.dependencies == [] and list(r.file_tokens) == ["main.cpp"]
+
     def test_missing_include_raises(self):
         with pytest.raises(ParseError, match="include not found"):
             pp('#include "nope.h"\n')
@@ -153,6 +159,16 @@ class TestIncludes:
         t = texts(r)
         assert "b_decl" in t and "a_decl" in t
         assert r.dependencies == ["a.h", "b.h"]
+
+    def test_file_tokens_hold_every_file_read(self):
+        r = pp(
+            '#include "a.h"\n// main\nint m;',
+            files={"a.h": '#include "b.h"\nint a_decl;', "b.h": "int b_decl;"},
+        )
+        assert list(r.file_tokens) == ["main.cpp", "a.h", "b.h"]
+        main = r.file_tokens["main.cpp"]
+        assert main[0].type is TokenType.DIRECTIVE and main[-1].type is TokenType.EOF
+        assert any(t.type is TokenType.COMMENT for t in main)
 
     def test_tokens_keep_original_file(self):
         r = pp('#include "h.h"\nint y;', files={"h.h": "int hx;"})
@@ -181,3 +197,22 @@ class TestPragmaRetention:
             files={"g.h": "#pragma once\nint gg;"},
         )
         assert texts(r).count("gg") == 1
+
+
+class TestRecover:
+    @pytest.mark.parametrize(
+        "src",
+        ["int x = 1 @ 2;", "#define N 1 @ 2\nint x = N;", "#if 1 @ 1\nint x;\n#endif"],
+        ids=["file", "define-body", "if-expression"],
+    )
+    def test_lexical_damage_is_one_warning(self, src):
+        with pytest.raises(ParseError, match="unexpected character"):
+            pp(src)
+        with diag.capture() as sink:
+            r = pp(src, recover=True)
+        assert sink.by_code() == {"lex/unexpected-char": 1}
+        assert "x" in texts(r)
+
+    def test_directive_errors_still_raise(self):
+        with pytest.raises(ParseError, match="unterminated #if"):
+            pp("#if 1\nint x;", recover=True)

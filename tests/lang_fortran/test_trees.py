@@ -4,6 +4,7 @@ from repro.compiler import bundle_to_tree
 from repro.lang.fortran import (
     fortran_src_tree,
     fortran_to_tree,
+    lex_fortran,
     lower_fortran,
     parse_fortran,
 )
@@ -66,30 +67,30 @@ class TestTsem:
 
 class TestTsrc:
     def test_cst_keeps_all_statement_tokens(self):
-        t = fortran_src_tree("program p\nx = 1\nend program p")
+        t = fortran_src_tree(lex_fortran("program p\nx = 1\nend program p"))
         labels = [n.label for n in t.preorder()]
         assert "program" in labels and "x" in labels
 
     def test_src_tree_drops_punct(self):
-        t = fortran_src_tree("program p\nx = a(1) + 2 ! note\nend program p")
+        t = fortran_src_tree(lex_fortran("program p\nx = a(1) + 2 ! note\nend program p"))
         assert not [n for n in t.preorder() if n.kind in ("punct", "trivia")]
         assert t.find_labels("paren-group")
 
     def test_every_token_line_is_a_statement(self):
         # a line of only a comment or only punctuation keeps its (empty)
         # statement, as the lossless token tree it replaces did
-        t = fortran_src_tree("program p\n! note\n, =\nend program p")
+        t = fortran_src_tree(lex_fortran("program p\n! note\n, =\nend program p"))
         stmts = [n for n in t.preorder() if n.label == "stmt"]
         assert len(stmts) == 4
         assert [s.children for s in stmts[1:3]] == [(), ()]
 
     def test_directive_words_visible(self):
-        t = fortran_src_tree("program p\ninteger :: i\n!$omp parallel do\ndo i = 1, 2\nend do\nend program p")
+        t = fortran_src_tree(lex_fortran("program p\ninteger :: i\n!$omp parallel do\ndo i = 1, 2\nend do\nend program p"))
         labels = [n.label for n in t.preorder()]
         assert "directive:omp" in labels and "parallel" in labels
 
     def test_block_nesting(self):
-        t = fortran_src_tree("program p\ninteger :: i\ndo i = 1, 2\ni = i\nend do\nend program p")
+        t = fortran_src_tree(lex_fortran("program p\ninteger :: i\ndo i = 1, 2\ni = i\nend do\nend program p"))
         assert t.find_labels("do-block")
 
 

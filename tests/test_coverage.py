@@ -1,6 +1,6 @@
 """Coverage profile and GCov report tests."""
 
-from repro.coverage import CoverageProfile, gcov_report, merge_profiles, profile_from_run
+from repro.coverage import CoverageProfile, gcov_report, profile_from_run
 from repro.exec import run_program
 from repro.lang.cpp.parser import parse_unit
 from repro.lang.cpp.sema import analyze
@@ -27,15 +27,6 @@ class TestProfile:
         _, res = run_src()
         mask = profile_from_run(res).line_mask()
         assert not mask.covered("other.cpp", 1)
-
-    def test_merge(self):
-        a = CoverageProfile()
-        a.record("f", 1)
-        b = CoverageProfile()
-        b.record("f", 2)
-        b.record("f", 1)
-        m = merge_profiles([a, b])
-        assert m.hits[("f", 1)] == 2 and m.hits[("f", 2)] == 1
 
     def test_covered_lines(self):
         p = CoverageProfile()

@@ -71,18 +71,18 @@ def test_normalize_erases_named_kinds(t):
 @settings(max_examples=80, deadline=None)
 @given(trees(), st.sets(st.integers(min_value=1, max_value=30)))
 def test_mask_never_grows_and_full_mask_is_identity(t, lines):
-    mask = LineMask({"f.cpp": lines}, unknown_covered=False)
+    mask = LineMask({"f.cpp": lines})
     out = mask_tree(t, mask)
     if out is not None:
         assert out.size() <= t.size()
-    full = LineMask({"f.cpp": set(range(1, 31))}, unknown_covered=False)
+    full = LineMask({"f.cpp": set(range(1, 31))})
     assert mask_tree(t, full) == t
 
 
 @settings(max_examples=80, deadline=None)
 @given(trees(), st.sets(st.integers(min_value=1, max_value=30)))
 def test_mask_keeps_only_covered_or_ancestors(t, lines):
-    mask = LineMask({"f.cpp": lines}, unknown_covered=False)
+    mask = LineMask({"f.cpp": lines})
     out = mask_tree(t, mask)
     if out is None:
         return

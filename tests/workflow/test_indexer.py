@@ -1,5 +1,8 @@
 """Indexer unit tests (beyond the corpus integration coverage)."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro import diag, obs
@@ -147,6 +150,48 @@ class TestCodebaseIndexing:
         )
         cb = index_codebase(spec, fs)
         assert set(cb.units) == {"a", "b"}
+
+
+def _record_lexes(monkeypatch, lexer_fn):
+    """Wrap ``lexer_fn`` wherever a ``repro`` module imported it; returns
+    the ``(file, text)`` of every call, memo hits included."""
+    seen = []
+
+    def recording(text, file="<memory>", tolerant=False):
+        seen.append((file, text))
+        return lexer_fn(text, file, tolerant)
+
+    for mod in list(sys.modules.values()):
+        if not getattr(mod, "__name__", "").startswith("repro"):
+            continue
+        for name, value in list(vars(mod).items()):
+            if value is lexer_fn:
+                monkeypatch.setattr(mod, name, recording)
+    return seen
+
+
+class TestLexOnce:
+    def test_cpp_port_lexes_each_file_of_its_unit_once(self, monkeypatch):
+        from repro.corpus.registry import build_fs, get_spec
+        from repro.lang.cpp.lexer import lex
+
+        spec, fs = get_spec("tealeaf", "omp"), build_fs("tealeaf", "omp")
+        seen = _record_lexes(monkeypatch, lex)
+        unit = index_codebase(spec, fs).units["main"]
+        files = [unit.path, *unit.deps]
+        assert len(files) > 1
+        whole = Counter(f for f, text in seen if fs.exists(f) and text == fs.get(f).text)
+        assert whole == Counter(files)
+
+    def test_fortran_port_lexes_its_file_once(self, monkeypatch):
+        from repro.corpus.registry import build_fs, get_spec
+        from repro.lang.fortran.lexer import lex_fortran
+
+        spec = get_spec("babelstream-fortran", "omp")
+        fs = build_fs("babelstream-fortran", "omp")
+        seen = _record_lexes(monkeypatch, lex_fortran)
+        index_codebase(spec, fs)
+        assert [f for f, _text in seen] == [spec.units["main"]]
 
 
 class TestCliFigures:

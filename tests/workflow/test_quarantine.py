@@ -9,9 +9,10 @@ from repro.workflow.codebase import ModelSpec
 from repro.workflow.indexer import index_codebase
 
 GOOD_CPP = "int main() { return 0; }\n"
-# lexically broken: unterminated block comment never closes
-BROKEN_CPP = "int main() { /* unterminated\n"
+# no mode can absorb this: the conditional never closes
+BROKEN_CPP = "#if 1\nint main() { return 0; }\n"
 GOOD_F90 = "program p\nx = 1\nend program p\n"
+ALL_TREES = ("src", "src+pp", "sem", "sem+i", "ir")
 
 
 def make_fs(**files):
@@ -88,6 +89,41 @@ class TestQuarantine:
             index_codebase(cpp_spec({"bad": "bad.cpp"}), fs)
         notes = [d for d in sink.diagnostics if d.code == "index/quarantined"]
         assert any("bad" in d.message for d in notes)
+
+
+class TestLexicalDamageIsRepaired:
+    """Recover mode repairs lexical damage in every lex of a unit, and each
+    file is lexed once, so one bad character is one warning."""
+
+    def test_bad_character_in_cpp_unit_keeps_its_trees(self):
+        fs = make_fs(**{"bad.cpp": "int main() {\n int i = 1 @ 2;\n return 0;\n}"})
+        with diag.capture() as sink:
+            cb = index_codebase(cpp_spec({"main": "bad.cpp"}), fs)
+        unit = cb.units["main"]
+        assert not unit.degraded
+        assert all(unit.tree(which) is not None for which in ALL_TREES)
+        codes = sink.by_code()
+        assert codes.get("lex/unexpected-char") == 1
+        assert "index/quarantined" not in codes
+
+    def test_bad_character_in_fortran_unit_warns_once(self):
+        fs = make_fs(**{"bad.f90": "program p\ninteger :: i\ni = 1 @ 2\nend program p"})
+        spec = ModelSpec(app="t", model="m", lang="fortran", units={"main": "bad.f90"})
+        with diag.capture() as sink:
+            cb = index_codebase(spec, fs)
+        assert not cb.units["main"].degraded
+        assert sink.by_code().get("lex/unexpected-char") == 1
+
+    def test_unterminated_comment_keeps_its_trees(self):
+        fs = make_fs(**{"bad.cpp": "int main() { /* unterminated\n"})
+        with diag.capture() as sink:
+            cb = index_codebase(cpp_spec({"bad": "bad.cpp"}), fs)
+        unit = cb.units["bad"]
+        assert not unit.degraded
+        assert all(unit.tree(which) is not None for which in ALL_TREES)
+        codes = sink.by_code()
+        assert codes.get("lex/unterminated-comment") == 1
+        assert "index/quarantined" not in codes
 
 
 class TestDegradedRoundTrip:
