@@ -2,8 +2,9 @@
 
 Pipeline (mirrors Fig. 3 of the paper):
 
-``preprocessor`` (lexes each file once with ``lexer`` and returns every
-file's raw token stream, trivia preserved, for SLOC and ``T_src`` pre via
+``preprocessor`` (lexes each file once with ``lexer``, which splits every
+directive line into its name and body tokens, and returns every file's
+raw token stream, trivia preserved, for SLOC and ``T_src`` pre via
 :func:`src_tree`; includes, macros, conditionals; OpenMP pragmas survive;
 ``T_src`` post) → ``parser`` → AST → ``sema``
 (symbol resolution, template instantiation, implicit nodes) → ``T_sem`` via

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import diag
-from repro.lang.cpp.lexer import Token, TokenType, lex
+from repro.lang.cpp.lexer import DirectiveToken, Token, TokenType
 from repro.trees.node import Node, SourceSpan
-from repro.util.errors import ParseError
 
 #: Group labels by their opening bracket.
 _GROUP_LABEL = {"(": "paren-group", "[": "bracket-group", "{": "brace-group"}
@@ -57,41 +55,23 @@ def _token_node(tok: Token) -> Optional[Node]:
     return Node(label, kind, None, span, {"text": tok.text})
 
 
-def _directive_node(tok: Token) -> Node:
+def _directive_node(tok: DirectiveToken) -> Node:
     """Directives become small subtrees so pragma words stay visible.
 
     OpenMP/OpenACC semantic words are retained with their text (the paper
     makes "special provisions for language that store semantic-bearing
-    information in unusual places").
+    information in unusual places"). The children are the lexer's body
+    tokens, or the raw words of a strict-mode body that does not lex.
     """
-    body = tok.text.lstrip()[1:].replace("\\\n", " ").strip()
     span = SourceSpan(tok.file, tok.line)
-    words = body.split()
-    name = words[0] if words else ""
-    node = Node(f"directive:{name}", "directive", None, span)
-    rest = body[len(name) :].strip()
-    if rest:
-        try:
-            # lex the whole body before adding any child: a body that does
-            # not lex leaves the directive without partial children
-            children = [
-                _token_node(Token(t.type, t.text, tok.file, tok.line, t.col))
-                for t in lex(rest, tok.file)
-            ]
-            for child in children:
-                if child is not None:
-                    node.add(child)
-        except ParseError as e:
-            # The directive body does not lex as C++ (e.g. an include path
-            # with a stray quote). Keep the raw text — word per node — so
-            # T_src still sees the directive's content, and say so.
-            diag.warning(
-                "lex/directive-body",
-                f"directive body does not lex as C++ ({e}); keeping raw text",
-                tok.file, tok.line, tok.col,
-            )
-            for word in rest.split():
-                node.add(Node(word, "tok", None, span))
+    node = Node(f"directive:{tok.name}", "directive", None, span)
+    if tok.body is None:
+        for word in tok.rest.split():
+            node.add(Node(word, "tok", None, span))
+    else:
+        for child in map(_token_node, tok.body):
+            if child is not None:
+                node.add(child)
     return node
 
 

@@ -6,22 +6,24 @@ full stream on, so one lex feeds every consumer: the preprocessor itself
 (line structure matters for directives), SLOC/LLOC counting
 (Nguyen-style whitespace/comment normalisation), ``T_src`` pre (which
 drops trivia and punctuation) and, through the preprocessed stream,
-``T_src`` post and the parser.
+``T_src`` post and the parser. A directive is one :class:`DirectiveToken`
+whose body is lexed here, once, so those consumers all read its tokens.
 
 A content-keyed memo serves repeated ``(file, text)`` lexes: every port of
 an app includes the same headers. Only clean lexes are kept: a clean lex
-has the same tokens in strict and tolerant mode, while a lex that
-repaired anything is redone on every call so its diagnostics are emitted
-every time.
+has the same tokens in strict and tolerant mode (directive bodies ride on
+their tokens), while a lex that repaired anything is redone on every call
+so its diagnostics are emitted every time.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator, Optional
 
 from repro import diag, obs
 from repro.util.errors import ParseError
@@ -35,7 +37,7 @@ class TokenType(Enum):
     STRING = "str-lit"
     CHAR = "char-lit"
     PUNCT = "punct"
-    DIRECTIVE = "directive"  # a whole preprocessor line, tokenized lazily
+    DIRECTIVE = "directive"  # a whole preprocessor line: a DirectiveToken
     COMMENT = "comment"
     WHITESPACE = "ws"
     NEWLINE = "nl"
@@ -83,9 +85,29 @@ class Token:
         return f"Token({self.type.value}, {self.text!r}, {self.file}:{self.line})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
+class DirectiveToken(Token):
+    """A preprocessor line, split once: ``name`` is the word after ``#``,
+    ``body`` the significant tokens after it, lexed in the file's mode where
+    they stand (a continued line is one logical line), and ``rest`` their
+    raw text. A strict-mode body that does not lex has ``body`` ``None``,
+    ``error`` set and ``rest`` the whole remainder."""
+
+    name: str
+    rest: str
+    body: Optional[tuple[Token, ...]]
+    error: Optional[ParseError] = None
+
+    def tokens(self) -> tuple[Token, ...]:
+        """The body tokens; raises the body's lex error if it did not lex."""
+        if self.body is None:
+            raise self.error
+        return self.body
+
+
 #: Bound of the lex memo, in characters of source text held; the least
 #: recently used entries go first. A cold index of the whole corpus lexes
-#: about 105 k distinct characters, so it never evicts; the bound caps
+#: about 101 k distinct characters, so it never evicts; the bound caps
 #: long-lived processes (the serve daemon, the fuzz harness).
 MEMO_CHARS = 1_000_000
 
@@ -149,14 +171,14 @@ def clear_lex_memo() -> None:
         _memo_chars = 0
 
 
-def _lex_iter(text: str, file: str, tolerant: bool, repairs: list[str]) -> Iterator[Token]:
-    """Tokens of ``text``; each repair (tolerant mode only) appends its
-    diagnostic code to ``repairs``."""
+def _lex_iter(
+    text: str, file: str, tolerant: bool, repairs: list[str], line: int = 1, col: int = 1
+) -> Iterator[Token]:
+    """Tokens of ``text`` from ``line``:``col`` (a directive body, past column
+    1, holds no directive); each repair appends its code to ``repairs``."""
     i = 0
     n = len(text)
-    line = 1
-    col = 1
-    at_line_start = True
+    at_line_start = col == 1
 
     def make(tt: TokenType, s: str, ln: int, c: int) -> Token:
         return Token(tt, s, file, ln, c)
@@ -187,19 +209,11 @@ def _lex_iter(text: str, file: str, tolerant: bool, repairs: list[str]) -> Itera
         # preprocessor directive: '#' first non-ws on the line; consume the
         # whole (possibly continued) line as one DIRECTIVE token.
         if ch == "#" and at_line_start:
-            j = i
-            while j < n:
-                if text[j] == "\\" and j + 1 < n and text[j + 1] == "\n":
-                    j += 2
-                    line += 1
-                    continue
-                if text[j] == "\n":
-                    break
-                j += 1
-            raw = text[i:j]
-            yield make(TokenType.DIRECTIVE, raw, start_line, start_col)
+            raw = _DIRECTIVE_LINE.match(text, i).group()
+            yield _directive(raw, file, start_line, start_col, tolerant, repairs)
+            line += raw.count("\n")
             col = 1  # continuation handling resets precision; directives end lines
-            i = j
+            i += len(raw)
             at_line_start = False
             continue
 
@@ -340,6 +354,31 @@ def _lex_iter(text: str, file: str, tolerant: bool, repairs: list[str]) -> Itera
     yield Token(TokenType.EOF, "", file, line, col)
 
 
-def significant(tokens: list[Token]) -> list[Token]:
+#: a directive line with its continuations; ``#``, its name and the blanks after
+_DIRECTIVE_LINE = re.compile(r"#(?:\\\n|[^\n])*")
+_DIRECTIVE_NAME = re.compile(r"#\s*(\S*)\s*")
+
+
+def _directive(
+    raw: str, file: str, line: int, col: int, tolerant: bool, repairs: list[str]
+) -> DirectiveToken:
+    """Split one directive line and lex its body where it stands."""
+    m = _DIRECTIVE_NAME.match(raw.replace("\\\n", " "))
+    rest, start = m.string[m.end() :].rstrip(), col + m.end()
+    try:
+        body = tuple(significant(_lex_iter(rest, file, tolerant, repairs, line, start)))
+    except ParseError as e:  # strict mode only
+        repairs.append("lex/directive-body")
+        diag.warning(
+            "lex/directive-body",
+            f"directive body does not lex as C++ ({e.message}); keeping raw text",
+            file, e.line, e.col,
+        )
+        return DirectiveToken(TokenType.DIRECTIVE, raw, file, line, col, m[1], rest, None, e)
+    rest = rest[body[0].col - start : body[-1].col - start + len(body[-1].text)] if body else ""
+    return DirectiveToken(TokenType.DIRECTIVE, raw, file, line, col, m[1], rest, body)
+
+
+def significant(tokens: Iterable[Token]) -> list[Token]:
     """Strip trivia (whitespace/comments/newlines) for the parser."""
     return [t for t in tokens if not t.is_trivia and t.type is not TokenType.EOF]

@@ -2,6 +2,7 @@
 
 Consumes the significant token stream (post-preprocessor, with retained
 pragma directives interleaved) and produces a :class:`TranslationUnit`.
+A pragma is read from the body tokens the lexer split off its directive.
 
 Ambiguity handling follows the pragmatic conventions real frontends use,
 scaled to the MiniC++ subset:
@@ -75,7 +76,7 @@ from repro.lang.cpp.astnodes import (
     WhileStmt,
 )
 from repro import diag
-from repro.lang.cpp.lexer import Token, TokenType, lex
+from repro.lang.cpp.lexer import DirectiveToken, Token, TokenType
 from repro.lang.source import VirtualFS
 from repro.lang.cpp.preprocessor import preprocess
 from repro.trees.node import SourceSpan
@@ -967,17 +968,10 @@ class Parser:
     # ------------------------------------------------------------------
     # pragmas
     # ------------------------------------------------------------------
-    def _parse_pragma_tokens(self, tok: Token) -> tuple[str, list[str], list[PragmaClause]]:
-        text = tok.text.lstrip()[1:].replace("\\\n", " ").strip()
-        # text = 'pragma omp parallel for ...'
-        toks = [
-            t
-            for t in lex(text, tok.file, tolerant=self.recover)
-            if not t.is_trivia and t.type is not TokenType.EOF
-        ]
-        # toks[0] = 'pragma', toks[1] = family
-        family = toks[1].text if len(toks) > 1 else ""
-        i = 2
+    def _parse_pragma_tokens(self, tok: DirectiveToken) -> tuple[str, list[str], list[PragmaClause]]:
+        toks = tok.tokens()  # 'omp parallel for ...'
+        family = toks[0].text if toks else ""
+        i = 1
         directives: list[str] = []
         clauses: list[PragmaClause] = []
         while i < len(toks):

@@ -19,10 +19,11 @@ Two behaviours the paper depends on are modelled explicitly:
   analogue lands in the unit.
 
 Each file is lexed once, in the caller's mode: ``recover=True`` repairs
-lexical damage in every file, ``#define`` body and ``#if`` expression it
-lexes (:func:`~repro.lang.cpp.lexer.lex` with ``tolerant=True``), and the
+lexical damage in every file it reads, directive bodies included, and the
 result hands each file's full token list on, so the indexer's line
-summaries and ``T_src`` pre need no lex of their own.
+summaries and ``T_src`` pre need no lex of their own. Directives are read
+from the name and body tokens the lexer split off; a strict-mode body that
+did not lex raises only in an active ``#define``, ``#if`` or ``#elif``.
 
 Simplification (documented): all files behave as if they start with
 ``#pragma once`` — including a file already read, the main file too, is a
@@ -33,9 +34,9 @@ behaviour-preserving while keeping the conditional stack simpler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NoReturn, Optional
 
-from repro.lang.cpp.lexer import Token, TokenType, lex, significant
+from repro.lang.cpp.lexer import DirectiveToken, Token, TokenType, lex, significant
 from repro.lang.source import VirtualFS
 from repro.util.errors import ParseError
 
@@ -138,41 +139,32 @@ class _Preprocessor:
         return out
 
     # -- directives ---------------------------------------------------------
-    def _directive(self, tok: Token, cond: list, out: list[Token], active) -> None:
-        body = tok.text.lstrip()[1:].replace("\\\n", " ")  # drop '#', join continuations
-        parts = body.strip().split(None, 1)
-        if not parts:
+    def _directive(self, tok: DirectiveToken, cond: list, out: list[Token], active) -> None:
+        name, rest = tok.name, tok.rest
+        if not name:
             return  # null directive
-        name = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
 
         if name in ("ifdef", "ifndef"):
-            sym = rest.split()[0] if rest.split() else ""
+            sym = rest.split()[0] if rest else ""
             truth = (sym in self.macros) if name == "ifdef" else (sym not in self.macros)
             taking = active() and truth
             cond.append((taking, taking))
             return
         if name == "if":
-            truth = bool(self._eval_expr(rest, tok)) if active() else False
+            truth = bool(self._eval_expr(tok)) if active() else False
             taking = active() and truth
             cond.append((taking, taking))
             return
-        if name == "elif":
+        if name in ("elif", "else"):
             if not cond:
-                raise ParseError("#elif without #if", tok.file, tok.line, tok.col)
-            _, taken = cond[-1]
-            cond.pop()
+                raise ParseError(f"#{name} without #if", tok.file, tok.line, tok.col)
+            _, taken = cond.pop()
             outer_active = all(t for t, _ in cond)
-            truth = (not taken) and outer_active and bool(self._eval_expr(rest, tok))
-            cond.append((truth, taken or truth))
-            return
-        if name == "else":
-            if not cond:
-                raise ParseError("#else without #if", tok.file, tok.line, tok.col)
-            _, taken = cond[-1]
-            cond.pop()
-            outer_active = all(t for t, _ in cond)
-            cond.append((outer_active and not taken, True))
+            if name == "else":
+                cond.append((outer_active and not taken, True))
+            else:
+                truth = (not taken) and outer_active and bool(self._eval_expr(tok))
+                cond.append((truth, taken or truth))
             return
         if name == "endif":
             if not cond:
@@ -185,23 +177,21 @@ class _Preprocessor:
             return
 
         if name == "include":
-            self._include(rest.strip(), tok, out)
+            self._include(tok, out)
             return
         if name == "define":
-            self._define(rest, tok)
+            self._define(tok)
             return
         if name == "undef":
-            sym = rest.split()[0] if rest.split() else ""
+            sym = rest.split()[0] if rest else ""
             self.macros.pop(sym, None)
             return
         if name == "pragma":
-            arg = rest.strip()
-            if arg == "once":
+            if rest == "once":
                 return  # every file is read at most once anyway
-            first = arg.split()[0] if arg.split() else ""
-            if first in _PRAGMA_KEEP_PREFIXES:
-                # Retained pragma: pass through for the parser (expanded so
-                # macros inside clauses work).
+            if rest and rest.split()[0] in _PRAGMA_KEEP_PREFIXES:
+                # Retained pragma, passed on as lexed: its clauses are not
+                # macro-expanded (DESIGN.md §"T_src and T_sem passes").
                 out.append(tok)
             return
         if name in ("error", "warning"):
@@ -210,14 +200,11 @@ class _Preprocessor:
             return
         raise ParseError(f"unknown directive #{name}", tok.file, tok.line, tok.col)
 
-    def _include(self, spec: str, tok: Token, out: list[Token]) -> None:
-        spec = spec.strip()
-        if spec.startswith('"') and spec.endswith('"'):
-            name, angled = spec[1:-1], False
-        elif spec.startswith("<") and spec.endswith(">"):
-            name, angled = spec[1:-1], True
-        else:
+    def _include(self, tok: DirectiveToken, out: list[Token]) -> None:
+        spec = tok.rest  # the lexer left out any comment around the name
+        if spec[:1] + spec[-1:] not in ('""', "<>"):
             raise ParseError(f"malformed #include {spec!r}", tok.file, tok.line, tok.col)
+        name, angled = spec[1:-1], spec[0] == "<"
         resolved = self.fs.resolve_include(name, tok.file, angled)
         if resolved is None:
             raise ParseError(f"include not found: {spec}", tok.file, tok.line, tok.col)
@@ -225,18 +212,16 @@ class _Preprocessor:
             return
         out.extend(self.process_file(resolved))
 
-    def _define(self, rest: str, tok: Token) -> None:
-        toks = significant(lex(rest, tok.file, tolerant=self.recover))
+    def _define(self, tok: DirectiveToken) -> None:
+        toks = tok.tokens()
         if not toks:
             raise ParseError("#define needs a name", tok.file, tok.line, tok.col)
         name = toks[0].text
-        # function-like iff '(' immediately follows the name in the raw text
-        stripped = rest.lstrip()
-        after = stripped[len(name) :]
         params: Optional[list[str]] = None
         body_start = 1
         variadic = False
-        if after.startswith("("):
+        # function-like iff '(' is adjacent to the name
+        if len(toks) > 1 and toks[1].text == "(" and toks[1].col == toks[0].col + len(name):
             params = []
             i = 1
             depth = 0
@@ -256,10 +241,7 @@ class _Preprocessor:
                 i += 1
             else:
                 raise ParseError("unterminated macro parameter list", tok.file, tok.line, tok.col)
-        body = toks[body_start:]
-        # Rebase body token locations onto the definition site.
-        body = [Token(t.type, t.text, tok.file, tok.line, t.col) for t in body]
-        self.macros[name] = Macro(name, params, body, variadic)
+        self.macros[name] = Macro(name, params, list(toks[body_start:]), variadic)
 
     # -- macro expansion ----------------------------------------------------
     def expand(self, tokens: list[Token], banned: frozenset[str] = frozenset()) -> list[Token]:
@@ -343,8 +325,8 @@ class _Preprocessor:
         return out
 
     # -- #if expression evaluation -------------------------------------------
-    def _eval_expr(self, text: str, tok: Token) -> int:
-        toks = significant(lex(text, tok.file, tolerant=self.recover))
+    def _eval_expr(self, tok: DirectiveToken) -> int:
+        toks = tok.tokens()
         # resolve defined(X) / defined X before macro expansion
         resolved: list[Token] = []
         i = 0
@@ -369,7 +351,13 @@ class _Preprocessor:
 
 
 class _CondEval:
-    """Recursive-descent evaluator for #if expressions."""
+    """Recursive-descent evaluator for #if expressions.
+
+    The whole line must be one expression: a token left over (``#if 1 2``,
+    or the ``?`` of a conditional, which no caller uses) is an error, and
+    so are division by zero and a negative shift count in an operand that
+    is evaluated. Integer literals read as C reads them (``010`` is 8).
+    """
 
     _BINOPS = [
         ("||",),
@@ -388,10 +376,17 @@ class _CondEval:
         self.toks = tokens
         self.i = 0
         self.origin = origin
+        self.live = True  # False inside an operand whose value is not used
 
     def parse(self) -> int:
         v = self._level(0)
+        extra = self._peek()
+        if extra is not None:
+            self._fail(f"unexpected {extra.text!r} in #if expression", extra)
         return v
+
+    def _fail(self, message: str, at: Optional[Token] = None) -> NoReturn:
+        raise ParseError(message, self.origin.file, self.origin.line, at.col if at else 0)
 
     def _peek(self) -> Optional[Token]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -403,8 +398,17 @@ class _CondEval:
         ops = self._BINOPS[lvl]
         while (t := self._peek()) is not None and t.text in ops:
             self.i += 1
+            live = self.live
+            # as in C, the right operand of a decided && or || is not evaluated
+            self.live = live and not ((t.text == "&&" and not v) or (t.text == "||" and v))
             rhs = self._level(lvl + 1)
-            v = self._apply(t.text, v, rhs)
+            self.live = live
+            try:
+                v = self._apply(t.text, v, rhs)
+            except (ZeroDivisionError, ValueError) as e:  # x / 0, x << -1
+                if live:
+                    self._fail(f"{e} in #if", t)
+                v = 0
         return v
 
     @staticmethod
@@ -442,15 +446,15 @@ class _CondEval:
         if op == "*":
             return a * b
         if op == "/":
-            return a // b if b else 0
+            return a // b
         if op == "%":
-            return a % b if b else 0
+            return a % b
         raise AssertionError(op)
 
     def _unary(self) -> int:
         t = self._peek()
         if t is None:
-            raise ParseError("bad #if expression", self.origin.file, self.origin.line, 0)
+            self._fail("bad #if expression")
         if t.text == "!":
             self.i += 1
             return int(not self._unary())
@@ -468,18 +472,20 @@ class _CondEval:
             v = self._level(0)
             nxt = self._peek()
             if nxt is None or nxt.text != ")":
-                raise ParseError("missing ')' in #if", self.origin.file, self.origin.line, 0)
+                self._fail("missing ')' in #if")
             self.i += 1
             return v
         if t.type is TokenType.INT:
             self.i += 1
             txt = t.text.rstrip("uUlL")
-            return int(txt, 0)
+            base = 16 if txt[:2].lower() == "0x" else 8 if txt.startswith("0") else 10
+            try:
+                return int(txt, base)
+            except ValueError:
+                self._fail(f"invalid integer {t.text!r} in #if", t)
         if t.type in (TokenType.IDENT, TokenType.KEYWORD):
             self.i += 1
             if t.text == "true":
                 return 1
             return 0
-        raise ParseError(
-            f"unexpected {t.text!r} in #if expression", self.origin.file, self.origin.line, t.col
-        )
+        self._fail(f"unexpected {t.text!r} in #if expression", t)

@@ -97,3 +97,34 @@ class TestPrePostVariants:
         post = self.unit(fs).t_src_post
         lits = [n.attrs.get("text") for n in post.preorder() if n.kind == "lit"]
         assert "64" in lits
+
+
+class TestDirectiveBodies:
+    """A directive's children are the body tokens the lexer split off."""
+
+    def test_strict_body_that_does_not_lex_keeps_raw_words(self):
+        from repro import diag
+
+        fs = fs_with("#if 0\n#error don't\n#endif\nint main() { return 0; }\n")
+        with diag.capture() as sink:
+            unit = index_cpp_unit(fs, "main", "main.cpp", CompileOptions(), recover=False)
+        assert sink.by_code() == {"lex/directive-body": 1}
+        [error] = unit.t_src_pre.find_labels("directive:error")
+        assert [(n.label, n.kind) for n in error.children] == [("don't", "tok")]
+
+    def test_recover_repairs_the_body(self):
+        from repro import diag
+
+        fs = fs_with("#pragma omp parallel for @\nint main() { return 0; }\n")
+        with diag.capture() as sink:
+            unit = index_cpp_unit(fs, "main", "main.cpp", CompileOptions(), recover=True)
+        assert sink.by_code() == {"lex/unexpected-char": 1}
+        for tree in (unit.t_src_pre, unit.t_src_post):
+            [pragma] = tree.find_labels("directive:pragma")
+            assert [n.label for n in pragma.children] == ["omp", "parallel", "for"]
+
+    def test_comments_in_a_directive_make_no_node(self):
+        t = t_src("#include <a/b.h> // why\n#endif /* X */\n")
+        [inc] = t.find_labels("directive:include")
+        assert [n.label for n in inc.children] == ["a", "b", "h"]
+        assert t.find_labels("directive:endif")[0].children == ()

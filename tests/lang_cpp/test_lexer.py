@@ -92,6 +92,59 @@ class TestDirectives:
         assert toks[0].type == TokenType.DIRECTIVE
 
 
+class TestDirectiveSplit:
+    """The lexer splits a directive once: name, raw rest, body tokens."""
+
+    def test_name_rest_and_body_at_their_columns(self):
+        d = lex("  #  pragma omp parallel for // why\n")[1]
+        assert (d.name, d.rest) == ("pragma", "omp parallel for")
+        assert [(t.text, t.line, t.col) for t in d.body] == [
+            ("omp", 1, 13), ("parallel", 1, 17), ("for", 1, 26),
+        ]
+        assert d.text == "#  pragma omp parallel for // why"
+
+    def test_null_directive_and_empty_body(self):
+        null, _, endif = lex("#\n#endif // X")[:3]
+        assert (null.name, null.rest, null.body) == ("", "", ())
+        assert (endif.name, endif.rest, endif.body) == ("endif", "", ())
+
+    def test_continued_directive_is_one_logical_line(self):
+        d = lex("#define M(a) \\\n  (a + 1)\nint y;")[0]
+        assert d.name == "define"
+        assert [t.text for t in d.body] == ["M", "(", "a", ")", "(", "a", "+", "1", ")"]
+        assert {t.line for t in d.body} == {1}
+        assert d.body[4].col == 17  # column in the joined line
+
+    def test_hash_in_a_body_is_punctuation(self):
+        d = lex("#define S(x) #x\n")[0]
+        assert [(t.type, t.text) for t in d.body][-2:] == [
+            (TokenType.PUNCT, "#"), (TokenType.IDENT, "x"),
+        ]
+
+    def test_tolerant_body_is_repaired_where_it_stands(self):
+        from repro import diag
+
+        with diag.capture() as sink:
+            d = lex("#pragma omp for @ nowait\n", tolerant=True)[0]
+        assert [(x.code, x.line, x.col) for x in sink.diagnostics] == [
+            ("lex/unexpected-char", 1, 17)
+        ]
+        assert [t.text for t in d.body] == ["omp", "for", "nowait"]
+
+    def test_strict_body_that_does_not_lex_keeps_its_error(self):
+        from repro import diag
+
+        with diag.capture() as sink:
+            d = lex("#error don't\n")[0]
+        assert d.body is None and d.rest == "don't"
+        assert [(x.code, x.line, x.col) for x in sink.diagnostics] == [
+            ("lex/directive-body", 1, 11)
+        ]
+        with pytest.raises(ParseError, match="unterminated literal") as info:
+            d.tokens()
+        assert (info.value.line, info.value.col) == (1, 11)
+
+
 class TestLocations:
     def test_line_and_col(self):
         toks = significant(lex("int a;\n  double b;"))
@@ -144,6 +197,24 @@ class TestMemo:
             with diag.capture() as sink:
                 lex("int a; /* open", "m.cpp", tolerant=True)
             assert [d.code for d in sink.diagnostics] == ["lex/unterminated-comment"]
+
+    def test_body_is_memoised_with_its_file(self):
+        first = lex("#define N 4\nint a[N];\n", "m.cpp")[0]
+        again = lex("#define N 4\nint a[N];\n", "m.cpp")[0]
+        assert again is first and again.body is first.body
+
+    def test_strict_body_fallback_is_not_memoised(self):
+        from repro import diag
+
+        for _ in range(2):
+            with diag.capture() as sink:
+                d = lex("#error don't\n", "m.cpp")[0]
+            assert sink.by_code() == {"lex/directive-body": 1}
+        with diag.capture():
+            assert [t.text for t in lex("#error don't\n", "m.cpp", tolerant=True)[0].body] == [
+                "don", "'t"
+            ]
+        assert d.body is None
 
     def test_strict_lex_still_raises_after_a_tolerant_one(self):
         from repro import diag

@@ -44,6 +44,10 @@ class TestObjectMacros:
 
 
 class TestFunctionMacros:
+    def test_paren_after_a_blank_is_object_like(self):
+        r = pp("#define P (1)\n#define F(x) x\nint y = P + F(2);")
+        assert texts(r) == ["int", "y", "=", "(", "1", ")", "+", "2", ";"]
+
     def test_args_substituted(self):
         r = pp("#define SQ(x) ((x) * (x))\nint y = SQ(3);")
         assert texts(r).count("3") == 2
@@ -125,6 +129,61 @@ class TestConditionals:
         assert len(r.skipped_lines) >= 2
 
 
+class TestIfExpressions:
+    """``#if`` evaluates one whole C expression or rejects the line."""
+
+    @pytest.mark.parametrize("recover", [False, True], ids=["strict", "recover"])
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("1 2", "unexpected '2'"),
+            ("1 )", "unexpected '\\)'"),
+            ("0 1", "unexpected '1'"),
+            ("0 ? 0 : 1", "unexpected '\\?'"),
+            ("1 ? 0 : 1", "unexpected '\\?'"),
+            ("1 / 0", "by zero"),
+            ("1 % (2 - 2)", "by zero"),
+            ("1 << -1", "negative shift"),
+            ("08", "invalid integer"),
+        ],
+        ids=["trailing", "stray-paren", "trailing-after-0", "cond-0", "cond-1",
+             "div-zero", "mod-zero", "negative-shift", "bad-octal"],
+    )
+    def test_rejected_in_both_modes(self, expr, message, recover):
+        with pytest.raises(ParseError, match=message):
+            pp(f"#if {expr}\nint a;\n#endif\n", recover=recover)
+
+    def test_error_points_at_the_leftover_token(self):
+        with pytest.raises(ParseError) as info:
+            pp("#if 1 2\n#endif\n")
+        assert (info.value.line, info.value.col) == (1, 7)
+
+    @pytest.mark.parametrize("expr", ["010 == 8", "0x10 == 16", "0 == 00", "10u == 10"])
+    def test_integer_literals_read_as_c(self, expr):
+        assert "a" in texts(pp(f"#if {expr}\nint a;\n#endif\n"))
+
+    @pytest.mark.parametrize(
+        "expr, kept",
+        [("0 && 1 / 0", False), ("1 || 1 % 0", True), ("0 && (1 << -1) + 2", False),
+         ("1 && 0 || 1 / 0 == 0", "raises")],
+    )
+    def test_operand_c_does_not_evaluate_may_divide_by_zero(self, expr, kept):
+        src = f"#if {expr}\nint a;\n#endif\n"
+        if kept == "raises":
+            with pytest.raises(ParseError, match="by zero"):
+                pp(src)
+        else:
+            assert ("a" in texts(pp(src))) is kept
+
+    def test_elif_is_checked_only_when_evaluated(self):
+        r = pp("#if 1\nint a;\n#elif 1 2\nint b;\n#endif\n")
+        assert "a" in texts(r) and "b" not in texts(r)
+
+    def test_skipped_if_is_not_evaluated(self):
+        r = pp("#ifdef NO\n#if 1 2\n#endif\n#endif\nint c;")
+        assert "c" in texts(r)
+
+
 class TestIncludes:
     def test_quoted_include(self):
         r = pp('#include "h.h"\nint y;', files={"h.h": "int from_header;"})
@@ -170,6 +229,21 @@ class TestIncludes:
         assert main[0].type is TokenType.DIRECTIVE and main[-1].type is TokenType.EOF
         assert any(t.type is TokenType.COMMENT for t in main)
 
+    @pytest.mark.parametrize(
+        "line",
+        ['#include "h.h" // the header', '#include "h.h" /* c */', "#include <h.h> // c",
+         '#include /* c */ "h.h"'],
+        ids=["line-comment", "block-comment", "angled", "leading-comment"],
+    )
+    def test_comment_around_the_name(self, line):
+        r = pp(f"{line}\nint y;", files={"h.h": "int from_header;", "<system>/h.h": "int from_header;"})
+        assert "from_header" in texts(r)
+        assert r.dependencies in (["h.h"], ["<system>/h.h"])
+
+    def test_trailing_tokens_still_malformed(self):
+        with pytest.raises(ParseError, match="malformed #include"):
+            pp('#include "h.h" junk\n', files={"h.h": ""})
+
     def test_tokens_keep_original_file(self):
         r = pp('#include "h.h"\nint y;', files={"h.h": "int hx;"})
         hx = [t for t in r.tokens if t.text == "hx"][0]
@@ -191,6 +265,18 @@ class TestPragmaRetention:
         r = pp("#pragma GCC optimize\nint x;")
         assert not any(t.type is TokenType.DIRECTIVE for t in r.tokens)
 
+    def test_clause_macros_are_not_expanded(self):
+        # the corpus's map clauses name macros (ARRAY_SIZE, GRID_CELLS, ...)
+        # and T_sem keeps those names
+        from repro.lang.cpp.parser import parse_tokens
+
+        r = pp("#define NT 4\nint main() {\n#pragma omp parallel num_threads(NT)\n{}\nreturn 0;\n}")
+        [pragma] = [t for t in r.tokens if t.type is TokenType.DIRECTIVE]
+        assert [t.text for t in pragma.body] == ["omp", "parallel", "num_threads", "(", "NT", ")"]
+        tu = parse_tokens(r.tokens, "main.cpp")
+        stmt = tu.decls[0].body.stmts[0]
+        assert [(c.name, c.arguments) for c in stmt.clauses] == [("num_threads", ["NT"])]
+
     def test_pragma_once_marks_included(self):
         r = pp(
             '#include "g.h"\n#include "g.h"\n',
@@ -202,7 +288,7 @@ class TestPragmaRetention:
 class TestRecover:
     @pytest.mark.parametrize(
         "src",
-        ["int x = 1 @ 2;", "#define N 1 @ 2\nint x = N;", "#if 1 @ 1\nint x;\n#endif"],
+        ["int x = 1 @ 2;", "#define N 1 @ 2\nint x = N;", "#if 1 +@ 1\nint x;\n#endif"],
         ids=["file", "define-body", "if-expression"],
     )
     def test_lexical_damage_is_one_warning(self, src):
@@ -216,3 +302,26 @@ class TestRecover:
     def test_directive_errors_still_raise(self):
         with pytest.raises(ParseError, match="unterminated #if"):
             pp("#if 1\nint x;", recover=True)
+
+    def test_directive_still_malformed_after_repair_raises(self):
+        # '@' is skipped, and '1 1' is not an expression
+        with diag.capture() as sink, pytest.raises(ParseError, match="unexpected '1'"):
+            pp("#if 1 @ 1\nint x;\n#endif", recover=True)
+        assert sink.by_code() == {"lex/unexpected-char": 1}
+
+    def test_strict_define_body_raises_at_its_column(self):
+        with pytest.raises(ParseError, match="unterminated literal") as info:
+            pp("#define MSG 'x\nint y;")
+        assert (info.value.line, info.value.col) == (1, 13)
+
+    @pytest.mark.parametrize(
+        "src",
+        ["#ifdef NO\n#define MSG 'x\n#endif\nint y;", "#pragma message(\"x)\nint y;",
+         "#if 0\n#error don't\n#endif\nint y;"],
+        ids=["skipped-define", "dropped-pragma", "skipped-error"],
+    )
+    def test_strict_body_that_is_not_needed_only_warns(self, src):
+        with diag.capture() as sink:
+            r = pp(src)
+        assert sink.by_code() == {"lex/directive-body": 1}
+        assert "y" in texts(r)

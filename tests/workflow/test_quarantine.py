@@ -114,6 +114,22 @@ class TestLexicalDamageIsRepaired:
         assert not cb.units["main"].degraded
         assert sink.by_code().get("lex/unexpected-char") == 1
 
+    @pytest.mark.parametrize(
+        "src, col",
+        [("#pragma omp parallel for @\n", 26), ("#define X 1 @ 2\n", 13)],
+        ids=["retained-pragma", "define-body"],
+    )
+    def test_bad_character_in_a_directive_warns_once_at_its_column(self, src, col):
+        # the lexer lexes a directive's body once, where it stands; the
+        # preprocessor, T_src pre/post and the parser read those tokens
+        fs = make_fs(**{"bad.cpp": src + "int main() { return 0; }\n"})
+        with diag.capture() as sink:
+            cb = index_codebase(cpp_spec({"main": "bad.cpp"}), fs)
+        assert not cb.units["main"].degraded
+        assert [(d.code, d.file, d.line, d.col) for d in sink.diagnostics] == [
+            ("lex/unexpected-char", "bad.cpp", 1, col)
+        ]
+
     def test_unterminated_comment_keeps_its_trees(self):
         fs = make_fs(**{"bad.cpp": "int main() { /* unterminated\n"})
         with diag.capture() as sink:
